@@ -31,10 +31,6 @@ def frac_str(fr: Fraction) -> str:
     return f"{fr.numerator}/{fr.denominator}"
 
 
-def parse_frac(s: str) -> Fraction:
-    return Fraction(s)
-
-
 def encode_value(v: Any) -> Any:
     """Recursively encode a value into JSON-safe primitives."""
     if isinstance(v, Bound):

@@ -32,7 +32,7 @@ from fractions import Fraction
 
 from .certificates import Certificate, frac_str
 from .precision import (Bound, bound_max, chord, pi_bound, residue_distance)
-from .ratintervals import IntervalSet, remove_ball_mod1
+from .ratintervals import IntervalSet, balls_mod1
 from .seqcore import IntegerSequence
 
 
@@ -294,11 +294,9 @@ def witness_nested_intervals(seq: IntegerSequence, K: int, delta_target,
         delta_s = delta_target * factor
         survivors = IntervalSet.single(Fraction(0), Fraction(1))
         for n in terms:
-            radius = delta_s * inv4pi / n
-            for j in range(n + 1):
-                survivors = remove_ball_mod1(survivors, Fraction(j, n), radius)
-                if not survivors:
-                    break
+            survivors = survivors.subtract(
+                balls_mod1((Fraction(j, n) for j in range(n + 1)),
+                           delta_s * inv4pi / n))
             if not survivors:
                 break
         trials.append((delta_s, survivors.measure()))

@@ -30,12 +30,13 @@ context, which is only raised, never lowered, by this module.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
 import numpy as np
-from mpmath import mpc, mpf
+from mpmath import mp, mpc, mpf
 
 from .certificates import Certificate, frac_str
 from .circle import AngleTurns, PerturbResult, perturb_divisibility, unimod_dist
@@ -303,6 +304,27 @@ def _mat_power(Tm, Tr, n: int, u, tiny):
     return Pm, Pr
 
 
+@contextmanager
+def _working_precision(bits: int, n: int):
+    """Precision of one ``power_norm`` call at ``bits`` and power ``n``.
+
+    Raises the interval precision for the trigonometric bounds and yields
+    the backend's unit roundoff and underflow floor ``(u, tiny)``.  Above
+    53 bits the mpmath numbers are rounded at ``bits`` while the context
+    is open, which is the rounding the radius model charges for.
+    """
+    old_bits = get_bits()
+    set_bits(max(old_bits, bits + 32, 2 * n.bit_length() + 96))
+    try:
+        if bits <= 53:
+            yield 2.0 ** -52, 1e-290
+        else:
+            with mp.workprec(bits):
+                yield mpf(2) ** (1 - bits), mpf(2) ** (-8 * bits)
+    finally:
+        set_bits(old_bits)
+
+
 def _entry_mid_rad(re_b: Bound, im_b: Bound, u, tiny):
     if isinstance(u, float):
         mid = complex(float(re_b.mid), float(im_b.mid))
@@ -362,11 +384,14 @@ def _tri_norm_upper(U: list[list[Fraction]]) -> Fraction:
     return min(a, b)
 
 
-def _rayleigh_lower(mid_f: np.ndarray, rad_fr: list[list[Fraction]]) -> Fraction:
+def _rayleigh_lower(mid: np.ndarray, rad_fr: list[list[Fraction]]) -> Fraction:
     """Certified sigma_max lower bound: exact ||M v|| - ||R |v||| on the
-    float singular vector, all in rationals."""
-    N = mid_f.shape[0]
-    _, _, vh = np.linalg.svd(mid_f)
+    float singular vector, all in rationals.  ``mid`` holds the midpoints
+    in either backend; its float64 copy only supplies the vector, so the
+    bound never rests on midpoints rounded below the working precision."""
+    N = mid.shape[0]
+    _, _, vh = np.linalg.svd(np.array([[complex(z) for z in row] for row in mid],
+                                      dtype=np.complex128))
     v = vh[0].conj()
     vr = [Fraction(z.real) for z in v]
     vi = [Fraction(z.imag) for z in v]
@@ -377,7 +402,7 @@ def _rayleigh_lower(mid_f: np.ndarray, rad_fr: list[list[Fraction]]) -> Fraction
         re = im = Fraction(0)
         err = Fraction(0)
         for j in range(N):
-            a, b = Fraction(mid_f[i, j].real), Fraction(mid_f[i, j].imag)
+            a, b = _frac_of(mid[i, j].real), _frac_of(mid[i, j].imag)
             re += a * vr[j] - b * vi[j]
             im += a * vi[j] + b * vr[j]
             err += rad_fr[i][j] * vabs[j]
@@ -420,13 +445,7 @@ def power_norm(op: DiagShiftOperator, n: int, bits: int = 53,
         ti = bound_max([chord(_pow_residue(t, n)) for t in thetas])
         return PowerNormResult(n, ti, Bound.exact(0), bits, "diagonal-exact")
 
-    old_bits = get_bits()
-    set_bits(max(old_bits, bits + 32, 2 * n.bit_length() + 96))
-    try:
-        if bits <= 53:
-            u, tiny = 2.0 ** -52, 1e-290
-        else:
-            u, tiny = mpf(2) ** (1 - bits), mpf(2) ** (-8 * bits)
+    with _working_precision(bits, n) as (u, tiny):
         Tm, Tr = _operator_mid_rad(op, u, tiny)
         with np.errstate(over="ignore", invalid="ignore"):
             Pm, Pr = _mat_power(Tm, Tr, n, u, tiny)
@@ -447,26 +466,22 @@ def power_norm(op: DiagShiftOperator, n: int, bits: int = 53,
                 f"retry with more bits")
 
         U = _abs_upper_fractions(Pm, Pr)
-        mid_f = np.array([[complex(Pm[i, j]) for j in range(op.dimension)]
-                          for i in range(op.dimension)], dtype=np.complex128)
 
         U_ti = [row[:] for row in U]
-        ti_f = mid_f.copy()
+        ti_m = Pm.copy()
         for j, r in enumerate(residues):
             U_ti[j][j] = chord(r).hi
-            ti_f[j, j] -= 1.0
+            ti_m[j, j] -= 1
         upper_ti = _tri_norm_upper(U_ti)
-        lower_ti = _rayleigh_lower(ti_f, rad_fr)
+        lower_ti = _rayleigh_lower(ti_m, rad_fr)
 
         U_td = [row[:] for row in U]
-        td_f = mid_f.copy()
+        td_m = Pm.copy()
         for j in range(op.dimension):
             U_td[j][j] = Fraction(0)      # diagonal cancels exactly
-            td_f[j, j] = 0.0
+            td_m[j, j] = 0.0
         upper_td = _tri_norm_upper(U_td)
-        lower_td = _rayleigh_lower(td_f, rad_fr)
-    finally:
-        set_bits(old_bits)
+        lower_td = _rayleigh_lower(td_m, rad_fr)
 
     assert lower_ti <= upper_ti and lower_td <= upper_td
     return PowerNormResult(n, Bound(lower_ti, upper_ti),

@@ -201,14 +201,6 @@ def bound_max(bounds: Iterable[Bound]) -> Bound:
     return acc
 
 
-def bound_min(bounds: Iterable[Bound]) -> Bound:
-    it = iter(bounds)
-    acc = next(it)
-    for b in it:
-        acc = acc.min_with(b)
-    return acc
-
-
 def bound_sum(bounds: Iterable[Bound]) -> Bound:
     acc = Bound.exact(0)
     for b in bounds:

@@ -14,7 +14,9 @@ interval arithmetic, and symbolically through pure index bookkeeping
 (:func:`red_index_oracle`).  The non-recurrence check computes
 ``m(T^{n_k - 1}(A minus the last column) /\\ A)`` exactly; the expected
 value is zero, and the report also carries the escaped-mass ledger so a
-zero cannot hide dropped pieces.
+zero cannot hide dropped pieces.  The powers come from
+:func:`tower_power`, one translation per level piece; the step-by-step
+:func:`power_image` over the partial map is the small-k reference.
 
 Spacer intervals are allocated left to right from the unused suffix of
 [0, 1); the base length l_1 is solved from total mass exactly 1 when the
@@ -25,6 +27,8 @@ completely and no spacer pool remains.
 
 from __future__ import annotations
 
+import bisect
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -286,6 +290,53 @@ def power_image(tmap: PiecewiseTranslation, s: IntervalSet,
     return current, escaped
 
 
+def tower_power(stage: TowerStage, s: IntervalSet,
+                m: int) -> tuple[IntervalSet, IntervalSet]:
+    """The pair ``power_image(partial_map(stage), s, m)`` in one pass.
+
+    ``T^m`` sends level ``i`` to level ``i + m`` by the single translation
+    ``levels[i+m] - levels[i]``; a point on level ``i`` with ``i + m >= H``,
+    or outside the tower, escapes and is reported where it lies in s.
+    Every level start is an integer multiple of the stage width, so a
+    point's level is found from its integer cell ``floor(x / width)``;
+    parts are split at cell boundaries because adjacent levels can touch.
+    """
+    if m < 0:
+        raise ValueError("negative powers are not defined for the partial map")
+    if m == 0:
+        return s, IntervalSet()
+    w, levels, height = stage.width, stage.levels, stage.height
+    cell_level: dict[int, int] = {}
+    for i, x in enumerate(levels):
+        cell = x / w
+        if cell.denominator != 1:
+            raise ValueError(f"level {i} does not start on a multiple of the width")
+        cell_level[cell.numerator] = i
+    starts = sorted(cell_level)
+    image: list[tuple[Fraction, Fraction]] = []
+    escaped: list[tuple[Fraction, Fraction]] = []
+    for a, b in s.parts:
+        cell = math.floor(a / w)
+        while a < b:
+            i = cell_level.get(cell)
+            if i is None:
+                # outside the tower up to the next level start
+                nxt = bisect.bisect_right(starts, cell)
+                cell = starts[nxt] if nxt < len(starts) else None
+                edge = b if cell is None else min(b, cell * w)
+                escaped.append((a, edge))
+            else:
+                cell += 1
+                edge = min(b, cell * w)
+                if i + m < height:
+                    d = levels[i + m] - levels[i]
+                    image.append((a + d, edge + d))
+                else:
+                    escaped.append((a, edge))
+            a = edge
+    return IntervalSet(image), IntervalSet(escaped)
+
+
 # ---------------------------------------------------------------------------
 # symbolic red-level oracle (independent of interval arithmetic)
 # ---------------------------------------------------------------------------
@@ -446,8 +497,7 @@ def nonrecurrence_check(schedule, k: int, kappa: int | None = None) -> Nonrecurr
     removed_k = _removed_column_set(build, k)
     checked = a_full.subtract(removed_k)
 
-    tmap = partial_map(stage_next)
-    image, escaped = power_image(tmap, checked, n_k - 1)
+    image, escaped = tower_power(stage_next, checked, n_k - 1)
     overlap = image.intersect(a_full)
 
     if kappa is None:
@@ -457,7 +507,7 @@ def nonrecurrence_check(schedule, k: int, kappa: int | None = None) -> Nonrecurr
     removed_union = union_all([_removed_column_set(build, j)
                                for j in range(kappa, k + 1)])
     c_set = a_full.subtract(removed_union)
-    image_c, escaped_c = power_image(tmap, c_set, n_k - 1)
+    image_c, escaped_c = tower_power(stage_next, c_set, n_k - 1)
     overlap_c = image_c.intersect(c_set)
 
     removed_rows = [(j, _removed_column_set(build, j).measure(),

@@ -119,16 +119,24 @@ class IntervalSet:
         return max(self.parts, key=lambda iv: iv[1] - iv[0])
 
 
+def balls_mod1(centers: Iterable[Fraction], radius: Fraction) -> IntervalSet:
+    """Union of the radius-neighborhoods of ``centers`` on the circle [0, 1)."""
+    radius = Fraction(radius)
+    pieces: list[Interval] = []
+    for center in centers:
+        c = Fraction(center) % 1
+        lo, hi = c - radius, c + radius
+        pieces.append((max(lo, Fraction(0)), min(hi, Fraction(1))))
+        if lo < 0:
+            pieces.append((lo + 1, Fraction(1)))
+        if hi > 1:
+            pieces.append((Fraction(0), hi - 1))
+    return IntervalSet(pieces)
+
+
 def remove_ball_mod1(sur: IntervalSet, center: Fraction, radius: Fraction) -> IntervalSet:
     """Remove the radius-neighborhood of ``center`` on the circle [0, 1)."""
-    c = Fraction(center) % 1
-    lo, hi = c - radius, c + radius
-    pieces = [(max(lo, Fraction(0)), min(hi, Fraction(1)))]
-    if lo < 0:
-        pieces.append((lo + 1, Fraction(1)))
-    if hi > 1:
-        pieces.append((Fraction(0), hi - 1))
-    return sur.subtract(IntervalSet(pieces))
+    return sur.subtract(balls_mod1([center], radius))
 
 
 def union_all(sets: Sequence[IntervalSet]) -> IntervalSet:

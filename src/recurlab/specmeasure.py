@@ -75,9 +75,6 @@ class DiscreteMeasure:
                                 for a1, w1 in self.atoms
                                 for a2, w2 in other.atoms])
 
-    def max_weight(self) -> Fraction:
-        return max(w for _, w in self.atoms)
-
     def atom_energy(self) -> Fraction:
         """sum of squared weights; the Wiener limit of the energy average."""
         return sum((w * w for _, w in self.atoms), Fraction(0))

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from mpmath import mp, mpc
 
 from recurlab.circle import AngleTurns, verify_witness
 from recurlab.linsys import (BallCertificate, DiagShiftOperator, NormCertificate,
@@ -12,7 +13,7 @@ from recurlab.linsys import (BallCertificate, DiagShiftOperator, NormCertificate
                              build_operator, build_shift_weights,
                              kalish_eigencheck, norm_table_csv, power_norm,
                              telescope_gap)
-from recurlab.precision import Bound, chord
+from recurlab.precision import Bound, chord, cos_turns, sin_turns
 from recurlab.seqcore import gen_divisibility, triangular_pow2
 
 SEQ = triangular_pow2(40)
@@ -183,6 +184,47 @@ def test_precision_error_then_retry():
     assert res.norm_ti.lo <= diag_max + res.norm_td.hi
     assert res.norm_ti.width < F(1, 10 ** 4)
     assert res.norm_td.hi < F(1, 10 ** 5)
+
+
+def _reference_norms(op: DiagShiftOperator, n: int, prec: int = 300):
+    """||T^n - I|| and ||T^n - D^n|| from a plain mpmath computation at
+    ``prec`` bits, as rationals."""
+    with mp.workprec(prec):
+        N = op.dimension
+        T = mp.matrix(N, N)
+        for j, a in enumerate(op.diag):
+            T[j, j] = mp.expjpi(2 * mp.mpf(a.exact.numerator) / a.exact.denominator)
+        for i, w in enumerate(op.weights):
+            T[i, i + 1] = mp.mpf(w.numerator) / w.denominator
+        P = T ** n
+        D = mp.diag([T[j, j] ** n for j in range(N)])
+        out = []
+        for M in (P - mp.eye(N), P - D):
+            man, exp = max(mp.svd_c(M, compute_uv=False)).man_exp
+            out.append(man * F(2) ** exp)
+        return out
+
+
+@pytest.mark.parametrize("angles, weights, n", [
+    (((1, 7), (6, 7)), [F(1, 2)], 2),
+    (((2, 7), (5, 7)), [F(1, 3)], 3),
+    (((3, 7), (4, 7)), [F(1, 2)], 3),
+    (((1, 3), (1, 5), (1, 7), (2, 11)), [F(1, 4), F(1, 16), F(1, 64)], 5),
+])
+def test_power_norm_contains_true_norms_at_96_bits(angles, weights, n):
+    op = DiagShiftOperator(len(angles), _angles(*angles), weights)
+    res = power_norm(op, n, bits=96)
+    ti, td = _reference_norms(op, n)
+    assert res.norm_ti.lo <= ti <= res.norm_ti.hi
+    assert res.norm_td.lo <= td <= res.norm_td.hi
+    # one diagonal entry in the precision context power_norm runs in
+    from recurlab.linsys import _entry_mid_rad, _working_precision
+    with _working_precision(96, n) as (u, tiny):
+        theta = op.diag[0].exact
+        mid, rad = _entry_mid_rad(cos_turns(theta), sin_turns(theta), u, tiny)
+    with mp.workprec(300):
+        true = mp.expjpi(2 * mp.mpf(theta.numerator) / theta.denominator)
+        assert abs(mpc(mid) - true) <= rad
 
 
 def _norms_with_sup(c: F) -> NormCertificate:

@@ -1,12 +1,15 @@
+import time
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from recurlab.rankone import (PiecewiseTranslation, StackingSchedule,
-                              build_tower_schedule, nonrecurrence_check,
+                              TowerStage, build_tower_schedule,
+                              nonrecurrence_check,
                               partial_map, power_image, red_index_oracle,
-                              shifted_schedule, symbolic_survivor_shift)
+                              shifted_schedule, symbolic_survivor_shift,
+                              tower_power)
 from recurlab.ratintervals import IntervalSet
 from recurlab.seqcore import gen_recursive_q
 
@@ -236,3 +239,67 @@ def test_shifted_schedule_guards():
         shifted_schedule(CHACON_SEQ, 0)
     with pytest.raises(ValueError, match="usable steps"):
         shifted_schedule(CHACON_SEQ, 2, rounds=1)
+
+
+@st.composite
+def tower_power_cases(draw):
+    """A random stage, a set mixing partial level pieces with arbitrary
+    intervals (some off the tower or off [0, 1)), and a power m."""
+    steps = draw(st.lists(st.tuples(st.integers(min_value=3, max_value=4),
+                                    st.integers(min_value=0, max_value=2)),
+                          min_size=1, max_size=2))
+    sch = StackingSchedule(draw(st.integers(min_value=1, max_value=2)),
+                           tuple(steps))
+    j = draw(st.integers(min_value=0, max_value=len(steps)))
+    stage = build_tower_schedule(sch, stages=j).stage(j)
+    unit = st.fractions(min_value=0, max_value=1, max_denominator=7)
+    parts = []
+    for i in draw(st.lists(st.integers(min_value=0, max_value=stage.height - 1),
+                           max_size=6)):
+        a, b = sorted((draw(unit), draw(unit)))
+        parts.append((stage.levels[i] + a * stage.width,
+                      stage.levels[i] + b * stage.width))
+    anywhere = st.fractions(min_value=F(-1, 4), max_value=F(5, 4),
+                            max_denominator=60)
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        a, b = sorted((draw(anywhere), draw(anywhere)))
+        parts.append((a, b))
+    h = stage.height
+    m = draw(st.one_of(st.sampled_from([0, 1, h - 1, h, h + 3]),
+                       st.integers(min_value=0, max_value=h + 3)))
+    return stage, IntervalSet(parts), m
+
+
+@settings(max_examples=60, deadline=None)
+@given(tower_power_cases())
+def test_tower_power_matches_step_by_step_reference(case):
+    stage, s, m = case
+    image, escaped = tower_power(stage, s, m)
+    ref_image, ref_escaped = power_image(partial_map(stage), s, m)
+    assert image.parts == ref_image.parts
+    assert escaped.parts == ref_escaped.parts
+    assert image.measure() + escaped.measure() == s.measure()
+
+
+def test_tower_power_rejects_bad_input():
+    s = build_tower_schedule(StackingSchedule.chacon(2), stages=1).stage(1)
+    with pytest.raises(ValueError, match="negative"):
+        tower_power(s, s.full_set(), -1)
+    off_grid = TowerStage(index=0, height=2, width=F(1, 4),
+                          levels=[F(0), F(3, 8)], red=frozenset(),
+                          column_tracks=[(1, 0), (1, 1)], allocated=F(1, 2))
+    with pytest.raises(ValueError, match="multiple of the width"):
+        tower_power(off_grid, off_grid.full_set(), 1)
+
+
+def test_nonrecurrence_chacon_deep_stages_exact_zero():
+    # the step-by-step route needed about 96 s for k = 5 alone
+    heights = StackingSchedule.chacon(9).heights()
+    t0 = time.perf_counter()
+    for k in range(5, 9):
+        rep = nonrecurrence_check(StackingSchedule.chacon(k + 1), k=k)
+        assert rep.power == heights[k] - 1
+        assert rep.overlap.total == 0 and rep.overlap_c.total == 0
+        assert rep.escaped == 0 and rep.escaped_c == 0
+        assert rep.mass_C > 0 and rep.passed()
+    assert time.perf_counter() - t0 < 10

@@ -2,7 +2,8 @@ from fractions import Fraction as F
 
 from hypothesis import given, strategies as st
 
-from recurlab.ratintervals import IntervalSet, remove_ball_mod1, union_all
+from recurlab.ratintervals import (IntervalSet, balls_mod1, remove_ball_mod1,
+                                  union_all)
 
 
 def test_normalization_merges_overlap_and_adjacency():
@@ -77,3 +78,14 @@ def test_inclusion_exclusion(a, b):
     assert (a.union(b).measure() + a.intersect(b).measure()
             == a.measure() + b.measure())
     assert a.subtract(b).measure() == a.measure() - a.intersect(b).measure()
+
+
+@given(interval_sets(),
+       st.lists(st.fractions(min_value=-1, max_value=2, max_denominator=9),
+                max_size=6),
+       st.fractions(min_value=0, max_value=F(3, 5), max_denominator=10))
+def test_one_subtract_of_ball_union_matches_one_ball_at_a_time(s, centers, r):
+    one_by_one = s
+    for c in centers:
+        one_by_one = remove_ball_mod1(one_by_one, c, r)
+    assert s.subtract(balls_mod1(centers, r)) == one_by_one
