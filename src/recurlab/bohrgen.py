@@ -34,7 +34,8 @@ from typing import Callable
 
 from .certificates import Certificate, frac_str
 from .circle import AngleTurns, WitnessCertificate, unimod_dist
-from .precision import Bound, bound_max, chord, residue_distance, two_pi_upper
+from .precision import (Bound, bound_max, chord, residue, residue_distance,
+                        two_pi_upper)
 
 Family = int | tuple[int, ...]     # 0 for the q-block, a tuple (maybe empty) for A
 
@@ -206,10 +207,6 @@ class BohrSet:
 # witnesses
 # ---------------------------------------------------------------------------
 
-def _residue(theta: Fraction, n: int) -> Fraction:
-    return Fraction((n * theta.numerator) % theta.denominator, theta.denominator)
-
-
 @dataclass
 class SmallSupWitness:
     """lambda != 1 whose orbit stays within eps of 1 along a family."""
@@ -262,7 +259,7 @@ def block_jamison_witness(bset: BohrSet, family: Family, eps,
     for n0 in range(1, sch.n_max):
         theta = sum((Fraction(1, divs[N] * sch.H[N])
                      for N in range(n0, sch.n_max)), Fraction(0))
-        worst = max(residue_distance(_residue(theta, e)) for e in elements)
+        worst = max(residue_distance(residue(theta, e)) for e in elements)
         sup = chord(worst)
         if sup.certainly_le(eps):
             return SmallSupWitness(theta=theta, family=family_label(family),
@@ -289,7 +286,7 @@ def block_rotation_witness(bset: BohrSet, family: Family,
         elements = elements[:K + 1]
 
     def min_dist(theta: Fraction) -> Fraction:
-        return min(residue_distance(_residue(theta, e)) for e in elements)
+        return min(residue_distance(residue(theta, e)) for e in elements)
 
     if family == 0:
         theta = Fraction(1, 3)
@@ -304,7 +301,7 @@ def block_rotation_witness(bset: BohrSet, family: Family,
     else:
         theta = sum((Fraction(1, 3 * sch.H[N - 1] * sch.deltas[family][N - 1])
                      for N in range(1, sch.n_max + 1)), Fraction(0))
-    residues = [_residue(theta, e) for e in elements]
+    residues = [residue(theta, e) for e in elements]
     delta = chord(min(residue_distance(r) for r in residues))
     target = Fraction(1, 2)
     return WitnessCertificate(

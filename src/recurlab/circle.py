@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .certificates import Certificate, frac_str
-from .precision import (Bound, bound_max, chord, pi_bound, residue_distance)
+from .precision import Bound, bound_max, chord, pi_bound, residue, residue_distance
 from .ratintervals import IntervalSet, balls_mod1
 from .seqcore import IntegerSequence
 
@@ -88,11 +88,6 @@ class AngleTurns:
         return self.exact == other.exact and self.window == other.window
 
 
-def _residue(theta: Fraction, n: int) -> Fraction:
-    p, q = theta.numerator, theta.denominator
-    return Fraction((n * p) % q, q)
-
-
 def _dist_range_of_window(win: Bound, n: int) -> tuple[Fraction, Fraction]:
     """Range of distance-to-Z of n*t over the window, as [min, max]."""
     half = Fraction(1, 2)
@@ -114,19 +109,19 @@ def unimod_dist(theta, n: int) -> Bound:
     if n < 0:
         n = -n   # conjugation does not change the chord
     if theta.is_exact:
-        return chord(_residue(theta.exact, n))
+        return chord(residue(theta.exact, n))
     dmin, dmax = _dist_range_of_window(theta.window, n)
     return Bound(chord(dmin).lo, chord(dmax).hi)
 
 
 def _sup_chord_exact(theta: Fraction, terms: list[int]) -> tuple[Bound, Fraction]:
     """Sup of chords over exact residues: selected exactly, evaluated once."""
-    dmax = max(residue_distance(_residue(theta, n)) for n in terms)
+    dmax = max(residue_distance(residue(theta, n)) for n in terms)
     return chord(dmax), dmax
 
 
 def _min_chord_exact(theta: Fraction, terms: list[int]) -> tuple[Bound, Fraction]:
-    dmin = min(residue_distance(_residue(theta, n)) for n in terms)
+    dmin = min(residue_distance(residue(theta, n)) for n in terms)
     return chord(dmin), dmin
 
 
@@ -240,7 +235,7 @@ def verify_witness(theta, seq: IntegerSequence, K: int,
     terms = seq.prefix(K + 1)
     if t.is_exact:
         delta, _ = _min_chord_exact(t.exact, terms)
-        residues = [_residue(t.exact, n) for n in terms]
+        residues = [residue(t.exact, n) for n in terms]
     else:
         delta = None
         residues = None
@@ -261,8 +256,12 @@ class WitnessSearch:
     trials: list[tuple[Fraction, Fraction]]   # (search delta, surviving measure)
 
 
-def witness_nested_intervals(seq: IntegerSequence, K: int, delta_target,
-                             max_removals: int = 200_000) -> WitnessSearch:
+# n_k + 1 balls per term; admits the ratio-3 chain to K = 11 (265,732 balls)
+_MAX_BALLS = 300_000
+
+
+def witness_nested_intervals(seq: IntegerSequence, K: int,
+                             delta_target) -> WitnessSearch:
     """Search for lambda with all |lambda^{n_k} - 1| >= delta, k <= K.
 
     Greedy nested-interval engine: survivors of step k avoid a neighborhood
@@ -279,10 +278,10 @@ def witness_nested_intervals(seq: IntegerSequence, K: int, delta_target,
     if delta_target <= 0:
         raise ValueError("delta target must be positive")
     terms = seq.prefix(K + 1)
-    if sum(terms) + len(terms) > max_removals:
+    if sum(terms) + len(terms) > _MAX_BALLS:
         raise ValueError(
-            f"nested-interval engine needs {sum(terms) + len(terms)} removals, "
-            f"budget is {max_removals}; use a structural witness instead")
+            f"nested-interval engine needs {sum(terms) + len(terms)} ball removals, "
+            f"budget is {_MAX_BALLS}; use a structural witness instead")
     # upper rational bound of 1/(4 pi): radius never undershoots the design
     inv4pi = Fraction(1) / (4 * pi_bound().lo)
     ladder = [Fraction(4), Fraction(3), Fraction(5, 2), Fraction(2),

@@ -31,9 +31,9 @@ from .bohrgen import (BohrSeeds, BohrSet, all_rotation_witnesses,
 from .certificates import (SCHEMA, Certificate, combine_union, encode_value,
                            frac_str, load_report, summarize)
 from .circle import jamison_separation_test, unimod_dist, verify_witness
-from .linsys import (ball_certificate, ball_mc_check, build_operator,
-                     norm_table_csv)
-from .precision import get_bits, set_bits
+from .linsys import (PrecisionError, ball_certificate, ball_mc_check,
+                     build_operator, norm_table_csv)
+from .precision import working_bits
 from .rankone import StackingSchedule, build_tower_schedule, \
     nonrecurrence_check, shifted_schedule
 from .seqcore import (IntegerSequence, fact42_split, gen_divisibility,
@@ -44,6 +44,7 @@ from .specmeasure import (GaussianRectangleModel, gauss_rectangle_overlap_mc,
 KINDS = ("jamison", "witness", "kahane", "rankone", "linsys", "bohr", "gauss")
 
 _FRAC = {"type": ["string", "number"]}
+MIN_BITS = 53
 
 _SEQ_SCHEMA = {
     "type": "object",
@@ -178,7 +179,7 @@ CONFIG_SCHEMA = {
         "schema": {"const": SCHEMA},
         "kind": {"enum": list(KINDS)},
         "params": {"type": "object"},
-        "bits": {"type": "integer", "minimum": 24},
+        "bits": {"type": "integer", "minimum": MIN_BITS},
         "seed": {"type": "integer", "minimum": 0},
         "out": {"type": "string"},
     },
@@ -370,8 +371,13 @@ def _run_rankone(params, *, bits, seed):
 def _run_linsys(params, *, bits, seed):
     seq = _seq_of(params["seq"])
     N, K = params["dimension"], params["horizon"]
-    build = build_operator(seq, N, K, _frac(params["delta"]),
-                           rho0=_frac(params.get("rho0", "1/4")), bits=bits)
+    try:
+        build = build_operator(seq, N, K, _frac(params["delta"]),
+                               rho0=_frac(params.get("rho0", "1/4")), bits=bits)
+    except PrecisionError as e:
+        return [Certificate(kind="power-norms", passed=False, horizon=K,
+                            claim=f"sup of ||T^(n_k) - I|| over {seq.label}, "
+                                  f"dimension {N}", values={"error": str(e)})], {}, {}
     certs = [build.norms.to_certificate()]
     values = {"rho": build.rho, "halvings": build.halvings,
               "operator": build.operator.to_json_dict()}
@@ -382,8 +388,11 @@ def _run_linsys(params, *, bits, seed):
         wit = verify_witness(theta0, seq, K)
         ball = ball_certificate(wit.delta, build.norms)
         if ball is None:
-            raise ValueError("norm sup c exceeds the witness delta; "
-                             "no ball radius is certifiable")
+            certs.append(Certificate(
+                kind="ball-disjoint", passed=False, horizon=K,
+                claim=f"S^(n_k) U_gamma and U_gamma disjoint over {seq.label}",
+                values={"error": "norm sup c is not below the witness delta"}))
+            return certs, values, files
         certs.append(ball.to_certificate())
         values["gamma_max"] = ball.gamma_max
         mc = params.get("mc")
@@ -498,13 +507,9 @@ def run(config: ExperimentConfig, out_dir: str | Path | None = None) -> dict:
     """Execute one experiment; returns the report dict after writing it."""
     out = Path(out_dir or config.out or ".")
     out.mkdir(parents=True, exist_ok=True)
-    old_bits = get_bits()
-    try:
-        set_bits(max(config.bits, 53))
+    with working_bits(config.bits):
         certs, values, files = _HANDLERS[config.kind](
             config.params, bits=config.bits, seed=config.seed)
-    finally:
-        set_bits(old_bits)
     outputs = []
     for name, text in sorted(files.items()):
         (out / name).write_text(text)
@@ -572,6 +577,8 @@ def _cmd_experiment(args) -> int:
         raise ConfigError(f"config kind {config.kind!r} does not match "
                           f"subcommand {args.command!r}")
     if args.bits is not None:
+        if args.bits < MIN_BITS:
+            raise ConfigError(f"--bits {args.bits} is below {MIN_BITS}")
         config.bits = args.bits
     if args.seed is not None:
         config.seed = args.seed

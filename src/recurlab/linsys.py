@@ -23,8 +23,8 @@ What is certified and what is sampled:
 * ``ball_mc_check`` and ``kalish_eigencheck`` are floating-point
   spot checks, not certificates, and say so in their reports.
 
-Matrix powers for different k share no state besides the precision
-context, which is only raised, never lowered, by this module.
+Matrix powers share no state: ``power_norm`` raises the precision in a
+``working_bits`` block, which restores it on exit.
 """
 
 from __future__ import annotations
@@ -40,18 +40,13 @@ from mpmath import mp, mpc, mpf
 
 from .certificates import Certificate, frac_str
 from .circle import AngleTurns, PerturbResult, perturb_divisibility, unimod_dist
-from .precision import (Bound, bound_max, chord, cos_turns, get_bits,
-                        set_bits, sin_turns)
+from .precision import (Bound, bits_for_power, bound_max, chord, cos_turns,
+                        get_bits, residue, sin_turns, working_bits)
 from .seqcore import IntegerSequence
 
 
 class PrecisionError(RuntimeError):
     """Raised when the tracked radii swamp the requested certification."""
-
-
-def _pow_residue(theta: Fraction, n: int) -> Fraction:
-    p, q = theta.numerator, theta.denominator
-    return Fraction((n * p) % q, q)
 
 
 def _frac_of(x) -> Fraction:
@@ -121,7 +116,7 @@ class DiagChain:
 
     def diag_power_norm(self, power: int) -> Bound:
         """Exact ||D^power - I|| = max_n |lambda_n^power - 1|."""
-        return bound_max([chord(_pow_residue(t, power)) for t in self.angles])
+        return bound_max([chord(residue(t, power)) for t in self.angles])
 
     def to_operator(self, weights: list[Fraction]) -> "DiagShiftOperator":
         return DiagShiftOperator(
@@ -313,16 +308,12 @@ def _working_precision(bits: int, n: int):
     53 bits the mpmath numbers are rounded at ``bits`` while the context
     is open, which is the rounding the radius model charges for.
     """
-    old_bits = get_bits()
-    set_bits(max(old_bits, bits + 32, 2 * n.bit_length() + 96))
-    try:
+    with working_bits(max(get_bits(), bits + 32, bits_for_power(n))):
         if bits <= 53:
             yield 2.0 ** -52, 1e-290
         else:
             with mp.workprec(bits):
                 yield mpf(2) ** (1 - bits), mpf(2) ** (-8 * bits)
-    finally:
-        set_bits(old_bits)
 
 
 def _entry_mid_rad(re_b: Bound, im_b: Bound, u, tiny):
@@ -442,7 +433,7 @@ def power_norm(op: DiagShiftOperator, n: int, bits: int = 53,
     if method not in ("auto", "matrix"):
         raise ValueError("method is 'auto' or 'matrix'")
     if op.is_diagonal and method == "auto":
-        ti = bound_max([chord(_pow_residue(t, n)) for t in thetas])
+        ti = bound_max([chord(residue(t, n)) for t in thetas])
         return PowerNormResult(n, ti, Bound.exact(0), bits, "diagonal-exact")
 
     with _working_precision(bits, n) as (u, tiny):
@@ -453,7 +444,7 @@ def power_norm(op: DiagShiftOperator, n: int, bits: int = 53,
             raise PrecisionError(f"radius overflow after power {n} with {bits} "
                                  f"bits; retry with more bits")
         # exact diagonal of the triangular power
-        residues = [_pow_residue(t, n) for t in thetas]
+        residues = [residue(t, n) for t in thetas]
         for j, r in enumerate(residues):
             mid, rad = _entry_mid_rad(cos_turns(r), sin_turns(r), u, tiny)
             Pm[j, j], Pr[j, j] = mid, rad
@@ -659,7 +650,7 @@ def ball_mc_check(op: DiagShiftOperator, theta0, seq: IntegerSequence,
     min_margin = math.inf
     for k in range(K + 1):
         n = seq.term(k)
-        r = _pow_residue(t0.exact, n)
+        r = residue(t0.exact, n)
         phase = complex(math.cos(2 * math.pi * float(r)),
                         math.sin(2 * math.pi * float(r)))
         Sn = phase * np.linalg.matrix_power(T, n)

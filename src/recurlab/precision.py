@@ -17,12 +17,14 @@ Conventions used throughout the package:
   finite residue sets by exact Fraction comparison, evaluating only the
   extremal residue.
 
-The working precision defaults to 128 bits and is a process-global knob
-(set once per experiment run, e.g. from the command line).
+The working precision defaults to 128 bits and is held by mpmath's
+interval context alone; :func:`working_bits` sets it for a block and
+restores it on exit.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from decimal import Decimal, localcontext
@@ -30,7 +32,7 @@ from typing import Iterable, Union
 
 from mpmath import iv
 
-_BITS = 128
+iv.prec = 128
 
 RationalLike = Union[int, Fraction]
 
@@ -44,15 +46,35 @@ _EXACT_CHORDS = {
 
 
 def set_bits(bits: int) -> None:
-    """Set the global working precision for transcendental enclosures."""
-    global _BITS
+    """Set the working precision for transcendental enclosures."""
     if bits < 8:
         raise ValueError("working precision below 8 bits is meaningless")
-    _BITS = int(bits)
+    iv.prec = int(bits)
 
 
 def get_bits() -> int:
-    return _BITS
+    return iv.prec
+
+
+@contextmanager
+def working_bits(bits: int):
+    """Run the block at ``bits`` of working precision, then restore the old one."""
+    old = get_bits()
+    set_bits(bits)
+    try:
+        yield
+    finally:
+        iv.prec = old
+
+
+def bits_for_power(n: int) -> int:
+    """Working precision for enclosures at the power ``n``."""
+    return 2 * n.bit_length() + 96
+
+
+def residue(theta: Fraction, n: int) -> Fraction:
+    """Exact ``n * theta mod 1`` in [0, 1)."""
+    return Fraction((n * theta.numerator) % theta.denominator, theta.denominator)
 
 
 def _mpf_tuple_to_fraction(t) -> Fraction:
@@ -65,7 +87,6 @@ def _mpf_tuple_to_fraction(t) -> Fraction:
 
 def _to_iv(x: RationalLike):
     """Exact rational -> interval scalar (endpoints correctly rounded)."""
-    iv.prec = _BITS
     fr = Fraction(x)
     return iv.mpf(fr.numerator) / iv.mpf(fr.denominator)
 
@@ -171,7 +192,6 @@ class Bound:
     def sqrt(self) -> "Bound":
         if self.lo < 0:
             raise ValueError("sqrt of an interval reaching below 0")
-        iv.prec = _BITS
         lo = iv.sqrt(_to_iv(self.lo))._mpi_[0]
         hi = iv.sqrt(_to_iv(self.hi))._mpi_[1]
         return Bound(max(Fraction(0), _mpf_tuple_to_fraction(lo)),
@@ -209,7 +229,6 @@ def bound_sum(bounds: Iterable[Bound]) -> Bound:
 
 
 def pi_bound() -> Bound:
-    iv.prec = _BITS
     return Bound.from_iv(iv.pi)
 
 
@@ -230,7 +249,6 @@ def chord(t: RationalLike) -> Bound:
     exact = _EXACT_CHORDS.get(d)
     if exact is not None:
         return Bound.exact(exact)
-    iv.prec = _BITS
     val = 2 * iv.sin(iv.pi * _to_iv(d))
     b = Bound.from_iv(val)
     # sin is evaluated on [0, 1/2] turns where the chord lies in [0, 2]
@@ -244,7 +262,6 @@ def sin_turns(t: RationalLike) -> Bound:
         return Bound.exact(0)
     if fr.denominator == 4:
         return Bound.exact(1 if fr.numerator == 1 else -1)
-    iv.prec = _BITS
     b = Bound.from_iv(iv.sin(2 * iv.pi * _to_iv(fr)))
     return Bound(max(Fraction(-1), b.lo), min(Fraction(1), b.hi))
 
@@ -262,7 +279,6 @@ def cos_turns(t: RationalLike) -> Bound:
         return Bound.exact(0)
     if fr.denominator == 6:
         return Bound.exact(Fraction(1, 2) if fr.numerator in (1, 5) else Fraction(-1, 2))
-    iv.prec = _BITS
     b = Bound.from_iv(iv.cos(2 * iv.pi * _to_iv(fr)))
     return Bound(max(Fraction(-1), b.lo), min(Fraction(1), b.hi))
 

@@ -33,8 +33,8 @@ from math import lcm
 import numpy as np
 
 from .certificates import Certificate, frac_str
-from .precision import (Bound, CBound, bound_sum, cbound_prod, chord, get_bits,
-                        pi_bound, set_bits)
+from .precision import (Bound, CBound, bits_for_power, bound_sum, cbound_prod,
+                        chord, get_bits, pi_bound, residue, working_bits)
 from .seqcore import IntegerSequence
 
 
@@ -91,8 +91,7 @@ def fourier_direct(measure: DiscreteMeasure, n: int) -> CBound:
     """sigma_hat(n) by atom enumeration; exact residue reduction per atom."""
     total = CBound.exact(0)
     for angle, weight in measure.atoms:
-        r = Fraction((n * angle.numerator) % angle.denominator, angle.denominator)
-        total = total + CBound.from_turns(r).scale(weight)
+        total = total + CBound.from_turns(residue(angle, n)).scale(weight)
     return total
 
 
@@ -104,13 +103,14 @@ class ConvolutionFactorization:
         if not self.factors:
             raise ValueError("need at least one factor")
         self._periods = [f.denominator_lcm() for f in self.factors]
-        self._cache: dict[tuple[int, int], CBound] = {}
+        self._cache: dict[tuple[int, int, int], CBound] = {}
 
     def factor_fourier(self, j: int, n: int) -> CBound:
-        key = (j, n % self._periods[j])
+        r = n % self._periods[j]
+        key = (j, r, get_bits())
         hit = self._cache.get(key)
         if hit is None:
-            hit = self._cache[key] = fourier_direct(self.factors[j], n % self._periods[j])
+            hit = self._cache[key] = fourier_direct(self.factors[j], r)
         return hit
 
     def fourier(self, n: int) -> CBound:
@@ -162,19 +162,10 @@ class KahaneFactorization(ConvolutionFactorization):
         certifies instead of drowning in enclosure width.
         """
         n_k, n_next = self.seq.term(k), self.seq.term(j + 1)
-        ratio = Fraction(n_k, n_next)
-        old = get_bits()
-        try:
-            set_bits(max(old, 2 * n_next.bit_length() + 96))
-            lhs = self.factor_fourier_fresh(j, n_k).dist_to_one()
-            rhs = pi_bound().scale(2 * self.t[j] * ratio)
-        finally:
-            set_bits(old)
+        with working_bits(max(get_bits(), bits_for_power(n_next))):
+            lhs = self.factor_fourier(j, n_k).dist_to_one()
+            rhs = pi_bound().scale(2 * self.t[j] * Fraction(n_k, n_next))
         return lhs, rhs
-
-    def factor_fourier_fresh(self, j: int, n: int) -> CBound:
-        # bypasses the cache: chain_term changes working precision
-        return fourier_direct(self.factors[j], n % self._periods[j])
 
 
 def kahane_build(seq: IntegerSequence, a, N: int) -> KahaneFactorization:
@@ -410,9 +401,8 @@ def gauss_rectangle_overlap_mc(model: GaussianRectangleModel, n: int,
     if float(weights @ np.abs(coeffs) ** 2) == 0.0:
         raise ValueError("zero-variance model: all coefficients vanish")
     # exact residue reduction before float conversion: n can be astronomical
-    residues = [Fraction((n * a.numerator) % a.denominator, a.denominator)
-                for a, _ in atoms]
-    lam_n = np.exp(2j * np.pi * np.array([float(r) for r in residues]))
+    residues = [float(residue(a, n)) for a, _ in atoms]
+    lam_n = np.exp(2j * np.pi * np.array(residues))
     base = np.sqrt(weights) * coeffs
     shifted = base * lam_n
 

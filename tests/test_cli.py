@@ -7,6 +7,7 @@ import pytest
 
 from recurlab.certificates import Certificate
 from recurlab.cli import ConfigError, ExperimentConfig, main, run
+from recurlab.precision import get_bits
 
 TRI13 = {"name": "triangular-pow2", "count": 13}
 
@@ -52,6 +53,16 @@ def test_kind_subcommand_mismatch(tmp_path):
                                                   "theta": "1/3",
                                                   "horizon": 3}))
     assert main(["jamison", "--config", str(p)]) == 2
+
+
+def test_bits_below_53_exit_2(tmp_path):
+    out = tmp_path / "out"
+    params = {"seq": TRI13, "theta": "1/3", "horizon": 3}
+    p = write_config(tmp_path, config("witness", params, bits=24, out=str(out)))
+    assert main(["witness", "--config", str(p)]) == 2
+    p = write_config(tmp_path, config("witness", params, out=str(out)))
+    assert main(["witness", "--config", str(p), "--bits", "40"]) == 2
+    assert not out.exists()
 
 
 # --- experiment kinds ------------------------------------------------------
@@ -140,6 +151,31 @@ def test_linsys_run(tmp_path):
     assert "gamma_max" in report["values"]
 
 
+def test_linsys_precision_failure_is_a_failing_certificate(tmp_path):
+    out = tmp_path / "out"
+    p = write_config(tmp_path, config(
+        "linsys", {"seq": TRI13, "dimension": 3, "horizon": 7, "delta": "1/2"},
+        out=str(out)))
+    assert main(["linsys", "--config", str(p)]) == 1
+    report = json.loads((out / "report.json").read_text())
+    [cert] = report["certificates"]
+    assert cert["kind"] == "power-norms" and not cert["passed"]
+    assert "retry with more bits" in cert["values"]["error"]
+
+
+def test_linsys_uncertifiable_ball_is_a_failing_certificate(tmp_path):
+    # 8 * 1/8 is an integer, so the witness delta is 0 and no ball fits
+    out = tmp_path / "out"
+    p = write_config(tmp_path, config(
+        "linsys", {"seq": TRI13, "dimension": 3, "horizon": 2, "delta": "1/2",
+                   "witness_theta": "1/8", "mc": {"samples": 10}},
+        out=str(out)))
+    assert main(["linsys", "--config", str(p)]) == 1
+    report = json.loads((out / "report.json").read_text())
+    assert [(c["kind"], c["passed"]) for c in report["certificates"]] == [
+        ("power-norms", True), ("ball-disjoint", False)]
+
+
 def test_bohr_run(tmp_path):
     cfg = ExperimentConfig.from_dict(config(
         "bohr", {"r": 1, "n_max": 3, "eps": "1/8",
@@ -184,6 +220,16 @@ def test_flag_overrides(tmp_path):
     assert report["config"]["params"]["horizon"] == 5
     assert report["config"]["bits"] == 64 and report["config"]["seed"] == 3
     assert len((out / "residues.csv").read_text().splitlines()) == 7
+
+
+def test_run_restores_working_precision(tmp_path):
+    before = get_bits()
+    cfg = ExperimentConfig.from_dict(config(
+        "rankone", {"schedule": {"kind": "chacon"}, "k_range": [3, 1]},
+        bits=64))
+    with pytest.raises(ConfigError, match="k_range"):
+        run(cfg, out_dir=tmp_path)
+    assert get_bits() == before
 
 
 def test_reports_reproduce_bit_for_bit(tmp_path):

@@ -13,7 +13,7 @@ from recurlab.linsys import (BallCertificate, DiagShiftOperator, NormCertificate
                              build_operator, build_shift_weights,
                              kalish_eigencheck, norm_table_csv, power_norm,
                              telescope_gap)
-from recurlab.precision import Bound, chord, cos_turns, sin_turns
+from recurlab.precision import Bound, chord, cos_turns, get_bits, sin_turns
 from recurlab.seqcore import gen_divisibility, triangular_pow2
 
 SEQ = triangular_pow2(40)
@@ -174,8 +174,10 @@ def test_precision_error_then_retry():
     op = DiagShiftOperator(4, _angles((1, 3), (1, 5), (1, 7), (1, 11)),
                            build_shift_weights(4, F(1, 2 ** 40)))
     n = 2 ** 60 + 3
+    before = get_bits()
     with pytest.raises(PrecisionError, match="more bits"):
         power_norm(op, n, bits=53)
+    assert get_bits() == before
     res = power_norm(op, n, bits=200)
     diag_max = max(chord(F((n * t.exact.numerator) % t.exact.denominator,
                            t.exact.denominator)).hi for t in op.diag)

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from recurlab.precision import working_bits
 from recurlab.seqcore import gen_divisibility, gen_recursive_q, triangular_pow2
 from recurlab.specmeasure import (ConvolutionFactorization, DiscreteMeasure,
                                   GaussianRectangleModel, convolve,
@@ -91,6 +92,17 @@ def test_product_formula_matches_direct(factors, n):
     via_atoms = fourier_direct(fact.materialize(), n)
     assert via_product.re.intersects(via_atoms.re)
     assert via_product.im.intersects(via_atoms.im)
+
+
+def test_fourier_cache_follows_working_precision():
+    fact = ConvolutionFactorization([DiscreteMeasure([(0, F(1, 2)),
+                                                      (F(1, 7), F(1, 2))])])
+    with working_bits(53):
+        coarse = fact.fourier(3)
+    with working_bits(256):
+        fine = fact.fourier(3)
+        assert fine == fourier_direct(fact.factors[0], 3)
+    assert fine.re.width < coarse.re.width
 
 
 # ---------------------------------------------------------------------------
