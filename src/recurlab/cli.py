@@ -239,14 +239,6 @@ class ExperimentConfig:
                                 seed=data.get("seed", 0),
                                 out=data.get("out"))
 
-    @staticmethod
-    def from_file(path: str | Path) -> "ExperimentConfig":
-        try:
-            data = json.loads(Path(path).read_text())
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"{path}: invalid JSON ({e})") from e
-        return ExperimentConfig.from_dict(data)
-
     def to_dict(self) -> dict:
         return {"schema": SCHEMA, "kind": self.kind,
                 "params": encode_value(self.params), "bits": self.bits,
@@ -572,24 +564,27 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _cmd_experiment(args) -> int:
-    config = ExperimentConfig.from_file(args.config)
-    if config.kind != args.command:
-        raise ConfigError(f"config kind {config.kind!r} does not match "
-                          f"subcommand {args.command!r}")
-    if args.bits is not None:
-        if args.bits < MIN_BITS:
-            raise ConfigError(f"--bits {args.bits} is below {MIN_BITS}")
-        config.bits = args.bits
-    if args.seed is not None:
-        config.seed = args.seed
-    if args.out is not None:
-        config.out = args.out
-    if args.horizon is not None:
-        if config.kind == "rankone":
-            config.params["k_range"] = [config.params["k_range"][0],
-                                        args.horizon]
-        else:
-            config.params["horizon"] = args.horizon
+    path = Path(args.config)
+    try:
+        data = json.loads(path.read_text())
+    except json.JSONDecodeError as e:
+        raise ConfigError(f"{path}: invalid JSON ({e})") from e
+    # overrides go into the raw config, so the schema checks what will run
+    if isinstance(data, dict):
+        if data.get("kind", args.command) != args.command:
+            raise ConfigError(f"config kind {data['kind']!r} does not match "
+                              f"subcommand {args.command!r}")
+        for key in ("bits", "seed", "out"):
+            if getattr(args, key) is not None:
+                data[key] = getattr(args, key)
+        params = data.get("params")
+        if args.horizon is not None and isinstance(params, dict):
+            k_range = params.get("k_range")
+            if args.command != "rankone":
+                params["horizon"] = args.horizon
+            elif isinstance(k_range, list) and k_range:
+                params["k_range"] = [k_range[0], args.horizon]
+    config = ExperimentConfig.from_dict(data)
     report = run(config)
     flag = "PASS" if report["passed"] else "FAIL"
     print(f"[{flag}] {config.kind}: {len(report['certificates'])} "

@@ -16,10 +16,13 @@ exactly 1 at frequency ``n_k``, and the factors above it are summable in
 a geometric chain, which is what the build certificate records.
 
 The Gaussian model at the end realizes a discrete-spectrum stationary
-process: ``f = sum_i sqrt(w_i) c_i g_i`` with iid standard complex
-Gaussians ``g_i`` has ``E f(T^n x) conj(f(x)) = sum_i w_i lambda_i^n |c_i|^2``,
-so rectangle overlap probabilities under time shift are Monte-Carlo
-estimable with exact covariance structure.
+process: ``f = sum_i sqrt(w_i) g_i`` with iid standard complex Gaussians
+``g_i`` has ``E f(T^n x) conj(f(x)) = sum_i w_i lambda_i^n = sigma_hat(n)``.
+Under the time-n shift the pair ``(f, f_n)`` is circular complex
+Gaussian, so its law is fixed by the 2x2 covariance
+``[[s, conj gamma], [gamma, s]]`` with ``s = sum w`` and
+``gamma = sigma_hat(n)``.  Rectangle overlap probabilities are estimated
+by sampling that pair directly, O(samples + atoms) per shift.
 """
 
 from __future__ import annotations
@@ -361,14 +364,11 @@ class GaussianRectangleModel:
     measure: DiscreteMeasure
     rectangle: tuple[float, float, float, float]
     seed: int = 0
-    coeffs: list[complex] | None = None
 
     def __post_init__(self):
         a, b, c, d = self.rectangle
         if not (a < b and c < d):
             raise ValueError("rectangle is degenerate")
-        if self.coeffs is not None and len(self.coeffs) != len(self.measure):
-            raise ValueError("one coefficient per atom")
 
 
 @dataclass
@@ -383,75 +383,64 @@ class GaussOverlapEstimate:
     sym_diff_se: float
     second_moment: float          # mean |f|^2
     second_moment_se: float
-    second_moment_closed: float   # sum w |c|^2
+    second_moment_closed: float   # s = sum w
     shift_moment: float           # mean |f_n - f|^2
     shift_moment_se: float
-    shift_moment_closed: float    # sum w |lambda^n - 1|^2 |c|^2
+    shift_moment_closed: float    # sum w |lambda^n - 1|^2
 
 
 def gauss_rectangle_overlap_mc(model: GaussianRectangleModel, n: int,
                                samples: int) -> GaussOverlapEstimate:
-    """Estimate rectangle overlap under the time-n shift of the model field."""
+    """Estimate rectangle overlap under the time-n shift of the model field.
+
+    The pair ``(f, f_n)`` is circular complex Gaussian with
+    ``E|f|^2 = E|f_n|^2 = s = sum w`` and ``E f_n conj(f) = gamma =
+    sum w lambda^n``, so it is drawn from that 2x2 covariance directly:
+    ``f = sqrt(s) g_1`` and ``f_n = (gamma/s) f + sqrt(s - |gamma|^2/s) g_2``
+    with ``g_1, g_2`` standard complex normals from one generator seeded
+    by ``model.seed``.  The cost is O(samples + atoms).
+    """
     if samples < 1000:
         raise ValueError("need at least 1000 samples")
     atoms = model.measure.atoms
-    coeffs = np.ones(len(atoms), dtype=np.complex128) if model.coeffs is None \
-        else np.asarray(model.coeffs, dtype=np.complex128)
-    weights = np.array([float(w) for _, w in atoms])
-    if float(weights @ np.abs(coeffs) ** 2) == 0.0:
-        raise ValueError("zero-variance model: all coefficients vanish")
     # exact residue reduction before float conversion: n can be astronomical
-    residues = [float(residue(a, n)) for a, _ in atoms]
-    lam_n = np.exp(2j * np.pi * np.array(residues))
-    base = np.sqrt(weights) * coeffs
-    shifted = base * lam_n
+    lam_n = np.exp(2j * np.pi * np.array([float(residue(a, n)) for a, _ in atoms]))
+    w = np.array([float(wt) for _, wt in atoms], dtype=np.complex128)
+    # one (complex) summation for both, so gamma == s bit for bit when every
+    # lambda^n is 1; then rho == 1, the conditional variance is 0 and f_n == f
+    s = float(np.sum(w).real)
+    rho = complex(np.sum(w * lam_n)) / s
+    cond_var = s * max(1.0 - abs(rho) ** 2, 0.0)
+
+    rng = np.random.default_rng(model.seed)
+    z = rng.standard_normal((2, 2, samples)) / math.sqrt(2.0)
+    g = z[0] + 1j * z[1]
+    f = math.sqrt(s) * g[0]
+    f_n = rho * f + math.sqrt(cond_var) * g[1]
 
     a, b, c, d = (float(x) for x in model.rectangle)
-    chunk = max(1024, (1 << 22) // max(len(atoms), 1))
-    streams = np.random.SeedSequence(model.seed).spawn(-(-samples // chunk))
-    n_in = n_exit = n_sym = 0
-    s2 = s2_sq = sh = sh_sq = 0.0
-    done = 0
-    for ss in streams:
-        m = min(chunk, samples - done)
-        rng = np.random.default_rng(ss)
-        g = (rng.standard_normal((m, len(atoms)))
-             + 1j * rng.standard_normal((m, len(atoms)))) / np.sqrt(2.0)
-        f = g @ base
-        f_n = g @ shifted
-        inside = (a < f.real) & (f.real < b) & (c < f.imag) & (f.imag < d)
-        inside_n = (a < f_n.real) & (f_n.real < b) & (c < f_n.imag) & (f_n.imag < d)
-        n_in += int(inside.sum())
-        n_exit += int((inside & ~inside_n).sum())
-        n_sym += int((inside ^ inside_n).sum())
-        x = np.abs(f) ** 2
-        y = np.abs(f_n - f) ** 2
-        s2 += float(x.sum()); s2_sq += float((x * x).sum())
-        sh += float(y.sum()); sh_sq += float((y * y).sum())
-        done += m
+    inside = (a < f.real) & (f.real < b) & (c < f.imag) & (f.imag < d)
+    inside_n = (a < f_n.real) & (f_n.real < b) & (c < f_n.imag) & (f_n.imag < d)
 
-    def prop(count: int) -> tuple[float, float]:
-        p = count / samples
+    def prop(mask: np.ndarray) -> tuple[float, float]:
+        p = int(np.count_nonzero(mask)) / samples
         return p, math.sqrt(p * (1 - p) / samples)
 
-    def mean_se(total: float, total_sq: float) -> tuple[float, float]:
-        mean = total / samples
-        var = max(total_sq / samples - mean * mean, 0.0)
-        return mean, math.sqrt(var / samples)
+    def mean_se(x: np.ndarray) -> tuple[float, float]:
+        return float(x.mean()), float(x.std()) / math.sqrt(samples)
 
-    p_in, p_in_se = prop(n_in)
-    p_exit, p_exit_se = prop(n_exit)
-    sym, sym_se = prop(n_sym)
-    m2, m2_se = mean_se(s2, s2_sq)
-    shm, shm_se = mean_se(sh, sh_sq)
+    p_in, p_in_se = prop(inside)
+    p_exit, p_exit_se = prop(inside & ~inside_n)
+    sym, sym_se = prop(inside ^ inside_n)
+    m2, m2_se = mean_se(np.abs(f) ** 2)
+    shm, shm_se = mean_se(np.abs(f_n - f) ** 2)
     return GaussOverlapEstimate(
         n=n, samples=samples,
         p_in=p_in, p_in_se=p_in_se,
         p_exit=p_exit, p_exit_se=p_exit_se,
         sym_diff=sym, sym_diff_se=sym_se,
         second_moment=m2, second_moment_se=m2_se,
-        second_moment_closed=float(weights @ np.abs(coeffs) ** 2),
+        second_moment_closed=s,
         shift_moment=shm, shift_moment_se=shm_se,
-        shift_moment_closed=float(weights @ (np.abs(lam_n - 1.0) ** 2
-                                             * np.abs(coeffs) ** 2)),
+        shift_moment_closed=float(np.sum(w.real * np.abs(lam_n - 1.0) ** 2)),
     )

@@ -222,6 +222,23 @@ def test_flag_overrides(tmp_path):
     assert len((out / "residues.csv").read_text().splitlines()) == 7
 
 
+def test_flag_overrides_are_validated_by_the_schema(tmp_path, capsys):
+    witness = config("witness", {"seq": TRI13, "theta": "1/3", "horizon": 3})
+    gauss = config("gauss", {"kahane": {"seq": TRI13, "stages": 4,
+                                        "targets": {"rule": "inverse-linear"}},
+                             "rectangle": [-0.6, 0.9, -0.7, 0.8], "blocks": 10,
+                             "side": "A", "max_index": 5, "samples": 1000})
+    out = tmp_path / "out"
+    for data, flags in [(witness, ["--horizon", "-1"]),
+                        (witness, ["--seed", "-4"]),
+                        (gauss, ["--horizon", "3"])]:
+        p = write_config(tmp_path, data)
+        assert main([data["kind"], "--config", str(p), "--out", str(out),
+                     *flags]) == 2, flags
+        assert "config schema violation" in capsys.readouterr().err, flags
+        assert not out.exists(), flags
+
+
 def test_run_restores_working_precision(tmp_path):
     before = get_bits()
     cfg = ExperimentConfig.from_dict(config(

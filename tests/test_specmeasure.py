@@ -1,5 +1,7 @@
+import math
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -263,12 +265,6 @@ def test_gauss_guards():
         gauss_rectangle_overlap_mc(model, 3, samples=10)
     with pytest.raises(ValueError, match="degenerate"):
         GaussianRectangleModel(measure=HALF, rectangle=(1.0, -1.0, 0.0, 1.0))
-    with pytest.raises(ValueError, match="zero-variance"):
-        bad = GaussianRectangleModel(measure=HALF, rectangle=RECT,
-                                     coeffs=[0j, 0j])
-        gauss_rectangle_overlap_mc(bad, 3, samples=2000)
-    with pytest.raises(ValueError, match="per atom"):
-        GaussianRectangleModel(measure=HALF, rectangle=RECT, coeffs=[1.0])
 
 
 def test_gauss_seeded_reproducibility():
@@ -279,11 +275,56 @@ def test_gauss_seeded_reproducibility():
 
 
 def test_gauss_full_period_is_identity():
-    model = small_model()
-    est = gauss_rectangle_overlap_mc(model, model.measure.denominator_lcm(),
-                                     samples=5_000)
-    assert est.sym_diff == 0.0 and est.shift_moment == 0.0
-    assert est.shift_moment_closed == 0.0
+    # the 4- and 12-stage models of the gauss benchmark: their float weights
+    # sum differently by a dot product (4 stages) and by a real instead of a
+    # complex pairwise sum (12 stages), so the shift moment is exactly 0 only
+    # if s and gamma share one summation
+    for stages in (None, 4, 12):
+        model = small_model() if stages is None else GaussianRectangleModel(
+            kahane_build(triangular_pow2(13), harmonic, stages).materialize(),
+            (-0.6, 0.9, -0.7, 0.8), seed=5)
+        est = gauss_rectangle_overlap_mc(model, model.measure.denominator_lcm(),
+                                         samples=5_000)
+        assert est.sym_diff == 0.0 and est.shift_moment == 0.0
+        assert est.shift_moment_closed == 0.0
+
+
+def _brute_force_overlap(model, n, samples, seed):
+    """Reference sampler: one complex normal per atom, f = sum sqrt(w) g."""
+    amp = np.sqrt([float(w) for _, w in model.measure.atoms])
+    lam_n = np.exp(2j * np.pi * np.array(
+        [float(a * n % 1) for a, _ in model.measure.atoms]))
+    rng = np.random.default_rng(seed)
+    shape = (samples, len(amp))
+    g = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2)
+    f, f_n = g @ amp, g @ (amp * lam_n)
+    a, b, c, d = model.rectangle
+    inside = (a < f.real) & (f.real < b) & (c < f.imag) & (f.imag < d)
+    inside_n = (a < f_n.real) & (f_n.real < b) & (c < f_n.imag) & (f_n.imag < d)
+    return {"p_in": inside.mean(), "p_exit": (inside & ~inside_n).mean(),
+            "sym_diff": (inside ^ inside_n).mean()}
+
+
+def test_gauss_pair_sampler_matches_per_atom_reference():
+    measure = DiscreteMeasure([(F(j, 11), F(j + 1, 36)) for j in range(8)])
+    model = GaussianRectangleModel(measure, RECT, seed=3)
+    samples = 40_000
+    for n in (1, 2, 5):
+        est = gauss_rectangle_overlap_mc(model, n, samples)
+        ref = _brute_force_overlap(model, n, samples, seed=1000 + n)
+        for key, p_ref in ref.items():
+            p, se = getattr(est, key), getattr(est, f"{key}_se")
+            se_ref = math.sqrt(p_ref * (1 - p_ref) / samples)
+            assert abs(p - p_ref) <= 4 * math.hypot(se, se_ref), (n, key)
+        assert est.sym_diff > 0.05
+    # Re f and Im f are independent N(0, s/2) with s = 1
+    sigma = math.sqrt(0.5)
+
+    def phi(x):
+        return 0.5 * (1 + math.erf(x / sigma / math.sqrt(2)))
+    a, b, c, d = RECT
+    p_closed = (phi(b) - phi(a)) * (phi(d) - phi(c))
+    assert abs(est.p_in - p_closed) <= 4 * est.p_in_se
 
 
 def test_gauss_second_moments_match_closed_form():
