@@ -56,7 +56,9 @@ _SEQ_SCHEMA = {
         "base": {"type": "integer", "minimum": 1},
         "ratio": {"type": "integer", "minimum": 2},
         "ratios": {"type": "array", "items": {"type": "integer", "minimum": 2}},
-        "q": {},
+        "q": {"oneOf": [{"type": "integer", "minimum": 1},
+                        {"type": "array", "minItems": 1,
+                         "items": {"type": "integer", "minimum": 1}}]},
     },
     "additionalProperties": False,
 }
@@ -110,7 +112,13 @@ PARAMS_SCHEMAS = {
                                "r": {"type": "integer", "minimum": 0},
                                "start_height": {"type": "integer", "minimum": 1},
                                "seq": _SEQ_SCHEMA},
-                "additionalProperties": False},
+                "additionalProperties": False,
+                "allOf": [
+                    {"if": {"properties": {"kind": {"const": "constant"}}},
+                     "then": {"required": ["p"]}},
+                    {"if": {"properties": {"kind": {"enum": ["from-seq",
+                                                             "shifted"]}}},
+                     "then": {"required": ["seq"]}}]},
             "k_range": {"type": "array", "items": {"type": "integer",
                                                    "minimum": 0},
                         "minItems": 2, "maxItems": 2},
@@ -187,6 +195,13 @@ CONFIG_SCHEMA = {
 }
 
 
+# JSON "integer" admits 3.0; the handlers need a Python int
+_Validator = jsonschema.validators.extend(
+    jsonschema.Draft202012Validator,
+    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
+        "integer", lambda _, x: isinstance(x, int) and not isinstance(x, bool)))
+
+
 class ConfigError(ValueError):
     pass
 
@@ -230,8 +245,8 @@ class ExperimentConfig:
     @staticmethod
     def from_dict(data: dict) -> "ExperimentConfig":
         try:
-            jsonschema.validate(data, CONFIG_SCHEMA)
-            jsonschema.validate(data["params"], PARAMS_SCHEMAS[data["kind"]])
+            _Validator(CONFIG_SCHEMA).validate(data)
+            _Validator(PARAMS_SCHEMAS[data["kind"]]).validate(data["params"])
         except jsonschema.ValidationError as e:
             raise ConfigError(f"config schema violation: {e.message}") from e
         return ExperimentConfig(kind=data["kind"], params=data["params"],

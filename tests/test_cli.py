@@ -239,6 +239,28 @@ def test_flag_overrides_are_validated_by_the_schema(tmp_path, capsys):
         assert not out.exists(), flags
 
 
+def test_schema_closes_handler_key_and_type_errors(tmp_path, capsys):
+    def witness(**seq):
+        return config("witness", {"seq": {"name": "recursive-q", "count": 4,
+                                          **seq}, "theta": "1/3", "horizon": 3})
+
+    def rankone(**schedule):
+        return config("rankone", {"schedule": schedule, "k_range": [1, 2]})
+
+    out = tmp_path / "out"
+    for data in [witness(q=None), witness(q=[1.7, 2.9, 3]), witness(q=3.0),
+                 witness(q=[]), rankone(kind="constant"),
+                 rankone(kind="from-seq"), rankone(kind="shifted"),
+                 config("witness", {"seq": TRI13, "theta": "1/3",
+                                    "horizon": 3.0})]:
+        p = write_config(tmp_path, data)
+        assert main([data["kind"], "--config", str(p), "--out", str(out)]) == 2
+        assert "config schema violation" in capsys.readouterr().err, data
+        assert not out.exists(), data
+    p = write_config(tmp_path, witness(q=[1, 2, 3]))
+    assert main(["witness", "--config", str(p), "--out", str(out)]) == 0
+
+
 def test_run_restores_working_precision(tmp_path):
     before = get_bits()
     cfg = ExperimentConfig.from_dict(config(

@@ -13,7 +13,8 @@ from recurlab.linsys import (BallCertificate, DiagShiftOperator, NormCertificate
                              build_operator, build_shift_weights,
                              kalish_eigencheck, norm_table_csv, power_norm,
                              telescope_gap)
-from recurlab.precision import Bound, chord, cos_turns, get_bits, sin_turns
+from recurlab.precision import (Bound, bits_for_power, chord, get_bits,
+                                working_bits)
 from recurlab.seqcore import gen_divisibility, triangular_pow2
 
 SEQ = triangular_pow2(40)
@@ -136,8 +137,9 @@ def test_power_norm_matrix_route_contains_exact():
 def test_power_norm_shift_block_at_power_one():
     w = [F(1, 4), F(1, 16)]
     op = DiagShiftOperator(3, _angles((1, 3), (1, 5), (1, 7)), w)
-    td = power_norm(op, 1).norm_td
-    assert td.contains(F(1, 4))            # ||T - D|| = max weight
+    for bits in (53, 1100):                # 1100: midpoints past float range
+        td = power_norm(op, 1, bits=bits).norm_td
+        assert td.contains(F(1, 4))        # ||T - D|| = max weight
 
 
 def test_power_norm_halving_weights_halves_td():
@@ -220,13 +222,35 @@ def test_power_norm_contains_true_norms_at_96_bits(angles, weights, n):
     assert res.norm_ti.lo <= ti <= res.norm_ti.hi
     assert res.norm_td.lo <= td <= res.norm_td.hi
     # one diagonal entry in the precision context power_norm runs in
-    from recurlab.linsys import _entry_mid_rad, _working_precision
-    with _working_precision(96, n) as (u, tiny):
-        theta = op.diag[0].exact
-        mid, rad = _entry_mid_rad(cos_turns(theta), sin_turns(theta), u, tiny)
+    from recurlab.linsys import _unit_entry
+    theta = op.diag[0].exact
+    with working_bits(max(get_bits(), 96 + 32, bits_for_power(n))):
+        re, im, rad = _unit_entry(theta, 96)
     with mp.workprec(300):
         true = mp.expjpi(2 * mp.mpf(theta.numerator) / theta.denominator)
-        assert abs(mpc(mid) - true) <= rad
+        assert abs(mpc(re, im) / 2 ** 96 - true) <= mp.mpf(rad) / 2 ** 96
+
+
+def test_power_norm_random_operators_contain_true_norms():
+    # random bidiagonal operators against the 300-bit reference, at the
+    # minimum precision and above it
+    rng = random.Random(20261018)
+    for _ in range(40):
+        N = rng.randrange(2, 6)
+        thetas = set()
+        while len(thetas) < N:
+            q = rng.randrange(2, 2 ** 20 + 8)
+            thetas.add(F(rng.randrange(1, q), q))
+        weights = [F(rng.randrange(1, 2 ** 8), 2 ** rng.randrange(0, 30))
+                   for _ in range(N - 1)]
+        op = DiagShiftOperator(N, [AngleTurns.of(t) for t in sorted(thetas)],
+                               weights)
+        n = rng.randrange(1, 2 ** 12 + 2)
+        ti, td = _reference_norms(op, n)
+        for bits in (53, 96):
+            res = power_norm(op, n, bits=bits)
+            assert res.norm_ti.lo <= ti <= res.norm_ti.hi, (op, n, bits)
+            assert res.norm_td.lo <= td <= res.norm_td.hi, (op, n, bits)
 
 
 def _norms_with_sup(c: F) -> NormCertificate:
