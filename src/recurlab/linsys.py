@@ -25,8 +25,10 @@ What is certified and what is sampled:
 * ``ball_mc_check`` and ``kalish_eigencheck`` are floating-point
   spot checks, not certificates, and say so in their reports.
 
-Matrix powers share no state: ``power_norm`` raises the precision in a
-``working_bits`` block, which restores it on exit.
+``power_norm`` raises the precision in a ``working_bits`` block, which
+restores it on exit.  The one state matrix powers share is a bounded
+squaring ladder T, T^2, T^4, ... keyed by the integer disks of T and
+bits, so the powers n_k of one operator square once between them.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
@@ -267,7 +270,8 @@ _abs_upper = np.frompyfunc(lambda re, im: _ceil_sqrt(re * re + im * im), 2, 1)
 
 def _fixed(b: Bound, bits: int) -> tuple[int, int]:
     """Midpoint and radius in 2^-bits units of a disk around ``b``."""
-    lo, hi = math.floor(b.lo * 2 ** bits), math.ceil(b.hi * 2 ** bits)
+    lo = (b.lo.numerator << bits) // b.lo.denominator
+    hi = -((-b.hi.numerator << bits) // b.hi.denominator)
     mid = (lo + hi) >> 1
     return mid, hi - mid
 
@@ -300,14 +304,28 @@ def _mm(A, B, bits: int):
     return re >> bits, im >> bits, -(-rad >> bits) + lost
 
 
+@lru_cache(maxsize=2)
+def _ladder(key: tuple) -> list:
+    """Squares T, T^2, T^4, ... of the disks spelled out by ``key``, grown
+    by ``_mat_power`` as far as a power needs them."""
+    return []
+
+
 def _mat_power(T, n: int, bits: int):
+    """T^n by binary powering on the squaring ladder of T.  The ladder is
+    keyed by the contents of T, which depend on the working precision,
+    not by the operator; the result never aliases a ladder entry, because
+    power_norm writes into it."""
+    squares = _ladder((bits,) + tuple(tuple(M.flat) for M in T))
+    if not squares:
+        squares.append(T)
     P = None
-    while n:
-        if n & 1:
-            P = T if P is None else _mm(P, T, bits)
-        n >>= 1
-        if n:
-            T = _mm(T, T, bits)
+    for i in range(n.bit_length()):
+        if i == len(squares):
+            squares.append(_mm(squares[-1], squares[-1], bits))
+        if n >> i & 1:
+            P = (tuple(M.copy() for M in squares[i]) if P is None
+                 else _mm(P, squares[i], bits))
     return P
 
 
@@ -472,8 +490,10 @@ def build_operator(seq: IntegerSequence, N: int, K: int, delta,
                    max_halvings: int = 60) -> OperatorBuild:
     """Assemble D + B: chain the diagonal within sum(eps) <= delta/4,
     then halve the weight scale rho until sup_k ||T^{n_k} - D^{n_k}||
-    is certified below delta/2 for k <= K.  Deterministic; the final
-    rho and the number of halvings land in the build record.
+    is certified below delta/2 for k <= K.  A weight scale whose powers
+    raise PrecisionError is halved too; the error escapes only at the
+    last allowed halving.  Deterministic; the final rho and the number of
+    halvings land in the build record.
     """
     delta = Fraction(delta)
     if delta <= 0:
@@ -485,12 +505,18 @@ def build_operator(seq: IntegerSequence, N: int, K: int, delta,
     for halvings in range(max_halvings + 1):
         op = chain.to_operator(build_shift_weights(N, rho))
         rows = []
-        for k, p in enumerate(powers):
-            res = power_norm(op, p, bits=bits)
-            rows.append(NormRow(k, p, res.norm_ti, res.norm_td, bits))
-        if max(r.norm_td.hi for r in rows) < delta / 2:
-            norms = NormCertificate(seq.label, delta, rows, N)
-            return OperatorBuild(op, chain, norms, rho, halvings, delta)
+        try:
+            for k, p in enumerate(powers):
+                res = power_norm(op, p, bits=bits)
+                rows.append(NormRow(k, p, res.norm_ti, res.norm_td, bits))
+        except PrecisionError:
+            # the weights feed the radii, so a smaller rho may certify
+            if halvings == max_halvings:
+                raise
+        else:
+            if max(r.norm_td.hi for r in rows) < delta / 2:
+                norms = NormCertificate(seq.label, delta, rows, N)
+                return OperatorBuild(op, chain, norms, rho, halvings, delta)
         rho /= 2
     raise ValueError(f"weight tuning failed after {max_halvings} halvings")
 

@@ -19,13 +19,18 @@ Conventions used throughout the package:
 
 The working precision defaults to 128 bits and is held by mpmath's
 interval context alone; :func:`working_bits` sets it for a block and
-restores it on exit.
+restores it on exit.  The transcendental enclosures of :func:`chord`,
+:func:`sin_turns` and :func:`cos_turns` are memoised in a bounded cache
+keyed by the reduced turn value and the working bits, so a repeated
+argument costs one lookup and a coarse enclosure is never served to a
+finer precision.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from decimal import Decimal, localcontext
 from typing import Iterable, Union
@@ -249,10 +254,7 @@ def chord(t: RationalLike) -> Bound:
     exact = _EXACT_CHORDS.get(d)
     if exact is not None:
         return Bound.exact(exact)
-    val = 2 * iv.sin(iv.pi * _to_iv(d))
-    b = Bound.from_iv(val)
-    # sin is evaluated on [0, 1/2] turns where the chord lies in [0, 2]
-    return Bound(max(Fraction(0), b.lo), min(Fraction(2), b.hi))
+    return _enclose("chord", d, get_bits())
 
 
 def sin_turns(t: RationalLike) -> Bound:
@@ -262,8 +264,7 @@ def sin_turns(t: RationalLike) -> Bound:
         return Bound.exact(0)
     if fr.denominator == 4:
         return Bound.exact(1 if fr.numerator == 1 else -1)
-    b = Bound.from_iv(iv.sin(2 * iv.pi * _to_iv(fr)))
-    return Bound(max(Fraction(-1), b.lo), min(Fraction(1), b.hi))
+    return _enclose("sin", fr, get_bits())
 
 
 def cos_turns(t: RationalLike) -> Bound:
@@ -279,8 +280,23 @@ def cos_turns(t: RationalLike) -> Bound:
         return Bound.exact(0)
     if fr.denominator == 6:
         return Bound.exact(Fraction(1, 2) if fr.numerator in (1, 5) else Fraction(-1, 2))
-    b = Bound.from_iv(iv.cos(2 * iv.pi * _to_iv(fr)))
-    return Bound(max(Fraction(-1), b.lo), min(Fraction(1), b.hi))
+    return _enclose("cos", fr, get_bits())
+
+
+@lru_cache(maxsize=1024)
+def _enclose(kind: str, t: Fraction, bits: int) -> Bound:
+    """The "chord", "sin" or "cos" enclosure of the reduced turn value t at
+    ``bits`` of working precision.  Memoised on all three arguments, so an
+    enclosure made at one precision is never served at another; a Bound
+    is frozen, so callers may share it."""
+    with working_bits(bits):
+        if kind == "chord":
+            # sin is evaluated on [0, 1/2] turns where the chord lies in [0, 2]
+            b = Bound.from_iv(2 * iv.sin(iv.pi * _to_iv(t)))
+            return Bound(max(Fraction(0), b.lo), min(Fraction(2), b.hi))
+        trig = iv.sin if kind == "sin" else iv.cos
+        b = Bound.from_iv(trig(2 * iv.pi * _to_iv(t)))
+        return Bound(max(Fraction(-1), b.lo), min(Fraction(1), b.hi))
 
 
 @dataclass(frozen=True)

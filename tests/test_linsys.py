@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from mpmath import mp, mpc
 
+from recurlab import linsys, precision
 from recurlab.circle import AngleTurns, verify_witness
 from recurlab.linsys import (BallCertificate, DiagShiftOperator, NormCertificate,
                              NormRow, PrecisionError, ball_certificate,
@@ -188,6 +189,34 @@ def test_precision_error_then_retry():
     assert res.norm_ti.lo <= diag_max + res.norm_td.hi
     assert res.norm_ti.width < F(1, 10 ** 4)
     assert res.norm_td.hi < F(1, 10 ** 5)
+
+
+def test_build_operator_halves_rho_past_precision_errors():
+    # at rho = 1/4 the power 2^15 raises PrecisionError at 53 bits; the
+    # build halves rho past it instead of giving up
+    build = build_operator(SEQ, N=16, K=5, delta=F(1, 2), rho0=F(1, 4), bits=53)
+    assert build.norms.passed and build.norms.sup_td() < F(1, 4)
+    assert build.rho == F(1, 4) / 2 ** build.halvings
+    assert [r.power for r in build.norms.rows][-1] == 2 ** 15
+
+
+def _cold_power_norm(op, n):
+    linsys._ladder.cache_clear()
+    precision._enclose.cache_clear()
+    return power_norm(op, n)
+
+
+def test_power_norm_ladder_ignores_call_order_and_aliasing():
+    # power_norm writes the exact diagonal into the power it gets back, so
+    # a shared square handed out uncopied would corrupt later powers
+    diag = _angles((1, 3), (1, 5), (1, 7), (2, 11))
+    a = DiagShiftOperator(4, diag, build_shift_weights(4, F(1, 64)))
+    b = DiagShiftOperator(4, diag, build_shift_weights(4, F(1, 128)))
+    calls = [(a, 8), (a, 2), (b, 8), (a, 8), (a, 1), (b, 2 ** 10),
+             (a, 2 ** 10), (a, 2 ** 10 + 3)]
+    linsys._ladder.cache_clear()
+    warm = [power_norm(op, n) for op, n in calls]
+    assert warm == [_cold_power_norm(op, n) for op, n in calls]
 
 
 def _reference_norms(op: DiagShiftOperator, n: int, prec: int = 300):

@@ -5,7 +5,9 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
-from recurlab.precision import chord, get_bits, residue, working_bits
+from recurlab import precision
+from recurlab.precision import (chord, cos_turns, get_bits, residue, sin_turns,
+                                working_bits)
 
 huge = st.integers(min_value=2 ** 200, max_value=2 ** 400)
 
@@ -31,3 +33,15 @@ def test_working_bits_sets_and_restores():
     with pytest.raises(ValueError, match="meaningless"), working_bits(4):
         pass
     assert get_bits() == before
+
+
+def test_trig_memo_follows_working_precision():
+    t = F(2, 7)
+    trig = (cos_turns, sin_turns, chord)
+    with working_bits(53):
+        coarse = [f(t) for f in trig]
+    with working_bits(256):
+        fine = [f(t) for f in trig]
+        precision._enclose.cache_clear()
+        assert fine == [f(t) for f in trig]
+    assert all(a.width < b.width for a, b in zip(fine, coarse))
