@@ -26,9 +26,9 @@ What is certified and what is sampled:
   spot checks, not certificates, and say so in their reports.
 
 ``power_norm`` raises the precision in a ``working_bits`` block, which
-restores it on exit.  The one state matrix powers share is a bounded
-squaring ladder T, T^2, T^4, ... keyed by the integer disks of T and
-bits, so the powers n_k of one operator square once between them.
+restores it on exit.  The one state matrix powers share is the top square
+of the ladder T, T^2, T^4, ..., kept per integer disks of T and bits, so
+the powers n_k = 2^(k(k+1)/2) of one operator square once between them.
 """
 
 from __future__ import annotations
@@ -270,8 +270,7 @@ _abs_upper = np.frompyfunc(lambda re, im: _ceil_sqrt(re * re + im * im), 2, 1)
 
 def _fixed(b: Bound, bits: int) -> tuple[int, int]:
     """Midpoint and radius in 2^-bits units of a disk around ``b``."""
-    lo = (b.lo.numerator << bits) // b.lo.denominator
-    hi = -((-b.hi.numerator << bits) // b.hi.denominator)
+    lo, hi = math.floor(b.lo * 2 ** bits), math.ceil(b.hi * 2 ** bits)
     mid = (lo + hi) >> 1
     return mid, hi - mid
 
@@ -306,26 +305,34 @@ def _mm(A, B, bits: int):
 
 @lru_cache(maxsize=2)
 def _ladder(key: tuple) -> list:
-    """Squares T, T^2, T^4, ... of the disks spelled out by ``key``, grown
-    by ``_mat_power`` as far as a power needs them."""
+    """[i, T^(2^i)]: the top of the squaring ladder T, T^2, T^4, ... of
+    the disks spelled out by ``key``, as far as ``_mat_power`` has climbed."""
     return []
 
 
 def _mat_power(T, n: int, bits: int):
-    """T^n by binary powering on the squaring ladder of T.  The ladder is
-    keyed by the contents of T, which depend on the working precision,
-    not by the operator; the result never aliases a ladder entry, because
-    power_norm writes into it."""
-    squares = _ladder((bits,) + tuple(tuple(M.flat) for M in T))
-    if not squares:
-        squares.append(T)
+    """T^n by binary powering.  The powers of one T share its squaring
+    ladder, of which only the top square is kept: a power with no set bit
+    below the top starts there, any other starts from T, so increasing
+    powers of two square once between them in the memory of plain binary
+    powering.  The ladder is keyed by the contents of T, which depend on
+    the working precision, not by the operator; the result never aliases
+    a square, because power_norm writes into it."""
+    top = _ladder((bits,) + tuple(tuple(M.flat) for M in T))
+    i = top[0] if top and n >> top[0] << top[0] == n else 0
+    if i:
+        T = top[1]
+    n >>= i
     P = None
-    for i in range(n.bit_length()):
-        if i == len(squares):
-            squares.append(_mm(squares[-1], squares[-1], bits))
-        if n >> i & 1:
-            P = (tuple(M.copy() for M in squares[i]) if P is None
-                 else _mm(P, squares[i], bits))
+    while n:
+        if n & 1:
+            P = tuple(M.copy() for M in T) if P is None else _mm(P, T, bits)
+        n >>= 1
+        if n:
+            T = _mm(T, T, bits)
+            i += 1
+    if not top or i > top[0]:
+        top[:] = i, T
     return P
 
 

@@ -212,7 +212,7 @@ def test_power_norm_ladder_ignores_call_order_and_aliasing():
     diag = _angles((1, 3), (1, 5), (1, 7), (2, 11))
     a = DiagShiftOperator(4, diag, build_shift_weights(4, F(1, 64)))
     b = DiagShiftOperator(4, diag, build_shift_weights(4, F(1, 128)))
-    calls = [(a, 8), (a, 2), (b, 8), (a, 8), (a, 1), (b, 2 ** 10),
+    calls = [(a, 8), (a, 2), (b, 8), (a, 8), (a, 1), (a, 24), (b, 2 ** 10),
              (a, 2 ** 10), (a, 2 ** 10 + 3)]
     linsys._ladder.cache_clear()
     warm = [power_norm(op, n) for op, n in calls]
