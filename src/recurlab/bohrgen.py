@@ -34,7 +34,7 @@ from typing import Callable
 
 from .certificates import Certificate, frac_str
 from .circle import AngleTurns, WitnessCertificate, unimod_dist
-from .precision import (Bound, bound_max, chord, residue, residue_distance,
+from .precision import (Bound, bound_max, chord, distance_numerators, residue,
                         two_pi_upper)
 
 Family = int | tuple[int, ...]     # 0 for the q-block, a tuple (maybe empty) for A
@@ -259,8 +259,8 @@ def block_jamison_witness(bset: BohrSet, family: Family, eps,
     for n0 in range(1, sch.n_max):
         theta = sum((Fraction(1, divs[N] * sch.H[N])
                      for N in range(n0, sch.n_max)), Fraction(0))
-        worst = max(residue_distance(residue(theta, e)) for e in elements)
-        sup = chord(worst)
+        sup = chord(Fraction(max(distance_numerators(theta, elements)),
+                             theta.denominator))
         if sup.certainly_le(eps):
             return SmallSupWitness(theta=theta, family=family_label(family),
                                    n0=n0, elements=len(elements),
@@ -286,7 +286,8 @@ def block_rotation_witness(bset: BohrSet, family: Family,
         elements = elements[:K + 1]
 
     def min_dist(theta: Fraction) -> Fraction:
-        return min(residue_distance(residue(theta, e)) for e in elements)
+        return Fraction(min(distance_numerators(theta, elements)),
+                        theta.denominator)
 
     if family == 0:
         theta = Fraction(1, 3)
@@ -302,7 +303,7 @@ def block_rotation_witness(bset: BohrSet, family: Family,
         theta = sum((Fraction(1, 3 * sch.H[N - 1] * sch.deltas[family][N - 1])
                      for N in range(1, sch.n_max + 1)), Fraction(0))
     residues = [residue(theta, e) for e in elements]
-    delta = chord(min(residue_distance(r) for r in residues))
+    delta = chord(min_dist(theta))
     target = Fraction(1, 2)
     return WitnessCertificate(
         theta=AngleTurns.of(theta),

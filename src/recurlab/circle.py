@@ -4,8 +4,8 @@ For exact rational angles everything reduces to residue arithmetic: the
 distance ``|lambda^n - 1|`` is the chord ``2 |sin(pi n theta)|``, it
 depends only on the fractional part of ``n theta``, and it is monotone in
 the distance of that fractional part to the nearest integer.  Sups and
-infs over finite index sets are therefore *selected* by exact Fraction
-comparison and only the extremal residue is evaluated in interval
+infs over finite index sets are therefore *selected* on exact integer
+residue numerators and only the extremal residue is evaluated in interval
 arithmetic.  Approximate angles (a rational enclosure window) are carried
 through with outward-rounded windows instead.
 
@@ -27,11 +27,15 @@ exact rather than finite-horizon (:func:`perturb_divisibility`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .certificates import Certificate, frac_str
-from .precision import Bound, bound_max, chord, pi_bound, residue, residue_distance
+from .precision import (Bound, bound_max, chord, distance_numerators, pi_bound,
+                        residue, residue_distance)
 from .ratintervals import IntervalSet, balls_mod1
 from .seqcore import IntegerSequence
 
@@ -115,13 +119,13 @@ def unimod_dist(theta, n: int) -> Bound:
 
 
 def _sup_chord_exact(theta: Fraction, terms: list[int]) -> tuple[Bound, Fraction]:
-    """Sup of chords over exact residues: selected exactly, evaluated once."""
-    dmax = max(residue_distance(residue(theta, n)) for n in terms)
+    """Sup of chords over exact residues: selected on ints, evaluated once."""
+    dmax = Fraction(max(distance_numerators(theta, terms)), theta.denominator)
     return chord(dmax), dmax
 
 
 def _min_chord_exact(theta: Fraction, terms: list[int]) -> tuple[Bound, Fraction]:
-    dmin = min(residue_distance(residue(theta, n)) for n in terms)
+    dmin = Fraction(min(distance_numerators(theta, terms)), theta.denominator)
     return chord(dmin), dmin
 
 
@@ -316,6 +320,9 @@ def witness_nested_intervals(seq: IntegerSequence, K: int,
 # near-1 search (separation test)
 # ---------------------------------------------------------------------------
 
+GRID_LIMIT = 2 ** 31     # grids from here on are refused: about 2^30 rows
+
+
 @dataclass
 class JamisonReport:
     """Outcome of the search for lambda != 1 with small horizon sup."""
@@ -347,36 +354,41 @@ class JamisonReport:
 
 
 def _grid_scan(terms: list[int], grid: int) -> tuple[int, int]:
-    """Best grid index by integer residue arithmetic; returns (i, max_dist)."""
-    import numpy as np
-
-    if terms[-1] * grid < 2 ** 62:
-        n_arr = np.asarray(terms, dtype=np.int64)
-        best_i, best_d = 0, grid
-        chunk = max(1, (1 << 21) // max(len(terms), 1))
-        for lo in range(1, grid, chunk):
-            ii = np.arange(lo, min(lo + chunk, grid), dtype=np.int64)
-            r = (ii[:, None] * n_arr[None, :]) % grid
-            d = np.minimum(r, grid - r).max(axis=1)
-            j = int(d.argmin())
-            if int(d[j]) < best_d:
-                best_d, best_i = int(d[j]), int(ii[j])
-        return best_i, best_d
+    """First ``i`` minimising ``max min(r, grid - r)``, ``r = i n mod grid``;
+    returns (i, that max).  Rows ``i`` and ``grid - i`` are equal, so only
+    ``i <= grid // 2`` is scanned.  Terms are reduced mod grid, so products
+    stay below ``grid**2 / 2``: int32 while ``grid**2 < 2**31``, else int64
+    (``grid < 2**31``, which the caller enforces)."""
+    dtype = np.int32 if grid * grid < 2 ** 31 else np.int64
+    n_arr = np.array([n % grid for n in terms], dtype=dtype)
     best_i, best_d = 0, grid
-    for i in range(1, grid):
-        worst = max(min(r := (i * n) % grid, grid - r) for n in terms)
-        if worst < best_d:
-            best_d, best_i = worst, i
+    half = grid // 2
+    chunk = max(1, (1 << 16) // len(terms))     # a cache-sized block of rows
+    for lo in range(1, half + 1, chunk):
+        ii = np.arange(lo, min(lo + chunk, half + 1), dtype=dtype)
+        r = ii[:, None] * n_arr[None, :]
+        np.fmod(r, grid, out=r)          # r >= 0, so fmod is the residue
+        d = np.minimum(r, grid - r).max(axis=1)
+        j = int(d.argmin())
+        if int(d[j]) < best_d:
+            best_d, best_i = int(d[j]), lo + j
     return best_i, best_d
 
 
 def _refine_float(theta0: float, terms: list[int], halfwidth: float,
                   steps: int = 48) -> float:
-    """Golden-section polish of the float sup objective near theta0."""
-    import math
+    """Golden-section polish of ``max 2 |sin(pi ((n t) % 1.0))|`` near theta0.
+    The residues are one numpy array (the same IEEE products and remainders
+    as a term loop), and ``math.sin`` runs only on terms within ``2**-20``
+    of the largest distance to Z: any other term's true chord is over 8e-12
+    below the top one, far beyond the 2e-15 float error: the same max."""
+    n_arr = np.array(terms, dtype=np.float64)
 
     def f(t: float) -> float:
-        return max(2 * abs(math.sin(math.pi * ((n * t) % 1.0))) for n in terms)
+        x = (n_arr * t) % 1.0
+        dist = np.minimum(x, 1.0 - x)
+        near = x[dist >= dist.max() - 2.0 ** -20]
+        return max(2 * abs(math.sin(math.pi * float(v))) for v in near)
 
     inv_phi = (5 ** 0.5 - 1) / 2
     a, b = theta0 - halfwidth, theta0 + halfwidth
@@ -415,6 +427,8 @@ def jamison_separation_test(seq: IntegerSequence, epsilon, K: int,
             raise ValueError(
                 f"grid {grid} is coarser than 1/n_K = 1/{terms[-1]}; "
                 "a uniform scan would alias past the objective's minima")
+        if grid >= GRID_LIMIT:
+            raise ValueError(f"grid {grid} is not below 2^31 = GRID_LIMIT")
         best_i, _ = _grid_scan(terms, grid)
         if best_i:
             base = Fraction(best_i, grid)

@@ -30,10 +30,11 @@ from .bohrgen import (BohrSeeds, BohrSet, all_rotation_witnesses,
                       family_label, probe_csv, schedule_build)
 from .certificates import (SCHEMA, Certificate, combine_union, encode_value,
                            frac_str, load_report, summarize)
-from .circle import jamison_separation_test, unimod_dist, verify_witness
+from .circle import (GRID_LIMIT, jamison_separation_test, unimod_dist,
+                     verify_witness)
 from .linsys import (PrecisionError, ball_certificate, ball_mc_check,
                      build_operator, norm_table_csv)
-from .precision import working_bits
+from .precision import chord, distance_numerators, working_bits
 from .rankone import StackingSchedule, build_tower_schedule, \
     nonrecurrence_check, shifted_schedule
 from .seqcore import (IntegerSequence, fact42_split, gen_divisibility,
@@ -77,7 +78,8 @@ PARAMS_SCHEMAS = {
         "required": ["seq", "epsilon", "horizon"],
         "properties": {"seq": _SEQ_SCHEMA, "epsilon": _FRAC,
                        "horizon": {"type": "integer", "minimum": 0},
-                       "grid": {"type": "integer", "minimum": 0},
+                       "grid": {"type": "integer", "minimum": 0,
+                                "maximum": GRID_LIMIT - 1},
                        "expect": {"enum": ["witness", "separation", "scan"]}},
         "additionalProperties": False,
     },
@@ -299,9 +301,12 @@ def _run_jamison(params, *, bits, seed):
                 if rep.best_theta is not None else None})
     rows = []
     if rep.witness_found:
-        for k in range(K + 1):
-            n = seq.term(k)
-            rows.append((k, n, *_dist_cols(unimod_dist(rep.best_theta, n))))
+        theta, terms = rep.best_theta, seq.prefix(K + 1)
+        cols = {}       # equal residue distances give equal columns
+        for k, (n, d) in enumerate(zip(terms, distance_numerators(theta, terms))):
+            if d not in cols:
+                cols[d] = _dist_cols(chord(Fraction(d, theta.denominator)))
+            rows.append((k, n, *cols[d]))
     files = {"scan.csv": _csv("k,n_k,dist,dist_lo,dist_hi", rows)}
     return [cert], {"witness_found": rep.witness_found}, files
 

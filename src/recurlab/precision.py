@@ -14,8 +14,8 @@ Conventions used throughout the package:
 * The *chord* of a turn ``t`` is ``|e^{2 pi i t} - 1| = 2 |sin(pi t)|``.
   It depends only on the distance from ``t`` to the nearest integer and is
   monotone in that distance, which lets callers take sups and infs over
-  finite residue sets by exact Fraction comparison, evaluating only the
-  extremal residue.
+  finite residue sets on the integer numerators of
+  :func:`distance_numerators`, evaluating only the extremal residue.
 
 The working precision defaults to 128 bits and is held by mpmath's
 interval context alone; :func:`working_bits` sets it for a block and
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
 from decimal import Decimal, localcontext
-from typing import Iterable, Union
+from typing import Iterable, Iterator, Union
 
 from mpmath import iv
 
@@ -80,6 +80,17 @@ def bits_for_power(n: int) -> int:
 def residue(theta: Fraction, n: int) -> Fraction:
     """Exact ``n * theta mod 1`` in [0, 1)."""
     return Fraction((n * theta.numerator) % theta.denominator, theta.denominator)
+
+
+def distance_numerators(theta: Fraction, terms: Iterable[int]) -> Iterator[int]:
+    """Integer numerators ``min(r, q - r)``, ``r = n * p mod q``, of
+    ``dist(n * theta, Z)`` over ``q = theta.denominator`` for each n in
+    terms.  The chord is monotone in that distance, so a sup or inf over
+    terms is selected on these ints and only the extreme is a Fraction."""
+    p, q = theta.numerator, theta.denominator
+    for n in terms:
+        r = n * p % q
+        yield min(r, q - r)
 
 
 def _mpf_tuple_to_fraction(t) -> Fraction:

@@ -1,11 +1,15 @@
+import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from recurlab.circle import (AngleTurns, d_metric_finite, jamison_separation_test,
+from recurlab.circle import (GRID_LIMIT, AngleTurns, _grid_scan,
+                             _min_chord_exact, _refine_float, _sup_chord_exact,
+                             d_metric_finite, jamison_separation_test,
                              perturb_divisibility, unimod_dist, verify_witness,
                              witness_nested_intervals)
+from recurlab.precision import chord, residue, residue_distance
 from recurlab.seqcore import (gen_divisibility, gen_recursive_q, naturals,
                               triangular_pow2)
 
@@ -132,6 +136,77 @@ def test_jamison_grid_scan_naturals():
 def test_jamison_grid_aliasing_guard():
     with pytest.raises(ValueError, match="alias"):
         jamison_separation_test(naturals(5001), epsilon=F(1), K=5000, grid=100)
+    with pytest.raises(ValueError, match="2\\^31"):
+        jamison_separation_test(naturals(3), epsilon=F(1), K=2, grid=GRID_LIMIT)
+
+
+def _grid_scan_loop(terms, grid):
+    """Reference: every row 1..grid-1, first minimum of the max distance."""
+    best_i, best_d = 0, grid
+    for i in range(1, grid):
+        worst = max(min(i * n % grid, grid - i * n % grid) for n in terms)
+        if worst < best_d:
+            best_i, best_d = i, worst
+    return best_i, best_d
+
+
+# repeating the terms leaves the objective as it is but shrinks the scan's
+# blocks of rows, so a minimum tied across blocks is exercised
+@settings(max_examples=60, deadline=None)
+@given(terms=st.lists(st.integers(1, 400), min_size=1, max_size=40),
+       extra=st.integers(0, 400), copies=st.integers(1, 100))
+@example(terms=[100], extra=300, copies=1000)   # rows 4, 8, ... all reach 0
+def test_grid_scan_matches_full_loop(terms, extra, copies):
+    grid = max(terms) + extra
+    assert _grid_scan(terms * copies, grid) == _grid_scan_loop(terms, grid)
+
+
+# 46,341 is the least grid whose square reaches 2^31: the scan's int32 and
+# int64 routes meet there
+@settings(max_examples=8, deadline=None)
+@given(grid=st.sampled_from([46_340, 46_341]), data=st.data())
+def test_grid_scan_matches_full_loop_at_the_dtype_switch(grid, data):
+    terms = data.draw(st.lists(st.integers(1, grid), min_size=1, max_size=3))
+    assert _grid_scan(terms, grid) == _grid_scan_loop(terms, grid)
+
+
+@given(theta=st.fractions(min_value=-2, max_value=2, max_denominator=10 ** 12),
+       terms=st.lists(st.integers(0, 10 ** 30), min_size=1, max_size=30))
+def test_exact_selection_matches_fraction_selection(theta, terms):
+    dists = [residue_distance(residue(theta, n)) for n in terms]
+    assert _sup_chord_exact(theta, terms) == (chord(max(dists)), max(dists))
+    assert _min_chord_exact(theta, terms) == (chord(min(dists)), min(dists))
+
+
+def _refine_float_loop(theta0, terms, halfwidth, steps=48):
+    """Reference: the golden-section polish with a term-by-term objective."""
+    def f(t):
+        return max(2 * abs(math.sin(math.pi * ((n * t) % 1.0))) for n in terms)
+
+    inv_phi = (5 ** 0.5 - 1) / 2
+    a, b = theta0 - halfwidth, theta0 + halfwidth
+    c, d = b - inv_phi * (b - a), a + inv_phi * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(steps):
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - inv_phi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + inv_phi * (b - a)
+            fd = f(d)
+    return (a + b) / 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(terms=st.lists(st.integers(0, 2 ** 31), min_size=1, max_size=50),
+       theta0=st.floats(0, 1), grid=st.integers(2, 10 ** 6))
+@example(terms=list(range(1, 2002)), theta0=1 / 2001, grid=2001)
+@example(terms=list(range(1, 2002)), theta0=667 / 2001, grid=2001)
+def test_refine_float_matches_term_loop(terms, theta0, grid):
+    assert (_refine_float(theta0, terms, 1.0 / grid)
+            == _refine_float_loop(theta0, terms, 1.0 / grid))
 
 
 def test_jamison_structural_divisibility():

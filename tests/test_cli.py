@@ -252,7 +252,11 @@ def test_schema_closes_handler_key_and_type_errors(tmp_path, capsys):
                  witness(q=[]), rankone(kind="constant"),
                  rankone(kind="from-seq"), rankone(kind="shifted"),
                  config("witness", {"seq": TRI13, "theta": "1/3",
-                                    "horizon": 3.0})]:
+                                    "horizon": 3.0}),
+                 # a grid of 2^31 would scan about 2^30 rows: refused unscanned
+                 config("jamison", {"seq": {"name": "naturals", "count": 3},
+                                    "epsilon": "7/4", "horizon": 2,
+                                    "grid": 2 ** 31})]:
         p = write_config(tmp_path, data)
         assert main([data["kind"], "--config", str(p), "--out", str(out)]) == 2
         assert "config schema violation" in capsys.readouterr().err, data
