@@ -357,9 +357,10 @@ def _grid_scan(terms: list[int], grid: int) -> tuple[int, int]:
     """First ``i`` minimising ``max min(r, grid - r)``, ``r = i n mod grid``;
     returns (i, that max).  Rows ``i`` and ``grid - i`` are equal, so only
     ``i <= grid // 2`` is scanned.  Terms are reduced mod grid, so products
-    stay below ``grid**2 / 2``: int32 while ``grid**2 < 2**31``, else int64
-    (``grid < 2**31``, which the caller enforces)."""
-    dtype = np.int32 if grid * grid < 2 ** 31 else np.int64
+    are at most ``(grid // 2) * (grid - 1)``: int32 while that is below
+    2**31 (up to grid 65,536), else int64 (``grid < 2**31``, which the
+    caller enforces)."""
+    dtype = np.int32 if (grid // 2) * (grid - 1) < 2 ** 31 else np.int64
     n_arr = np.array([n % grid for n in terms], dtype=dtype)
     best_i, best_d = 0, grid
     half = grid // 2

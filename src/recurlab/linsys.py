@@ -29,6 +29,14 @@ What is certified and what is sampled:
 restores it on exit.  The one state matrix powers share is the top square
 of the ladder T, T^2, T^4, ..., kept per integer disks of T and bits, so
 the powers n_k = 2^(k(k+1)/2) of one operator square once between them.
+
+Halving the weight scale rho is an exact diagonal similarity,
+T(rho / 2^h) = S T(rho) S^-1 with S = diag(2^(h i)), so ``build_operator``
+computes each power T^{n_k} once, at the first halving that reaches row k,
+and rescales its disks at every later one.  The rounding made at the
+larger scale shrinks with the entries, so in practice no bound is looser
+than powering afresh; at 53 bits dimension 16 certifies through horizon 9
+(n = 2^45).
 """
 
 from __future__ import annotations
@@ -382,28 +390,61 @@ def power_norm(op: DiagShiftOperator, n: int, bits: int = 53,
     """
     if n < 0:
         raise ValueError("powers are nonnegative")
-    thetas = [a.exact for a in op.diag]
     if n == 0:
         z = Bound.exact(0)
         return PowerNormResult(0, z, z, bits, "identity")
     if method not in ("auto", "matrix"):
         raise ValueError("method is 'auto' or 'matrix'")
     if op.is_diagonal and method == "auto":
-        ti = bound_max([chord(residue(t, n)) for t in thetas])
+        ti = bound_max([chord(residue(a.exact, n)) for a in op.diag])
         return PowerNormResult(n, ti, Bound.exact(0), bits, "diagonal-exact")
+    P, chords = _power_disks(op, n, bits)
+    return _power_bounds(_radius_checked(P, n, bits), chords, n, bits)
 
+
+def _power_disks(op: DiagShiftOperator, n: int, bits: int):
+    """The disks (re, im, rad) of T^n in 2^-bits units with the diagonal
+    overridden by its exact value lambda_j^n, and the upper ends of the
+    chords |lambda_j^n - 1| in the same units."""
     with working_bits(max(get_bits(), bits + 32, bits_for_power(n))):
         re, im, rad = _mat_power(_operator_disks(op, bits), n, bits)
         # exact diagonal of the triangular power
-        residues = [residue(t, n) for t in thetas]
+        residues = [residue(a.exact, n) for a in op.diag]
         for j, r in enumerate(residues):
             re[j, j], im[j, j], rad[j, j] = _unit_entry(r, bits)
         chords = [math.ceil(chord(r).hi * 2 ** bits) for r in residues]
-    worst = max(rad.flat)
+    return (re, im, rad), chords
+
+
+def _rescale(P, h: int):
+    """The disks of T^n at weight scale rho / 2^h from those at rho.
+
+    With S = diag(2^(h i)), T(rho / 2^h) = S T(rho) S^-1, so entry (i, j)
+    of every power gains the exact factor 2^(-h (j - i)) and the diagonal
+    stays.  The centres are floored and the radius ceiled, with one unit
+    for each component whose shifted-out bits are nonzero, as in ``_mm``.
+    """
+    re, im, rad = P
+    i, j = np.indices(re.shape)
+    shift = (h * np.maximum(j - i, 0)).astype(object)
+    low = (1 << shift) - 1
+    lost = ((re & low) != 0).astype(object) + ((im & low) != 0).astype(object)
+    return re >> shift, im >> shift, -(-rad >> shift) + lost
+
+
+def _radius_checked(P, n: int, bits: int):
+    """The disks P of T^n; raises PrecisionError when a radius passes 2^-8."""
+    worst = max(P[2].flat)
     if worst > 1 << (bits - 8):
         raise PrecisionError(
             f"radius above 2^{worst.bit_length() - 1 - bits} after power {n} with "
             f"{bits} bits; retry with more bits")
+    return P
+
+
+def _power_bounds(P, chords: list[int], n: int, bits: int) -> PowerNormResult:
+    """Both norm enclosures from the disks and chords of ``_power_disks``."""
+    re, im, rad = P
     U = _abs_upper(re, im) + rad
 
     U_ti, ti_re = U.copy(), re.copy()
@@ -499,8 +540,11 @@ def build_operator(seq: IntegerSequence, N: int, K: int, delta,
     then halve the weight scale rho until sup_k ||T^{n_k} - D^{n_k}||
     is certified below delta/2 for k <= K.  A weight scale whose powers
     raise PrecisionError is halved too; the error escapes only at the
-    last allowed halving.  Deterministic; the final rho and the number of
-    halvings land in the build record.
+    last allowed halving.  Each power is computed at the first halving
+    that reaches its row, not all at rho0, where the integers grow without
+    bound at deep horizons, and rescaled after (``_rescale``).
+    Deterministic; the final rho and the number of halvings land in the
+    build record.
     """
     delta = Fraction(delta)
     if delta <= 0:
@@ -509,18 +553,30 @@ def build_operator(seq: IntegerSequence, N: int, K: int, delta,
     chain = build_diag_chain(seq, N, eps)
     powers = [seq.term(k) for k in range(K + 1)]
     rho = Fraction(rho0)
+    computed: dict[int, tuple] = {}     # k -> (halving, disks, chords)
     for halvings in range(max_halvings + 1):
         op = chain.to_operator(build_shift_weights(N, rho))
-        rows = []
+        scaled = {}
         try:
+            # every radius is checked before any norm is assembled, so a
+            # weight scale that runs out of precision costs only rescales
             for k, p in enumerate(powers):
-                res = power_norm(op, p, bits=bits)
-                rows.append(NormRow(k, p, res.norm_ti, res.norm_td, bits))
+                if p and not op.is_diagonal:
+                    if k not in computed:
+                        computed[k] = (halvings, *_power_disks(op, p, bits))
+                    h, P, chords = computed[k]
+                    P = _radius_checked(_rescale(P, halvings - h), p, bits)
+                    scaled[k] = P, chords
         except PrecisionError:
             # the weights feed the radii, so a smaller rho may certify
             if halvings == max_halvings:
                 raise
         else:
+            rows = []
+            for k, p in enumerate(powers):
+                res = (_power_bounds(*scaled[k], p, bits) if k in scaled
+                       else power_norm(op, p, bits=bits))
+                rows.append(NormRow(k, p, res.norm_ti, res.norm_td, bits))
             if max(r.norm_td.hi for r in rows) < delta / 2:
                 norms = NormCertificate(seq.label, delta, rows, N)
                 return OperatorBuild(op, chain, norms, rho, halvings, delta)

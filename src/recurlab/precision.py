@@ -294,12 +294,13 @@ def cos_turns(t: RationalLike) -> Bound:
     return _enclose("cos", fr, get_bits())
 
 
-# One halving of linsys.build_operator at dimension N and horizon K asks
-# for at most N(5K + 3) keys: cos and sin of the N diagonal angles at each
-# of at most K + 1 working precisions, the N chords at k = 0, and the cos,
-# sin and chord of the N residues at each k >= 1.  Every halving asks
-# again in the same order, and an LRU cache smaller than such a cycle
-# never hits, so the bound holds the 4,032 keys of dimension 64, horizon 12.
+# One linsys.build_operator at dimension N and horizon K computes each
+# power once and asks for at most N(5K + 3) keys: cos and sin of the N
+# diagonal angles at each of at most K + 1 working precisions, the N chords
+# at k = 0, and the cos, sin and chord of the N residues at each k >= 1.
+# A repeated build asks again in the same order, and an LRU cache smaller
+# than such a cycle never hits, so the bound holds the 4,032 keys of
+# dimension 64, horizon 12.
 @lru_cache(maxsize=4096)
 def _enclose(kind: str, t: Fraction, bits: int) -> Bound:
     """The "chord", "sin" or "cos" enclosure of the reduced turn value t at

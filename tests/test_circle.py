@@ -161,13 +161,16 @@ def test_grid_scan_matches_full_loop(terms, extra, copies):
     assert _grid_scan(terms * copies, grid) == _grid_scan_loop(terms, grid)
 
 
-# 46,341 is the least grid whose square reaches 2^31: the scan's int32 and
-# int64 routes meet there
-@settings(max_examples=8, deadline=None)
-@given(grid=st.sampled_from([46_340, 46_341]), data=st.data())
+# 65,537 is the least grid whose largest half-grid product
+# (grid // 2)(grid - 1) reaches 2^31: the scan's int32 and int64 routes meet
+# there.  The term grid - 1 makes that product; 46,340 and 46,341, whose
+# squares straddle 2^31, stay int32.
+@settings(max_examples=12, deadline=None)
+@given(grid=st.sampled_from([46_340, 46_341, 65_536, 65_537]), data=st.data())
 def test_grid_scan_matches_full_loop_at_the_dtype_switch(grid, data):
     terms = data.draw(st.lists(st.integers(1, grid), min_size=1, max_size=3))
     assert _grid_scan(terms, grid) == _grid_scan_loop(terms, grid)
+    assert _grid_scan([grid - 1], grid) == _grid_scan_loop([grid - 1], grid)
 
 
 @given(theta=st.fractions(min_value=-2, max_value=2, max_denominator=10 ** 12),

@@ -154,7 +154,7 @@ def test_linsys_run(tmp_path):
 def test_linsys_precision_failure_is_a_failing_certificate(tmp_path):
     out = tmp_path / "out"
     p = write_config(tmp_path, config(
-        "linsys", {"seq": TRI13, "dimension": 3, "horizon": 9, "delta": "1/2"},
+        "linsys", {"seq": TRI13, "dimension": 3, "horizon": 10, "delta": "1/2"},
         out=str(out)))
     assert main(["linsys", "--config", str(p)]) == 1
     report = json.loads((out / "report.json").read_text())

@@ -200,6 +200,25 @@ def test_build_operator_halves_rho_past_precision_errors():
     assert [r.power for r in build.norms.rows][-1] == 2 ** 15
 
 
+def test_build_operator_computes_each_power_once_and_reaches_horizon_9(monkeypatch):
+    # every halving of rho is an exact diagonal similarity, so a power is
+    # rescaled instead of computed again; the rounding made at the larger
+    # scale shrinks with it, which certifies n = 2^45 at 53 bits
+    computed = []
+    power_disks = linsys._power_disks
+
+    def counted(op, n, bits):
+        computed.append(n)
+        return power_disks(op, n, bits)
+
+    monkeypatch.setattr(linsys, "_power_disks", counted)
+    build = build_operator(SEQ, N=16, K=9, delta=F(1, 2), rho0=F(1, 4), bits=53)
+    assert build.norms.passed and build.norms.sup_td() < F(1, 4)
+    assert build.rho == F(1, 4) / 2 ** build.halvings
+    assert [r.power for r in build.norms.rows][-1] == 2 ** 45
+    assert sorted(computed) == [SEQ.term(k) for k in range(10)]
+
+
 def _cold_power_norm(op, n):
     linsys._ladder.cache_clear()
     precision._enclose.cache_clear()
@@ -219,18 +238,23 @@ def test_power_norm_ladder_ignores_call_order_and_aliasing():
     assert warm == [_cold_power_norm(op, n) for op, n in calls]
 
 
+def _unit(theta: F):
+    return mp.expjpi(2 * mp.mpf(theta.numerator) / theta.denominator)
+
+
 def _reference_norms(op: DiagShiftOperator, n: int, prec: int = 300):
     """||T^n - I|| and ||T^n - D^n|| from a plain mpmath computation at
-    ``prec`` bits, as rationals."""
-    with mp.workprec(prec):
+    ``prec`` bits plus two per bit of n (powering loses about log2 n),
+    as rationals; D^n comes from the exact residues."""
+    with mp.workprec(prec + 2 * n.bit_length()):
         N = op.dimension
         T = mp.matrix(N, N)
         for j, a in enumerate(op.diag):
-            T[j, j] = mp.expjpi(2 * mp.mpf(a.exact.numerator) / a.exact.denominator)
+            T[j, j] = _unit(a.exact)
         for i, w in enumerate(op.weights):
             T[i, i + 1] = mp.mpf(w.numerator) / w.denominator
         P = T ** n
-        D = mp.diag([T[j, j] ** n for j in range(N)])
+        D = mp.diag([_unit(precision.residue(a.exact, n)) for a in op.diag])
         out = []
         for M in (P - mp.eye(N), P - D):
             man, exp = max(mp.svd_c(M, compute_uv=False)).man_exp
@@ -280,6 +304,77 @@ def test_power_norm_random_operators_contain_true_norms():
             res = power_norm(op, n, bits=bits)
             assert res.norm_ti.lo <= ti <= res.norm_ti.hi, (op, n, bits)
             assert res.norm_td.lo <= td <= res.norm_td.hi, (op, n, bits)
+
+
+@pytest.mark.parametrize("N", [3, 4])
+def test_build_rows_contain_true_norms_at_horizon_9(N):
+    # rows computed at one weight scale and rescaled through up to 30
+    # halvings, against the reference at the final rho
+    build = build_operator(SEQ, N=N, K=9, delta=F(1, 2), rho0=F(1, 4), bits=53)
+    assert build.norms.passed and build.halvings >= 27
+    for row in build.norms.rows:
+        ti, td = _reference_norms(build.operator, row.power)
+        assert row.norm_ti.lo <= ti <= row.norm_ti.hi, row
+        assert row.norm_td.lo <= td <= row.norm_td.hi, row
+
+
+def test_rescale_encloses_every_point_of_the_disks():
+    # T(rho / 2^h) = S T(rho) S^-1 with S = diag(2^(h i)), so a point z of
+    # disk (i, j) of a power moves to z 2^(-h (j - i)).  Boundary points of
+    # disks whose centres have zero or nonzero low bits test the floor of
+    # the centre, the ceiling of the radius and the shift per diagonal.
+    rng = random.Random(20261019)
+    directions = [(1, 0), (-1, 0), (0, 1), (0, -1), (F(3, 5), F(4, 5)),
+                  (F(-4, 5), F(-3, 5))]
+    for _ in range(300):
+        N, h = rng.randrange(2, 6), rng.randrange(1, 12)
+        re, im, rad = (np.zeros((N, N), dtype=object) for _ in range(3))
+        points = {}
+        for i in range(N):
+            for j in range(i, N):
+                low = rng.choice([0, 48])
+                re[i, j] = rng.randrange(-2 ** 40, 2 ** 40) << low
+                im[i, j] = rng.randrange(-2 ** 40, 2 ** 40) << low
+                rad[i, j] = rng.choice([0, 1, rng.randrange(2 ** 50)])
+                cx, cy = rng.choice(directions)
+                points[i, j] = (re[i, j] + rad[i, j] * cx, im[i, j] + rad[i, j] * cy)
+        Re, Im, Rad = linsys._rescale((re, im, rad), h)
+        for (i, j), (x, y) in points.items():
+            scale = F(1, 2 ** (h * (j - i)))
+            dx, dy = x * scale - Re[i, j], y * scale - Im[i, j]
+            assert dx * dx + dy * dy <= Rad[i, j] ** 2, (i, j, h)
+        for M, S in ((re, Re), (im, Im), (rad, Rad)):
+            assert all(S[i, i] == M[i, i] for i in range(N))
+            assert not np.tril(S, -1).any()
+
+
+def test_rescaled_power_contains_true_norms():
+    # a power computed at rho and rescaled to rho / 2^h against the
+    # reference at rho / 2^h, and no looser than computing it there
+    rng = random.Random(20261020)
+    for _ in range(40):
+        N = rng.randrange(2, 6)
+        thetas = set()
+        while len(thetas) < N:
+            q = rng.randrange(2, 2 ** 20 + 8)
+            thetas.add(F(rng.randrange(1, q), q))
+        diag = [AngleTurns.of(t) for t in sorted(thetas)]
+        weights = [F(rng.randrange(1, 2 ** 8), 2 ** rng.randrange(0, 30))
+                   for _ in range(N - 1)]
+        h, n = rng.randrange(1, 24), rng.randrange(1, 2 ** 12 + 2)
+        bits = rng.choice((53, 96))
+        op = DiagShiftOperator(N, diag, weights)
+        small = DiagShiftOperator(N, diag, [w / 2 ** h for w in weights])
+        P, chords = linsys._power_disks(op, n, bits)
+        res = linsys._power_bounds(linsys._radius_checked(linsys._rescale(P, h), n, bits),
+                                    chords, n, bits)
+        ti, td = _reference_norms(small, n)
+        assert res.norm_ti.lo <= ti <= res.norm_ti.hi, (small, n, bits)
+        assert res.norm_td.lo <= td <= res.norm_td.hi, (small, n, bits)
+        direct = power_norm(small, n, bits=bits)
+        unit = F(1, 2 ** bits)
+        assert res.norm_ti.hi <= direct.norm_ti.hi + unit
+        assert res.norm_td.hi <= direct.norm_td.hi + unit
 
 
 def _norms_with_sup(c: F) -> NormCertificate:
