@@ -468,12 +468,11 @@ def _run_gauss(params, *, bits, seed):
     seq = _seq_of(kp["seq"])
     targets = _targets_of(kp["targets"], kp["stages"])
     fact = kahane_build(seq, targets, kp["stages"])
-    measure = fact.materialize()
     split = fact42_split(params["blocks"])
     indices = split.side_indices(params["side"], params["max_index"])
     if not indices:
         raise ConfigError("no indices of that side within max_index")
-    model = GaussianRectangleModel(measure, tuple(params["rectangle"]),
+    model = GaussianRectangleModel(fact, tuple(params["rectangle"]),
                                    seed=seed)
     rows, closed_ok = [], True
     worst_ratio = 0.0
@@ -507,7 +506,7 @@ def _run_gauss(params, *, bits, seed):
         "k,n_k,a_k,p_in,p_in_se,sym_diff,sym_diff_se,second_moment,"
         "second_moment_se,second_moment_closed,shift_moment,shift_moment_se,"
         "shift_moment_closed", rows)}
-    return [cert], {"atoms": len(measure)}, files
+    return [cert], {"atoms": len(fact)}, files
 
 
 _HANDLERS = {"jamison": _run_jamison, "witness": _run_witness,

@@ -442,22 +442,29 @@ def _radius_checked(P, n: int, bits: int):
     return P
 
 
+def _td_upper(P, bits: int) -> Fraction:
+    """Upper end of ||T^n - D^n|| from the disks of T^n, whose diagonal
+    cancels exactly."""
+    re, im, rad = P
+    U = _abs_upper(re, im) + rad
+    np.fill_diagonal(U, 0)
+    return _tri_norm_upper(U, bits)
+
+
 def _power_bounds(P, chords: list[int], n: int, bits: int) -> PowerNormResult:
     """Both norm enclosures from the disks and chords of ``_power_disks``."""
     re, im, rad = P
-    U = _abs_upper(re, im) + rad
-
-    U_ti, ti_re = U.copy(), re.copy()
+    U_ti, ti_re = _abs_upper(re, im) + rad, re.copy()
     for j, c in enumerate(chords):
         U_ti[j, j] = c
         ti_re[j, j] -= 1 << bits
     upper_ti = _tri_norm_upper(U_ti, bits)
     lower_ti = _rayleigh_lower(ti_re, im, rad, bits)
 
-    U_td, td_re, td_im, td_rad = (M.copy() for M in (U, re, im, rad))
-    for M in (U_td, td_re, td_im, td_rad):
-        np.fill_diagonal(M, 0)           # the diagonal cancels exactly
-    upper_td = _tri_norm_upper(U_td, bits)
+    td_re, td_im, td_rad = (M.copy() for M in P)
+    for M in (td_re, td_im, td_rad):
+        np.fill_diagonal(M, 0)
+    upper_td = _td_upper(P, bits)
     lower_td = _rayleigh_lower(td_re, td_im, td_rad, bits)
 
     assert lower_ti <= upper_ti and lower_td <= upper_td
@@ -572,12 +579,16 @@ def build_operator(seq: IntegerSequence, N: int, K: int, delta,
             if halvings == max_halvings:
                 raise
         else:
-            rows = []
-            for k, p in enumerate(powers):
-                res = (_power_bounds(*scaled[k], p, bits) if k in scaled
-                       else power_norm(op, p, bits=bits))
-                rows.append(NormRow(k, p, res.norm_ti, res.norm_td, bits))
-            if max(r.norm_td.hi for r in rows) < delta / 2:
+            # only the norm_TD upper ends decide a halving (a row without
+            # disks is the identity or diagonal, norm_TD = 0), so the lower
+            # ends are assembled at the passing halving alone
+            if max((_td_upper(P, bits) for P, _ in scaled.values()),
+                   default=0) < delta / 2:
+                rows = []
+                for k, p in enumerate(powers):
+                    res = (_power_bounds(*scaled[k], p, bits) if k in scaled
+                           else power_norm(op, p, bits=bits))
+                    rows.append(NormRow(k, p, res.norm_ti, res.norm_td, bits))
                 norms = NormCertificate(seq.label, delta, rows, N)
                 return OperatorBuild(op, chain, norms, rho, halvings, delta)
         rho /= 2

@@ -22,7 +22,10 @@ Under the time-n shift the pair ``(f, f_n)`` is circular complex
 Gaussian, so its law is fixed by the 2x2 covariance
 ``[[s, conj gamma], [gamma, s]]`` with ``s = sum w`` and
 ``gamma = sigma_hat(n)``.  Rectangle overlap probabilities are estimated
-by sampling that pair directly, O(samples + atoms) per shift.
+by sampling that pair directly.  On a factorization ``s = 1`` exactly and
+``gamma`` is the certified product formula, so a shift costs
+O(samples + factors) and no atom is enumerated; on a materialized measure
+both come from the atom sum, O(samples + atoms), the cross-check route.
 """
 
 from __future__ import annotations
@@ -119,10 +122,19 @@ class ConvolutionFactorization:
     def fourier(self, n: int) -> CBound:
         return cbound_prod(self.factor_fourier(j, n) for j in range(len(self.factors)))
 
+    def __len__(self) -> int:
+        """Product of the factor sizes: the atom count of ``materialize()``
+        when no two sums of one atom per factor agree mod 1, an upper bound
+        otherwise.  Every Kahane build is exact here: its consecutive ratios
+        are at least 2, so the subset sums of the ``1/n_{j+1}`` are distinct
+        mod 1."""
+        return math.prod(len(f) for f in self.factors)
+
+    def denominator_lcm(self) -> int:
+        return lcm(*self._periods)
+
     def materialize(self, max_atoms: int = 1 << 16) -> DiscreteMeasure:
-        count = 1
-        for f in self.factors:
-            count *= len(f)
+        count = len(self)
         if count > max_atoms:
             raise ValueError(f"materialization would enumerate up to {count} atoms")
         out = self.factors[0]
@@ -361,7 +373,7 @@ def example44_diagnostic(measure: DiscreteMeasure, seq: IntegerSequence,
 
 @dataclass
 class GaussianRectangleModel:
-    measure: DiscreteMeasure
+    measure: DiscreteMeasure | ConvolutionFactorization
     rectangle: tuple[float, float, float, float]
     seed: int = 0
 
@@ -398,19 +410,35 @@ def gauss_rectangle_overlap_mc(model: GaussianRectangleModel, n: int,
     sum w lambda^n``, so it is drawn from that 2x2 covariance directly:
     ``f = sqrt(s) g_1`` and ``f_n = (gamma/s) f + sqrt(s - |gamma|^2/s) g_2``
     with ``g_1, g_2`` standard complex normals from one generator seeded
-    by ``model.seed``.  The cost is O(samples + atoms).
+    by ``model.seed``.
+
+    A ``ConvolutionFactorization`` is the primary route: every factor is a
+    probability measure, so ``s = 1``, and ``gamma`` is the certified
+    product ``measure.fourier(n)``, whose enclosure also gives
+    ``1 - |gamma|^2`` and the closed shift moment ``2 (1 - Re gamma)``
+    without the float cancellation of deep stages.  The cost is
+    O(samples + factors).  A ``DiscreteMeasure`` takes both from the float
+    atom sum, O(samples + atoms): the cross-check route.
     """
     if samples < 1000:
         raise ValueError("need at least 1000 samples")
-    atoms = model.measure.atoms
-    # exact residue reduction before float conversion: n can be astronomical
-    lam_n = np.exp(2j * np.pi * np.array([float(residue(a, n)) for a, _ in atoms]))
-    w = np.array([float(wt) for _, wt in atoms], dtype=np.complex128)
-    # one (complex) summation for both, so gamma == s bit for bit when every
-    # lambda^n is 1; then rho == 1, the conditional variance is 0 and f_n == f
-    s = float(np.sum(w).real)
-    rho = complex(np.sum(w * lam_n)) / s
-    cond_var = s * max(1.0 - abs(rho) ** 2, 0.0)
+    if isinstance(model.measure, ConvolutionFactorization):
+        gamma = model.measure.fourier(n)
+        s = 1.0
+        rho = complex(float(gamma.re.mid), float(gamma.im.mid))
+        cond_var = max(float((Bound.exact(1) - gamma.abs2()).mid), 0.0)
+        shift_closed = float((Bound.exact(1) - gamma.re).scale(2).mid)
+    else:
+        atoms = model.measure.atoms
+        # exact residue reduction before float conversion: n can be astronomical
+        lam_n = np.exp(2j * np.pi * np.array([float(residue(a, n)) for a, _ in atoms]))
+        w = np.array([float(wt) for _, wt in atoms], dtype=np.complex128)
+        # one (complex) summation for both, so gamma == s bit for bit when every
+        # lambda^n is 1; then rho == 1, the conditional variance is 0 and f_n == f
+        s = float(np.sum(w).real)
+        rho = complex(np.sum(w * lam_n)) / s
+        cond_var = s * max(1.0 - abs(rho) ** 2, 0.0)
+        shift_closed = float(np.sum(w.real * np.abs(lam_n - 1.0) ** 2))
 
     rng = np.random.default_rng(model.seed)
     z = rng.standard_normal((2, 2, samples)) / math.sqrt(2.0)
@@ -442,5 +470,5 @@ def gauss_rectangle_overlap_mc(model: GaussianRectangleModel, n: int,
         second_moment=m2, second_moment_se=m2_se,
         second_moment_closed=s,
         shift_moment=shm, shift_moment_se=shm_se,
-        shift_moment_closed=float(np.sum(w.real * np.abs(lam_n - 1.0) ** 2)),
+        shift_moment_closed=shift_closed,
     )

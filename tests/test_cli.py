@@ -8,6 +8,7 @@ import pytest
 from recurlab.certificates import Certificate
 from recurlab.cli import ConfigError, ExperimentConfig, main, run
 from recurlab.precision import get_bits
+from recurlab.specmeasure import ConvolutionFactorization
 
 TRI13 = {"name": "triangular-pow2", "count": 13}
 
@@ -206,6 +207,22 @@ def test_gauss_run(tmp_path):
     rows = (tmp_path / "gauss.csv").read_text().splitlines()
     assert len(rows[0].split(",")) == 13
     assert len(rows) == 5         # A-indices 2..5 of the 10-block split
+
+
+def test_gauss_reaches_24_stages_without_materializing(tmp_path, monkeypatch):
+    def refuse(self, max_atoms=1 << 16):
+        raise AssertionError("materialize() called")
+    monkeypatch.setattr(ConvolutionFactorization, "materialize", refuse)
+    p = write_config(tmp_path, config(
+        "gauss", {"kahane": {"seq": {"name": "triangular-pow2", "count": 25},
+                             "stages": 24,
+                             "targets": {"rule": "inverse-linear"}},
+                  "rectangle": [-0.6, 0.9, -0.7, 0.8], "blocks": 10,
+                  "side": "A", "max_index": 12, "samples": 1000}, seed=7))
+    out = tmp_path / "out"
+    assert main(["gauss", "--config", str(p), "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["values"]["atoms"] == 2 ** 24
 
 
 # --- flags and overrides ---------------------------------------------------

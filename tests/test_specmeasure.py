@@ -279,14 +279,48 @@ def test_gauss_full_period_is_identity():
     # sum differently by a dot product (4 stages) and by a real instead of a
     # complex pairwise sum (12 stages), so the shift moment is exactly 0 only
     # if s and gamma share one summation
-    for stages in (None, 4, 12):
-        model = small_model() if stages is None else GaussianRectangleModel(
-            kahane_build(triangular_pow2(13), harmonic, stages).materialize(),
-            (-0.6, 0.9, -0.7, 0.8), seed=5)
+    # (on the factorization routes gamma is the exact product 1)
+    models = [small_model()]
+    for stages in (4, 12):
+        fact = kahane_build(triangular_pow2(13), harmonic, stages)
+        models += [GaussianRectangleModel(m, (-0.6, 0.9, -0.7, 0.8), seed=5)
+                   for m in (fact.materialize(), fact)]
+    for model in models:
         est = gauss_rectangle_overlap_mc(model, model.measure.denominator_lcm(),
                                          samples=5_000)
         assert est.sym_diff == 0.0 and est.shift_moment == 0.0
         assert est.shift_moment_closed == 0.0
+
+
+def test_gauss_factorization_route_matches_materialized_atoms():
+    # one build, two routes, one seed: the product formula with s = 1 and
+    # the float atom sum give the same pair law up to rounding, so no draw
+    # crosses the rectangle differently
+    seq = triangular_pow2(13)
+    fact = kahane_build(seq, harmonic, 10)
+    routes = [GaussianRectangleModel(m, RECT, seed=17)
+              for m in (fact, fact.materialize())]
+    for n in (1, 3, seq.term(2), seq.term(4), seq.term(7), seq.term(12)):
+        prod, atoms = (gauss_rectangle_overlap_mc(m, n, 20_000) for m in routes)
+        assert (prod.p_in, prod.p_exit, prod.sym_diff) == \
+            (atoms.p_in, atoms.p_exit, atoms.sym_diff), n
+        for key in ("second_moment", "second_moment_closed", "shift_moment",
+                    "shift_moment_closed"):
+            assert getattr(prod, key) == pytest.approx(getattr(atoms, key),
+                                                       abs=1e-12), (n, key)
+    assert prod.second_moment_closed == 1.0
+
+
+def test_factorization_length_counts_materialized_atoms():
+    # ratio 2 (pow2) is the tightest chain whose subset sums stay distinct
+    for seq in (triangular_pow2(14), pow2_seq(14)):
+        for N in range(1, 13):
+            fact = kahane_build(seq, harmonic, N)
+            assert len(fact) == len(fact.materialize()) == 2 ** N, (seq, N)
+    # where sums collide the length is only an upper bound
+    thirds = DiscreteMeasure([(F(j, 3), F(1, 3)) for j in range(3)])
+    fact = ConvolutionFactorization([HALF, HALF, thirds])
+    assert len(fact) == 12 and len(fact.materialize()) == 6
 
 
 def _brute_force_overlap(model, n, samples, seed):
