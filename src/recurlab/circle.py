@@ -36,7 +36,6 @@ import numpy as np
 from .certificates import Certificate, frac_str
 from .precision import (Bound, bound_max, chord, distance_numerators, pi_bound,
                         residue, residue_distance)
-from .ratintervals import IntervalSet, balls_mod1
 from .seqcore import IntegerSequence
 
 
@@ -264,6 +263,43 @@ class WitnessSearch:
 _MAX_BALLS = 300_000
 
 
+def _survivors(terms: list[int], r: Fraction) -> tuple[list[tuple[int, int]], int]:
+    """The points of [0, 1) at distance at least ``r / n`` from every
+    multiple of ``1/n``, n in terms, as integer numerators over one ``D``.
+
+    With ``r = p/q``, ``L = lcm(terms)`` and ``D = q L``, ball j of term n
+    is ``[(j q - p) m, (j q + p) m)``, ``m = L / n``; the unclipped balls
+    j = 0..n cover in [0, 1) exactly what the wrap-around circle balls
+    cover.  Each survivor piece subtracts only the balls that meet it, in
+    ascending j, so nothing is sorted or merged.  Returns ``D`` and the
+    pieces ``[A, B)`` in the normal form of ``IntervalSet`` (sorted,
+    disjoint, non-adjacent).
+    """
+    p, q = r.numerator, r.denominator
+    L = math.lcm(*terms)
+    parts = [(0, q * L)]
+    for n in terms:
+        m = L // n
+        pm, qm = p * m, q * m
+        out = []
+        for A, B in parts:
+            lo, j = A, max(0, (A - pm) // qm)
+            while j <= n and lo < B:
+                c = j * qm
+                if c - pm >= B:
+                    break
+                if c - pm > lo:
+                    out.append((lo, c - pm))
+                lo = max(lo, c + pm)
+                j += 1
+            if lo < B:
+                out.append((lo, B))
+        parts = out
+        if not parts:
+            break
+    return parts, q * L
+
+
 def witness_nested_intervals(seq: IntegerSequence, K: int,
                              delta_target) -> WitnessSearch:
     """Search for lambda with all |lambda^{n_k} - 1| >= delta, k <= K.
@@ -272,11 +308,14 @@ def witness_nested_intervals(seq: IntegerSequence, K: int,
     of radius ``delta_s / (4 pi n_k)`` around every multiple of ``1/n_k``
     (the design radius ``delta_s/(2 pi n_k)`` with a 1/2 safety factor), so
     any survivor has ``dist(n_k theta, Z) >= delta_s/(4 pi)`` and chord at
-    least ``2 sin(delta_s / 4)``.  The returned midpoint is re-verified
-    term by term; the certificate's delta is the certified achieved value,
-    never the design floor.  If the requested target fails, the search
-    relaxes the design delta downward (halving ladder) and reports the
-    best certified witness with ``found=False`` instead of guessing.
+    least ``2 sin(delta_s / 4)``.  The survivor set is swept on integer
+    numerators (:func:`_survivors`); only each trial's measure and the
+    midpoint of its first largest piece become Fractions.  The midpoint is
+    re-verified term by term; the certificate's delta is the certified
+    achieved value, never the design floor.  If the requested target
+    fails, the search relaxes the design delta downward (halving ladder)
+    and reports the best certified witness with ``found=False`` instead of
+    guessing.
     """
     delta_target = Fraction(delta_target)
     if delta_target <= 0:
@@ -295,18 +334,12 @@ def witness_nested_intervals(seq: IntegerSequence, K: int,
     best: WitnessCertificate | None = None
     for factor in ladder:
         delta_s = delta_target * factor
-        survivors = IntervalSet.single(Fraction(0), Fraction(1))
-        for n in terms:
-            survivors = survivors.subtract(
-                balls_mod1((Fraction(j, n) for j in range(n + 1)),
-                           delta_s * inv4pi / n))
-            if not survivors:
-                break
-        trials.append((delta_s, survivors.measure()))
-        if not survivors:
+        parts, D = _survivors(terms, delta_s * inv4pi)
+        trials.append((delta_s, Fraction(sum(b - a for a, b in parts), D)))
+        if not parts:
             continue
-        a, b = survivors.largest_component()
-        cert = verify_witness((a + b) / 2, seq, K, target=delta_target)
+        a, b = max(parts, key=lambda iv: iv[1] - iv[0])
+        cert = verify_witness(Fraction(a + b, 2 * D), seq, K, target=delta_target)
         if best is None or cert.delta.lo > best.delta.lo:
             best = cert
         if cert.meets_target:

@@ -335,10 +335,8 @@ def _run_kahane(params, *, bits, seed):
     targets = _targets_of(params["targets"], max(N, K + 1))
     fact = kahane_build(seq, targets, N)
     check = rigidity_check(fact, seq, targets, K)
-    rows = []
-    for k in range(K + 1):
-        dev = fact.fourier(seq.term(k)).dist_to_one()
-        rows.append((k, seq.term(k), frac_str(targets[k]), *_dist_cols(dev)))
+    rows = [(k, seq.term(k), frac_str(targets[k]),
+             *_dist_cols(check.bounds[f"dev_k{k}"])) for k in range(K + 1)]
     files = {"fourier.csv": _csv("k,n_k,target,dev,dev_lo,dev_hi", rows)}
     return [fact.certificate, check], {"stages": N}, files
 
@@ -497,7 +495,8 @@ def _run_gauss(params, *, bits, seed):
               f"at {len(indices)} shift indices",
         passed=closed_ok,
         exact=False,
-        method="seeded Monte-Carlo field sampling, exact residue phases",
+        method="seeded Monte-Carlo sampling of the 2x2 covariance of (f, f_n), "
+               "gamma from the certified product formula",
         horizon=max(indices),
         params={"samples": params["samples"], "seed": seed,
                 "side": params["side"], "indices": indices},

@@ -6,10 +6,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from recurlab.circle import (GRID_LIMIT, AngleTurns, _grid_scan,
                              _min_chord_exact, _refine_float, _sup_chord_exact,
-                             d_metric_finite, jamison_separation_test,
-                             perturb_divisibility, unimod_dist, verify_witness,
+                             _survivors, d_metric_finite,
+                             jamison_separation_test, perturb_divisibility,
+                             unimod_dist, verify_witness,
                              witness_nested_intervals)
-from recurlab.precision import chord, residue, residue_distance
+from recurlab.precision import chord, pi_bound, residue, residue_distance
+from recurlab.ratintervals import IntervalSet, balls_mod1
 from recurlab.seqcore import (gen_divisibility, gen_recursive_q, naturals,
                               triangular_pow2)
 
@@ -116,6 +118,54 @@ def test_nested_interval_search_finds_witness():
     assert search.trials and all(m < 1 for _, m in search.trials)
     recheck = verify_witness(cert.theta.exact, pow2_seq(), K=10, target=F(1, 2))
     assert recheck.meets_target
+
+
+def test_nested_interval_search_at_the_ball_budget():
+    # K = 11 is the last horizon of the ratio-3 chain that _MAX_BALLS admits
+    chain = gen_divisibility(1, (lambda k: 3), 12)
+    search = witness_nested_intervals(chain, K=11, delta_target=F(1, 2))
+    assert search.found
+    assert search.certificate.delta.lo >= F(1, 2)
+    recheck = verify_witness(search.certificate.theta.exact, chain, K=11,
+                             target=F(1, 2))
+    assert recheck.meets_target
+
+
+def _survivors_reference(terms, r):
+    """Reference: subtract each term's circle balls as one Fraction set."""
+    sur = IntervalSet.single(F(0), F(1))
+    for n in terms:
+        sur = sur.subtract(balls_mod1((F(j, n) for j in range(n + 1)), r / n))
+        if not sur:
+            break
+    return sur
+
+
+LADDER = [F(4), F(3), F(5, 2), F(2), F(3, 2), F(1), F(1, 2), F(1, 4), F(1, 8),
+          F(1, 16)]
+nested_seqs = st.one_of(
+    st.builds(lambda ratio, count: gen_divisibility(1, [ratio] * count, count),
+              st.integers(2, 5), st.integers(1, 8)),
+    st.builds(naturals, st.integers(1, 30)),
+    st.builds(gen_recursive_q, st.integers(1, 4), st.integers(1, 6)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(seq=nested_seqs, factor=st.sampled_from(LADDER),
+       target=st.sampled_from([F(1, 10), F(1, 3), F(1, 2), F(1), F(7, 4)]))
+@example(seq=gen_divisibility(1, [3] * 8, 8), factor=F(1), target=F(1, 2))
+@example(seq=naturals(1), factor=F(4), target=F(7, 4))   # r/n above 1/2
+def test_integer_sweep_matches_fraction_sets(seq, factor, target):
+    terms = seq.materialized()
+    r = target * factor / (4 * pi_bound().lo)
+    parts, D = _survivors(terms, r)
+    ref = _survivors_reference(terms, r)
+    assert [(F(a, D), F(b, D)) for a, b in parts] == ref.parts
+    assert F(sum(b - a for a, b in parts), D) == ref.measure()
+    if ref:
+        a, b = max(parts, key=lambda iv: iv[1] - iv[0])
+        ra, rb = ref.largest_component()
+        assert F(a + b, 2 * D) == (ra + rb) / 2
 
 
 def test_nested_interval_budget_guard():

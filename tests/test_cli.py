@@ -1,13 +1,14 @@
 """End-to-end runs of the experiment runner on small configs."""
 
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from recurlab.certificates import Certificate
 from recurlab.cli import ConfigError, ExperimentConfig, main, run
-from recurlab.precision import get_bits
+from recurlab.precision import Bound, get_bits
 from recurlab.specmeasure import ConvolutionFactorization
 
 TRI13 = {"name": "triangular-pow2", "count": 13}
@@ -136,6 +137,23 @@ def test_kahane_run(tmp_path):
     rows = (tmp_path / "fourier.csv").read_text().splitlines()
     assert rows[0] == "k,n_k,target,dev,dev_lo,dev_hi"
     assert len(rows) == 5
+
+
+def test_kahane_rows_are_the_rigidity_bounds(tmp_path):
+    cfg = ExperimentConfig.from_dict(config(
+        "kahane", {"seq": TRI13, "stages": 8,
+                   "targets": {"rule": "inverse-linear"}}, bits=128))
+    report = run(cfg, out_dir=tmp_path)
+    check = report["certificates"][1]
+    assert check["kind"] == "rigidity-check"
+    lines = (tmp_path / "fourier.csv").read_text().splitlines()
+    rows = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+    assert [int(r["k"]) for r in rows] == list(range(8))
+    for r in rows:
+        dev = check["bounds"][f"dev_k{r['k']}"]
+        assert (r["dev_lo"], r["dev_hi"]) == (dev["lo"], dev["hi"])
+        mid = Bound(Fraction(dev["lo"]), Fraction(dev["hi"])).dec(17)
+        assert r["dev"] == mid
 
 
 def test_linsys_run(tmp_path):
