@@ -69,7 +69,9 @@ _TARGETS_SCHEMA = {"oneOf": [
     {"type": "object", "required": ["rule"],
      "properties": {"rule": {"enum": ["inverse-linear", "pow2"]},
                     "log2": {"type": "integer", "minimum": 1}},
-     "additionalProperties": False},
+     "additionalProperties": False,
+     "if": {"properties": {"rule": {"const": "pow2"}}},
+     "then": {"required": ["log2"]}},
 ]}
 
 PARAMS_SCHEMAS = {

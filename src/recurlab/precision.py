@@ -23,7 +23,14 @@ restores it on exit.  The transcendental enclosures of :func:`chord`,
 :func:`sin_turns` and :func:`cos_turns` are memoised in a bounded cache
 keyed by the reduced turn value and the working bits, so a repeated
 argument costs one lookup and a coarse enclosure is never served to a
-finer precision.
+finer precision.  Cosine and sine of a turn come from one mpmath
+evaluation and share one cache entry.
+
+Exact arithmetic stays exact without a gcd at every step: dyadic
+endpoints become Fractions by a shift, and the products and sums that
+certify a Fourier coefficient (:func:`cbound_prod` here, the atom sum of
+``specmeasure.fourier_direct``) run on integer numerators over one common
+denominator and are reduced to Fractions once, at the end.
 """
 
 from __future__ import annotations
@@ -33,9 +40,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
 from decimal import Decimal, localcontext
+from math import lcm
 from typing import Iterable, Iterator, Union
 
 from mpmath import iv
+from mpmath.libmp.libmpi import mpi_cos_sin
 
 iv.prec = 128
 
@@ -94,11 +103,10 @@ def distance_numerators(theta: Fraction, terms: Iterable[int]) -> Iterator[int]:
 
 
 def _mpf_tuple_to_fraction(t) -> Fraction:
+    """The exact value ``(-1)^sign man 2^exp`` of an mpmath mpf tuple."""
     sign, man, exp, _ = t
-    if man == 0 and exp == 0:
-        return Fraction(0)
-    v = Fraction(int(man)) * Fraction(2) ** int(exp)
-    return -v if sign else v
+    man, exp = (-int(man) if sign else int(man)), int(exp)
+    return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
 
 
 def _to_iv(x: RationalLike):
@@ -275,7 +283,7 @@ def sin_turns(t: RationalLike) -> Bound:
         return Bound.exact(0)
     if fr.denominator == 4:
         return Bound.exact(1 if fr.numerator == 1 else -1)
-    return _enclose("sin", fr, get_bits())
+    return _enclose("cis", fr, get_bits()).im
 
 
 def cos_turns(t: RationalLike) -> Bound:
@@ -291,30 +299,35 @@ def cos_turns(t: RationalLike) -> Bound:
         return Bound.exact(0)
     if fr.denominator == 6:
         return Bound.exact(Fraction(1, 2) if fr.numerator in (1, 5) else Fraction(-1, 2))
-    return _enclose("cos", fr, get_bits())
+    return _enclose("cis", fr, get_bits()).re
 
 
 # One linsys.build_operator at dimension N and horizon K computes each
-# power once and asks for at most N(5K + 3) keys: cos and sin of the N
-# diagonal angles at each of at most K + 1 working precisions, the N chords
-# at k = 0, and the cos, sin and chord of the N residues at each k >= 1.
-# A repeated build asks again in the same order, and an LRU cache smaller
-# than such a cycle never hits, so the bound holds the 4,032 keys of
-# dimension 64, horizon 12.
+# power once and asks for at most N(3K + 2) keys: cos and sin, one key, of
+# the N diagonal angles at each of at most K + 1 working precisions, the N
+# chords at k = 0, and the cos-sin and chord keys of the N residues at
+# each k >= 1.  A repeated build asks again in the same order, and an LRU
+# cache smaller than such a cycle never hits, so the bound holds the 3,968
+# keys of dimension 64, horizon 20.
 @lru_cache(maxsize=4096)
-def _enclose(kind: str, t: Fraction, bits: int) -> Bound:
-    """The "chord", "sin" or "cos" enclosure of the reduced turn value t at
-    ``bits`` of working precision.  Memoised on all three arguments, so an
-    enclosure made at one precision is never served at another; a Bound
-    is frozen, so callers may share it."""
+def _enclose(kind: str, t: Fraction, bits: int) -> Bound | CBound:
+    """The enclosure of the reduced turn value t at ``bits`` of working
+    precision: for kind "chord" the Bound of the chord, for kind "cis" the
+    CBound of ``e^{2 pi i t}``, whose cosine and sine come from one mpmath
+    evaluation with the endpoints of ``iv.cos`` and ``iv.sin``.  Memoised
+    on all three arguments, so an enclosure made at one precision is never
+    served at another; Bounds and CBounds are frozen, so callers may share
+    them."""
     with working_bits(bits):
         if kind == "chord":
             # sin is evaluated on [0, 1/2] turns where the chord lies in [0, 2]
             b = Bound.from_iv(2 * iv.sin(iv.pi * _to_iv(t)))
             return Bound(max(Fraction(0), b.lo), min(Fraction(2), b.hi))
-        trig = iv.sin if kind == "sin" else iv.cos
-        b = Bound.from_iv(trig(2 * iv.pi * _to_iv(t)))
-        return Bound(max(Fraction(-1), b.lo), min(Fraction(1), b.hi))
+        x = 2 * iv.pi * _to_iv(t)
+        cos, sin = (Bound(max(Fraction(-1), _mpf_tuple_to_fraction(lo)),
+                          min(Fraction(1), _mpf_tuple_to_fraction(hi)))
+                    for lo, hi in mpi_cos_sin(x._mpi_, iv.prec))
+        return CBound(cos, sin)
 
 
 @dataclass(frozen=True)
@@ -359,14 +372,39 @@ class CBound:
         return self.abs2().sqrt()
 
     def dist_to_one(self) -> Bound:
-        return (self - CBound.exact(1)).abs()
+        return (self - _ONE).abs()
+
+
+_ONE = CBound.exact(1)
 
 
 def cbound_prod(factors: Iterable[CBound]) -> CBound:
-    acc = CBound.exact(1)
+    """The product of the factors, equal to the left fold of ``CBound.__mul__``
+    from the exact 1.
+
+    The rectangle is carried as four integer numerators over one running
+    denominator: each factor is brought to the lcm of its endpoint
+    denominators, the interval products take the min and max of the same
+    four products as ``Bound.__mul__`` scaled by a positive integer, and
+    only the result is reduced to Fractions.  Factors equal to the exact 1
+    leave the rectangle as it is and are skipped.
+    """
+    re_lo, re_hi, im_lo, im_hi, den = 1, 1, 0, 0, 1
     for f in factors:
-        acc = acc * f
-    return acc
+        if f == _ONE:
+            continue
+        ends = (f.re.lo, f.re.hi, f.im.lo, f.im.hi)
+        d = lcm(*(e.denominator for e in ends))
+        x_lo, x_hi, y_lo, y_hi = (e.numerator * (d // e.denominator) for e in ends)
+        rr = (re_lo * x_lo, re_lo * x_hi, re_hi * x_lo, re_hi * x_hi)
+        ii = (im_lo * y_lo, im_lo * y_hi, im_hi * y_lo, im_hi * y_hi)
+        ri = (re_lo * y_lo, re_lo * y_hi, re_hi * y_lo, re_hi * y_hi)
+        ir = (im_lo * x_lo, im_lo * x_hi, im_hi * x_lo, im_hi * x_hi)
+        re_lo, re_hi, im_lo, im_hi = (min(rr) - max(ii), max(rr) - min(ii),
+                                      min(ri) + min(ir), max(ri) + max(ir))
+        den *= d
+    return CBound(Bound(Fraction(re_lo, den), Fraction(re_hi, den)),
+                  Bound(Fraction(im_lo, den), Fraction(im_hi, den)))
 
 
 def dec_str(fr: Fraction, digits: int = 40) -> str:

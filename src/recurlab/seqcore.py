@@ -185,6 +185,9 @@ def gen_divisibility(base: int, ratios: Sequence[int] | Callable[[int], int],
     if count < 1:
         raise ValueError("count must be >= 1")
     callable_ratios = callable(ratios)
+    if not callable_ratios and len(ratios) < count - 1:
+        raise ValueError(f"ratios has {len(ratios)} entries; count {count} "
+                         f"needs at least {count - 1}")
     get = ratios if callable_ratios else list(ratios).__getitem__
     terms = [int(base)]
     for k in range(count - 1):
@@ -221,6 +224,9 @@ def gen_recursive_q(q: int | Sequence[int], count: int) -> IntegerSequence:
         raise ValueError("count must be >= 1")
     const = isinstance(q, int)
     qs = [int(q)] * max(count - 1, 1) if const else [int(x) for x in q]
+    if len(qs) < count - 1:
+        raise ValueError(f"q has {len(qs)} entries; count {count} "
+                         f"needs at least {count - 1}")
     terms = [1]
     for k in range(count - 1):
         if qs[k] < 1:

@@ -94,11 +94,24 @@ def convolve(mu: DiscreteMeasure, nu: DiscreteMeasure) -> DiscreteMeasure:
 
 
 def fourier_direct(measure: DiscreteMeasure, n: int) -> CBound:
-    """sigma_hat(n) by atom enumeration; exact residue reduction per atom."""
-    total = CBound.exact(0)
-    for angle, weight in measure.atoms:
-        total = total + CBound.from_turns(residue(angle, n)).scale(weight)
-    return total
+    """sigma_hat(n) by atom enumeration; exact residue reduction per atom.
+
+    The certified sum of ``w_i e^{2 pi i n theta_i}``: each endpoint is the
+    weighted sum of the matching endpoints of the atoms' enclosures (the
+    weights are positive), summed on integer numerators over ``W E``, the
+    lcm ``W`` of the weight denominators times the lcm ``E`` of the
+    enclosure endpoint denominators, and reduced to a Fraction once.
+    """
+    weights = [w for _, w in measure.atoms]
+    cis = [CBound.from_turns(residue(angle, n)) for angle, _ in measure.atoms]
+    ends = [(z.re.lo, z.re.hi, z.im.lo, z.im.hi) for z in cis]
+    W = lcm(*(w.denominator for w in weights))
+    E = lcm(*(e.denominator for row in ends for e in row))
+    scaled = [w.numerator * (W // w.denominator) for w in weights]
+    sums = [sum(s * e.numerator * (E // e.denominator) for s, e in zip(scaled, col))
+            for col in zip(*ends)]
+    re_lo, re_hi, im_lo, im_hi = (Fraction(x, W * E) for x in sums)
+    return CBound(Bound(re_lo, re_hi), Bound(im_lo, im_hi))
 
 
 class ConvolutionFactorization:

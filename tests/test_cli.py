@@ -1,13 +1,18 @@
 """End-to-end runs of the experiment runner on small configs."""
 
+import contextlib
+import io
 import json
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from recurlab.certificates import Certificate
-from recurlab.cli import ConfigError, ExperimentConfig, main, run
+from recurlab.cli import (KINDS, PARAMS_SCHEMAS, SCHEMA, ConfigError,
+                          ExperimentConfig, main, run)
 from recurlab.precision import Bound, get_bits
 from recurlab.specmeasure import ConvolutionFactorization
 
@@ -42,6 +47,10 @@ def test_schema_rejects_bad_configs():
         breakage(data)
         with pytest.raises(ConfigError, match="schema violation"):
             ExperimentConfig.from_dict(data)
+    pow2_without_log2 = config("kahane", {"seq": TRI13, "stages": 2,
+                                          "targets": {"rule": "pow2"}})
+    with pytest.raises(ConfigError, match="schema violation"):
+        ExperimentConfig.from_dict(pow2_without_log2)
 
 
 def test_malformed_config_exits_nonzero(tmp_path):
@@ -65,6 +74,19 @@ def test_bits_below_53_exit_2(tmp_path):
     p = write_config(tmp_path, config("witness", params, out=str(out)))
     assert main(["witness", "--config", str(p), "--bits", "40"]) == 2
     assert not out.exists()
+
+
+def test_short_ratio_and_multiplier_lists_exit_2_naming_the_list(tmp_path, capsys):
+    short_ratios = config("kahane", {"seq": {"name": "divisibility", "count": 4,
+                                             "ratios": [2]},
+                                     "stages": 2, "targets": {"rule": "inverse-linear"}})
+    short_q = config("jamison", {"seq": {"name": "recursive-q", "count": 3, "q": [1]},
+                                 "epsilon": "1/4", "horizon": 2})
+    for data, needed in ((short_ratios, "ratios has 1 entries; count 4 needs at least 3"),
+                         (short_q, "q has 1 entries; count 3 needs at least 2")):
+        p = write_config(tmp_path, data)
+        assert main([data["kind"], "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+        assert needed in capsys.readouterr().err
 
 
 # --- experiment kinds ------------------------------------------------------
@@ -400,3 +422,63 @@ def test_report_subcommand(tmp_path, capsys):
     assert main(["report", str(tmp_path / "f.json")]) == 1
     (tmp_path / "x.json").write_text("{}")
     assert main(["report", str(tmp_path / "x.json")]) == 2
+
+
+# --- schema fuzzing ----------------------------------------------------------
+
+# caps on the integers that set a run's size, so that every drawn config
+# finishes in a fraction of a second; other integers stay within 4 of their
+# minimum
+_SMALL = {"count": 8, "dimension": 4, "grid": 64, "stages": 6}
+_FRACS = st.one_of(st.fractions(0, 2, max_denominator=64).map(str),
+                   st.integers(-1, 2), st.floats(-1, 2))
+
+
+def _from_schema(schema: dict, key: str = ""):
+    """Values that satisfy ``schema``, the subset of JSON Schema that the
+    config schemas use; ``if``/``then`` conditions are left to the validator."""
+    if "const" in schema:
+        return st.just(schema["const"])
+    if "enum" in schema:
+        return st.sampled_from(schema["enum"])
+    if "oneOf" in schema:
+        return st.one_of(*(_from_schema(s, key) for s in schema["oneOf"]))
+    kind = schema["type"]
+    if kind == ["string", "number"]:
+        return _FRACS
+    if kind == "number":
+        return st.floats(-2, 2)
+    if kind == "integer":
+        if key == "samples":
+            return st.just(1000)
+        lo = schema.get("minimum", 0)
+        return st.integers(lo, min(schema.get("maximum", lo + 4),
+                                   _SMALL.get(key, lo + 4)))
+    if kind == "array":
+        least = schema.get("minItems", 0)
+        return st.lists(_from_schema(schema["items"], key), min_size=least,
+                        max_size=schema.get("maxItems", least + 3))
+    props, required = schema["properties"], schema.get("required", [])
+    return st.fixed_dictionaries(
+        {k: _from_schema(props[k], k) for k in required},
+        optional={k: _from_schema(v, k) for k, v in props.items()
+                  if k not in required})
+
+
+_configs = st.sampled_from(KINDS).flatmap(lambda kind: st.fixed_dictionaries(
+    {"schema": st.just(SCHEMA), "kind": st.just(kind),
+     "params": _from_schema(PARAMS_SCHEMAS[kind])},
+    optional={"bits": st.integers(53, 128), "seed": st.integers(0, 2 ** 31)}))
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_configs)
+def test_schema_valid_configs_exit_0_1_or_2(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(data))
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            rc = main([data["kind"], "--config", str(path), "--out", tmp])
+    assert rc in (0, 1, 2)

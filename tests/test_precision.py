@@ -1,13 +1,16 @@
-"""The working-precision context and the exact residue helper."""
+"""The working-precision context, the exact residue helper and the
+integer-numerator kernels against the Fraction code they replaced."""
 
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+from mpmath import iv, mpf
 
 from recurlab import precision
-from recurlab.precision import (chord, cos_turns, get_bits, residue, sin_turns,
-                                working_bits)
+from recurlab.precision import (Bound, CBound, _enclose, _mpf_tuple_to_fraction,
+                                _to_iv, cbound_prod, chord, cos_turns, get_bits,
+                                residue, sin_turns, working_bits)
 
 huge = st.integers(min_value=2 ** 200, max_value=2 ** 400)
 
@@ -45,3 +48,78 @@ def test_trig_memo_follows_working_precision():
         precision._enclose.cache_clear()
         assert fine == [f(t) for f in trig]
     assert all(a.width < b.width for a, b in zip(fine, coarse))
+
+
+# ---------------------------------------------------------------------------
+# integer-numerator kernels against their Fraction references
+# ---------------------------------------------------------------------------
+
+def _fraction_mpf(t) -> F:
+    """Reference: the Fraction power of two the dyadic conversion replaced."""
+    sign, man, exp, _ = t
+    if man == 0 and exp == 0:
+        return F(0)
+    v = F(int(man)) * F(2) ** int(exp)
+    return -v if sign else v
+
+
+@given(st.integers(0, 1), st.integers(0, 2 ** 200), st.integers(-400, 400))
+def test_dyadic_conversion_matches_fraction_powers(sign, man, exp):
+    t = (sign, man, exp, man.bit_length())
+    assert _mpf_tuple_to_fraction(t) == _fraction_mpf(t)
+
+
+def test_dyadic_conversion_cases():
+    assert _mpf_tuple_to_fraction(mpf(0)._mpf_) == 0
+    assert _mpf_tuple_to_fraction(mpf(-0.375)._mpf_) == F(-3, 8)
+    assert _mpf_tuple_to_fraction(mpf(-12)._mpf_) == -12        # exp > 0
+    assert _mpf_tuple_to_fraction((mpf(2) ** 300 * 5)._mpf_) == 5 * 2 ** 300
+    assert _mpf_tuple_to_fraction((1, 5, -3, 3)) == F(-5, 8)
+    assert _mpf_tuple_to_fraction((0, 5, 3, 3)) == 40
+
+
+def _fraction_trig(kind, t) -> Bound:
+    """Reference: the separate iv.cos / iv.sin enclosure the fused call replaced."""
+    trig = iv.cos if kind == "cos" else iv.sin
+    b = Bound.from_iv(trig(2 * iv.pi * _to_iv(t)))
+    return Bound(max(F(-1), b.lo), min(F(1), b.hi))
+
+
+@settings(max_examples=60)
+@given(st.fractions(min_value=0, max_value=1, max_denominator=10 ** 9)
+       .filter(lambda t: t < 1), st.sampled_from([53, 128, 300]))
+def test_fused_cos_sin_matches_separate_calls(t, bits):
+    with working_bits(bits):
+        z = _enclose("cis", t, bits)
+        assert z.re == _fraction_trig("cos", t)
+        assert z.im == _fraction_trig("sin", t)
+
+
+def _fold_prod(factors) -> CBound:
+    """Reference: the left fold of CBound.__mul__ from the exact 1."""
+    acc = CBound.exact(1)
+    for f in factors:
+        acc = acc * f
+    return acc
+
+
+_ends = st.one_of(st.fractions(min_value=-2, max_value=2, max_denominator=10 ** 6),
+                  st.integers(-2 ** 70, 2 ** 70).map(lambda m: F(m, 2 ** 68)))
+_bounds = st.lists(_ends, min_size=2, max_size=2).map(lambda p: Bound(min(p), max(p)))
+_cbounds = st.one_of(st.just(CBound.exact(1)), st.builds(CBound, _bounds, _bounds),
+                     st.builds(CBound.exact, _ends, _ends))
+
+
+@settings(max_examples=100)
+@given(st.lists(_cbounds, max_size=6))
+def test_cbound_prod_matches_the_fraction_fold(factors):
+    assert cbound_prod(factors) == _fold_prod(factors)
+
+
+def test_cbound_prod_single_and_exact_one_factors():
+    z = CBound(Bound(F(-1, 3), F(1, 7)), Bound(F(2, 5), F(1, 2)))
+    assert cbound_prod([z]) == z
+    assert cbound_prod([CBound.exact(1), z, CBound.exact(1)]) == z
+    assert cbound_prod([]) == CBound.exact(1)
+    w = CBound.from_turns(F(1, 7))
+    assert cbound_prod([z, CBound.exact(1), w]) == _fold_prod([z, w])

@@ -31,6 +31,15 @@ def test_divisibility_rejects_small_ratios():
         gen_divisibility(1, [2, 1, 2], 4)
 
 
+def test_short_ratio_and_multiplier_lists_name_the_length_they_need():
+    with pytest.raises(ValueError, match=r"ratios has 2 entries; count 4 needs at least 3"):
+        gen_divisibility(2, [2, 2], 4)
+    with pytest.raises(ValueError, match=r"q has 1 entries; count 3 needs at least 2"):
+        gen_recursive_q([1], 3)
+    assert gen_divisibility(2, [3, 5], 3).prefix(3) == [2, 6, 30]
+    assert gen_recursive_q([2], 2).prefix(2) == [1, 3]
+
+
 def test_divisibility_flag_checked():
     with pytest.raises(ValueError, match="divisibility"):
         IntegerSequence([2, 3], divisibility=True)

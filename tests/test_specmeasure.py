@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from recurlab.precision import working_bits
+from recurlab.precision import CBound, residue, working_bits
 from recurlab.seqcore import gen_divisibility, gen_recursive_q, triangular_pow2
 from recurlab.specmeasure import (ConvolutionFactorization, DiscreteMeasure,
                                   GaussianRectangleModel, convolve,
@@ -94,6 +94,28 @@ def test_product_formula_matches_direct(factors, n):
     via_atoms = fourier_direct(fact.materialize(), n)
     assert via_product.re.intersects(via_atoms.re)
     assert via_product.im.intersects(via_atoms.im)
+
+
+def _fraction_atom_sum(measure, n):
+    """Reference: the CBound atom fold the integer-numerator sum replaced."""
+    total = CBound.exact(0)
+    for angle, weight in measure.atoms:
+        total = total + CBound.from_turns(residue(angle, n)).scale(weight)
+    return total
+
+
+@settings(max_examples=60)
+@given(st.lists(st.tuples(st.fractions(min_value=0, max_value=1,
+                                       max_denominator=10 ** 4),
+                          st.integers(min_value=1, max_value=10 ** 6)),
+                min_size=1, max_size=6),
+       st.one_of(st.integers(0, 10 ** 4), st.integers(2 ** 100, 2 ** 200)),
+       st.sampled_from([53, 128]))
+def test_fourier_direct_matches_the_fraction_atom_sum(raw, n, bits):
+    total = sum(w for _, w in raw)
+    m = DiscreteMeasure([(a, F(w, total)) for a, w in raw])
+    with working_bits(bits):
+        assert fourier_direct(m, n) == _fraction_atom_sum(m, n)
 
 
 def test_fourier_cache_follows_working_precision():
