@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,8 +36,7 @@ from .circle import (GRID_LIMIT, jamison_separation_test, unimod_dist,
 from .linsys import (PrecisionError, ball_certificate, ball_mc_check,
                      build_operator, norm_table_csv)
 from .precision import chord, distance_numerators, working_bits
-from .rankone import StackingSchedule, build_tower_schedule, \
-    nonrecurrence_check, shifted_schedule
+from .rankone import StackingSchedule, nonrecurrence_check, shifted_schedule
 from .seqcore import (IntegerSequence, fact42_split, gen_divisibility,
                       gen_recursive_q, naturals, triangular_pow2)
 from .specmeasure import (GaussianRectangleModel, gauss_rectangle_overlap_mc,
@@ -372,10 +372,11 @@ def _run_rankone(params, *, bits, seed):
                      frac_str(rep.mass_C)))
     files = {"overlaps.csv": _csv(
         "k,power,overlap,overlap_c,escaped,mass_A,mass_checked,mass_C", rows)}
-    stage = build_tower_schedule(schedule, stages=k_hi + 1).stages[-1]
-    lvl = [(j, float(stage.levels[j]), frac_str(stage.levels[j]),
-            frac_str(stage.width), int(j in stage.red))
-           for j in range(stage.height)]
+    stage = rep.build.stages[-1]        # the check's own build, stage k_hi + 1
+    un, ud, width = stage.unit.numerator, stage.unit.denominator, frac_str(stage.width)
+    # level j starts at x * unit = n/d in lowest terms, and that Fraction's float() is n / d
+    terms = ((x * un // g, ud // g) for x in stage.starts for g in (math.gcd(x * un, ud),))
+    lvl = ((j, n / d, f"{n}/{d}", width, int(j in stage.red)) for j, (n, d) in enumerate(terms))
     files["levels.csv"] = _csv("level,lo,lo_frac,width_frac,red", lvl)
     return certs, {"heights": schedule.heights()[:k_hi + 2]}, files
 

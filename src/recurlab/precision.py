@@ -372,7 +372,16 @@ class CBound:
         return self.abs2().sqrt()
 
     def dist_to_one(self) -> Bound:
-        return (self - _ONE).abs()
+        """``(self - 1).abs()``, squared on integer numerators over the common
+        denominator d (``Bound.abs``'s sign cases) and reduced once, over d²."""
+        ends = (self.re.lo - 1, self.re.hi - 1, self.im.lo, self.im.hi)
+        d = lcm(*(e.denominator for e in ends))
+        n = [e.numerator * (d // e.denominator) for e in ends]
+        lo2 = hi2 = 0
+        for lo, hi in (n[:2], n[2:]):
+            lo, hi = (lo, hi) if lo >= 0 else (-hi, -lo) if hi <= 0 else (0, max(-lo, hi))
+            lo2, hi2 = lo2 + lo * lo, hi2 + hi * hi
+        return Bound(Fraction(lo2, d * d), Fraction(hi2, d * d)).sqrt()
 
 
 _ONE = CBound.exact(1)

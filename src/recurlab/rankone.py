@@ -1,7 +1,9 @@
 """Exact cutting-and-stacking towers and their return-time geometry.
 
-Everything here is exact rational interval arithmetic on [0, 1).  A tower
-stage is an ordered list of equal-length levels; the map sends each level
+Everything here is exact interval arithmetic on [0, 1), run on integer
+cells: a build counts every length in units of its finest width
+``l_1 / prod(p_j)``, and Fractions are made only for reported values.  A
+tower stage is an ordered list of equal-length levels; the map sends each level
 onto the next by translation and is undefined on the top level.  One
 stacking round cuts the tower into p columns of equal width and restacks
 them with a single spacer after column ``a = floor(p/3)`` plus ``r - 1``
@@ -27,10 +29,12 @@ completely and no spacer pool remains.
 
 from __future__ import annotations
 
-import bisect
 import math
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .certificates import Certificate, frac_str
 from .ratintervals import IntervalSet, union_all
@@ -102,19 +106,62 @@ class StackingSchedule:
 SPACER = -1    # column_tracks marker
 
 
-@dataclass
+class _Tracks(Sequence):
+    """The column tracks of a stage cut into p columns of height h and
+    restacked with r spacers, computed per lookup rather than stored per
+    level.  The base stage is one column: p = 1, r = 0."""
+
+    def __init__(self, p: int, r: int, h: int):
+        self.p, self.r, self.h, self.a = p, r, h, (p // 3 if r else p) * h
+
+    def __len__(self) -> int:
+        return self.p * self.h + self.r
+
+    def __getitem__(self, j: int) -> tuple[int, int]:
+        j = range(len(self))[j]
+        if j == self.a:
+            return (SPACER, 0)
+        j -= j > self.a                 # levels past the first spacer
+        if j < self.p * self.h:
+            return (j // self.h + 1, j % self.h)
+        return (SPACER, j - self.p * self.h + 1)
+
+
 class TowerStage:
-    index: int                       # 0-based: heights()[index] levels
-    height: int
-    width: Fraction
-    levels: list[Fraction]           # left endpoints, bottom to top
-    red: frozenset[int]
-    column_tracks: list[tuple[int, int]]   # (source column 1..p, source level) or (SPACER, ordinal)
-    allocated: Fraction              # spacer cursor == total tower mass
+    """Levels of width ``cell`` at ``starts`` (bottom to top) and the spacer
+    cursor (== total tower mass), counted in cells of the exact ``unit``:
+    integer cells of the finest width in a built stage, exact values with
+    the default unit 1.  ``width``, ``levels`` and ``allocated`` give the
+    exact values in [0, 1), made on access.
+    """
+
+    def __init__(self, index: int, height: int, width, levels: list, red: frozenset[int],
+                 column_tracks: Sequence, allocated, unit: Fraction = Fraction(1)):
+        self.index, self.height, self.red = index, height, red
+        self.column_tracks = column_tracks    # (source column 1..p, source level) or (SPACER, ordinal)
+        self.cell, self.starts, self.cursor, self.unit = width, levels, allocated, unit
+
+    width = property(lambda self: self.cell * self.unit)
+    levels = property(lambda self: [x * self.unit for x in self.starts])
+    allocated = property(lambda self: self.cursor * self.unit)
+
+    @cached_property
+    def level_of(self) -> array:
+        """The level starting at each slot ``[j cell, (j + 1) cell)``, or -1."""
+        level_of = array("q", [-1]) * (max(self.starts) // self.cell + 1)
+        for i, x in enumerate(self.starts):
+            slot, off = divmod(x, self.cell)
+            if off or slot < 0:
+                raise ValueError(f"level {i} does not start on a nonnegative multiple of the width")
+            level_of[slot] = i
+        return level_of
+
+    def cell_set(self, indices) -> IntervalSet:
+        """Levels ``indices`` in cells, int starts sorted before the set's own sort."""
+        return IntervalSet([(x, x + self.cell) for x in sorted(self.starts[i] for i in indices)])
 
     def level_set(self, indices) -> IntervalSet:
-        return IntervalSet([(self.levels[i], self.levels[i] + self.width)
-                            for i in indices])
+        return _scaled(self.cell_set(indices), self.unit)
 
     def full_set(self) -> IntervalSet:
         return self.level_set(range(self.height))
@@ -125,11 +172,10 @@ class TowerStage:
     def mass(self) -> Fraction:
         return self.height * self.width
 
-    def to_json_dict(self) -> dict:
-        return {"index": self.index, "height": self.height,
-                "width": frac_str(self.width),
-                "levels": [frac_str(x) for x in self.levels],
-                "red": sorted(self.red)}
+
+def _scaled(s: IntervalSet, factor) -> IntervalSet:
+    """``s`` with every endpoint times the positive ``factor``."""
+    return IntervalSet([(a * factor, b * factor) for a, b in s.parts], already_normal=True)
 
 
 @dataclass
@@ -146,58 +192,41 @@ class TowerBuild:
 
 def _stack_once(stage: TowerStage, p: int, r: int,
                 first_spacer_pending: bool) -> TowerStage:
-    w = stage.width / p
-    cursor = stage.allocated
-    levels: list[Fraction] = []
-    tracks: list[tuple[int, int]] = []
+    w = stage.cell // p
+    a = p // 3 if r else p              # columns below the first spacer
+    cursor = stage.cursor
+    starts: list[int] = []
     red: set[int] = set()
-    spacer_ordinal = 0
-    first_spacer_index = None
-
-    def push_column(c: int):
-        for i in range(stage.height):
-            if i in stage.red:
-                red.add(len(levels))
-            tracks.append((c, i))
-            levels.append(stage.levels[i] + (c - 1) * w)
 
     def push_spacer():
-        nonlocal cursor, spacer_ordinal
-        if cursor + w > 1:
+        nonlocal cursor
+        if (cursor + w) * stage.unit > 1:
             raise ValueError("insufficient spacer mass left in [0, 1)")
-        tracks.append((SPACER, spacer_ordinal))
-        levels.append(cursor)
+        starts.append(cursor)
         cursor += w
-        spacer_ordinal += 1
 
-    if r == 0:
-        for c in range(1, p + 1):
-            push_column(c)
-    else:
-        a = p // 3
-        for c in range(1, a + 1):
-            push_column(c)
-        first_spacer_index = len(levels)
-        push_spacer()
-        for c in range(a + 1, p + 1):
-            push_column(c)
-        for _ in range(r - 1):
+    for c in range(1, p + 1):
+        red.update(len(starts) + i for i in stage.red)
+        off = (c - 1) * w
+        starts.extend([x + off for x in stage.starts])
+        if c == a and r:
+            if first_spacer_pending:
+                red.add(len(starts))    # the first spacer ever is the marked set A
             push_spacer()
-
-    if first_spacer_pending and first_spacer_index is not None:
-        red.add(first_spacer_index)
-    assert len(levels) == p * stage.height + r
-    return TowerStage(index=stage.index + 1, height=len(levels), width=w,
-                      levels=levels, red=frozenset(red), column_tracks=tracks,
-                      allocated=cursor)
+    for _ in range(r - 1):
+        push_spacer()
+    assert len(starts) == p * stage.height + r
+    return TowerStage(stage.index + 1, len(starts), w, starts, frozenset(red),
+                      _Tracks(p, r, stage.height), cursor, stage.unit)
 
 
 def build_tower_schedule(schedule, stages: int | None = None) -> TowerBuild:
     """Run the stacking rounds; accepts a schedule or a height sequence.
 
     A plain IntegerSequence is turned into its canonical ``n' = p n + r``
-    schedule via euclidean decomposition.  Heights, level disjointness and
-    the mass ledger are exact by construction; violations raise.
+    schedule via euclidean decomposition.  Every stage counts integer cells
+    of the finest width ``l_1 / prod(p_j)``, so heights, level disjointness
+    and the mass ledger are exact by construction; violations raise.
     """
     if isinstance(schedule, IntegerSequence):
         rounds = stages if stages is not None else len(schedule) - 1
@@ -212,11 +241,10 @@ def build_tower_schedule(schedule, stages: int | None = None) -> TowerBuild:
             schedule.steps + tuple([schedule.tail] * (rounds - len(schedule.steps))),
             tail=schedule.tail, label=schedule.label, meta=schedule.meta)
     l1, _ = schedule.base_length()
+    cell = math.prod(p for p, _ in schedule.steps[:rounds])
     h = schedule.start_height
-    base = TowerStage(index=0, height=h, width=l1,
-                      levels=[i * l1 for i in range(h)],
-                      red=frozenset(), column_tracks=[(1, i) for i in range(h)],
-                      allocated=h * l1)
+    base = TowerStage(0, h, cell, [i * cell for i in range(h)], frozenset(),
+                      _Tracks(1, 0, h), h * cell, l1 / cell)
     stages_out = [base]
     seen_spacer = False
     for p, r in schedule.steps[:rounds]:
@@ -260,10 +288,9 @@ class PiecewiseTranslation:
 
 def partial_map(stage: TowerStage) -> PiecewiseTranslation:
     """Translation of each level onto the next; top level excluded."""
-    return PiecewiseTranslation(
-        [(stage.levels[i], stage.levels[i] + stage.width,
-          stage.levels[i + 1] - stage.levels[i])
-         for i in range(stage.height - 1)])
+    levels, w = stage.levels, stage.width
+    return PiecewiseTranslation([(levels[i], levels[i] + w, levels[i + 1] - levels[i])
+                                 for i in range(stage.height - 1)])
 
 
 def power_image(tmap: PiecewiseTranslation, s: IntervalSet,
@@ -297,42 +324,41 @@ def tower_power(stage: TowerStage, s: IntervalSet,
     ``T^m`` sends level ``i`` to level ``i + m`` by the single translation
     ``levels[i+m] - levels[i]``; a point on level ``i`` with ``i + m >= H``,
     or outside the tower, escapes and is reported where it lies in s.
-    Every level start is an integer multiple of the stage width, so a
-    point's level is found from its integer cell ``floor(x / width)``;
-    parts are split at cell boundaries because adjacent levels can touch.
     """
+    image, escaped = _cell_power(stage, _scaled(s, 1 / stage.unit), m)
+    return _scaled(image, stage.unit), _scaled(escaped, stage.unit)
+
+
+def _cell_power(stage: TowerStage, s: IntervalSet,
+                m: int) -> tuple[IntervalSet, IntervalSet]:
+    """:func:`tower_power` on ``s`` in the stage's cells.  A point's level is
+    found from its slot ``x // cell``, for int and Fraction endpoints alike;
+    parts are split at slot boundaries because adjacent levels can touch."""
     if m < 0:
         raise ValueError("negative powers are not defined for the partial map")
     if m == 0:
         return s, IntervalSet()
-    w, levels, height = stage.width, stage.levels, stage.height
-    cell_level: dict[int, int] = {}
-    for i, x in enumerate(levels):
-        cell = x / w
-        if cell.denominator != 1:
-            raise ValueError(f"level {i} does not start on a multiple of the width")
-        cell_level[cell.numerator] = i
-    starts = sorted(cell_level)
-    image: list[tuple[Fraction, Fraction]] = []
-    escaped: list[tuple[Fraction, Fraction]] = []
+    w, starts, height = stage.cell, stage.starts, stage.height
+    level_of = stage.level_of
+    top = len(level_of) * w
+    image, escaped = [], []
     for a, b in s.parts:
-        cell = math.floor(a / w)
+        if a < 0:           # below the tower
+            escaped.append((a, min(b, 0)))
+            a = 0
+        if b > top:         # above the tower
+            escaped.append((max(a, top), b))
+            b = top
+        slot = a // w
         while a < b:
-            i = cell_level.get(cell)
-            if i is None:
-                # outside the tower up to the next level start
-                nxt = bisect.bisect_right(starts, cell)
-                cell = starts[nxt] if nxt < len(starts) else None
-                edge = b if cell is None else min(b, cell * w)
-                escaped.append((a, edge))
+            i = level_of[slot]
+            slot += 1
+            edge = min(b, slot * w)
+            if 0 <= i < height - m:
+                d = starts[i + m] - starts[i]
+                image.append((a + d, edge + d))
             else:
-                cell += 1
-                edge = min(b, cell * w)
-                if i + m < height:
-                    d = levels[i + m] - levels[i]
-                    image.append((a + d, edge + d))
-                else:
-                    escaped.append((a, edge))
+                escaped.append((a, edge))
             a = edge
     return IntervalSet(image), IntervalSet(escaped)
 
@@ -417,6 +443,7 @@ class NonrecurrenceReport:
     mass_C: Fraction
     removed_per_stage: list[tuple[int, Fraction, Fraction]]  # (j, exact removed, printed bound 1/(p_j n_j))
     c_lower_bound: Fraction           # mass_A - sum of printed bounds (can be <= 0)
+    build: TowerBuild | None = field(default=None, repr=False, compare=False)  # the stages checked
 
     def passed(self) -> bool:
         return (self.overlap.total == 0 and self.escaped == 0
@@ -440,12 +467,11 @@ class NonrecurrenceReport:
 
 
 def _removed_column_set(build: TowerBuild, j: int) -> IntervalSet:
-    """Red pieces of stage j that land in column p_j, as stage-j+1 intervals."""
-    nxt = build.stage(j + 1)
-    p_j = build.schedule.steps[j][0]
-    idx = [i for i, (c, src) in enumerate(nxt.column_tracks)
-           if c == p_j and src in build.stage(j).red]
-    return nxt.level_set(idx)
+    """Red pieces of stage j that land in column p_j, as stage-j+1 cells;
+    that column starts at level ``(p_j - 1) h_j``, plus 1 past the spacer."""
+    p_j, r_j = build.schedule.steps[j]
+    off = (p_j - 1) * build.stage(j).height + (1 if r_j else 0)
+    return build.stage(j + 1).cell_set(off + i for i in build.stage(j).red)
 
 
 def default_kappa(build: TowerBuild, k: int) -> int:
@@ -458,7 +484,8 @@ def default_kappa(build: TowerBuild, k: int) -> int:
     the report carries the exact masses alongside.
     """
     heights = build.schedule.heights()
-    mass_a = build.stage(_birth_stage(build)).red_set().measure()
+    birth = build.stage(_birth_stage(build))
+    mass_a = birth.cell_set(birth.red).measure() * birth.unit
     for kappa in range(1, k + 1):
         budget = sum(Fraction(1, build.schedule.steps[j][0] * heights[j])
                      for j in range(kappa, k + 1)
@@ -493,36 +520,37 @@ def nonrecurrence_check(schedule, k: int, kappa: int | None = None) -> Nonrecurr
                          f"{_birth_stage(build)}, after the requested k={k}")
     n_k = heights[k]
     stage_next = build.stage(k + 1)
-    a_full = stage_next.red_set()
+    a_full = stage_next.cell_set(stage_next.red)
     removed_k = _removed_column_set(build, k)
     checked = a_full.subtract(removed_k)
 
-    image, escaped = tower_power(stage_next, checked, n_k - 1)
+    image, escaped = _cell_power(stage_next, checked, n_k - 1)
     overlap = image.intersect(a_full)
 
     if kappa is None:
         kappa = default_kappa(build, k)
     if not 1 <= kappa <= k:
         raise ValueError(f"kappa must be in [1, {k}]")
-    removed_union = union_all([_removed_column_set(build, j)
-                               for j in range(kappa, k + 1)])
-    c_set = a_full.subtract(removed_union)
-    image_c, escaped_c = tower_power(stage_next, c_set, n_k - 1)
+    removed = [_removed_column_set(build, j) for j in range(kappa, k)] + [removed_k]
+    c_set = a_full.subtract(union_all(removed))
+    image_c, escaped_c = _cell_power(stage_next, c_set, n_k - 1)
     overlap_c = image_c.intersect(c_set)
 
-    removed_rows = [(j, _removed_column_set(build, j).measure(),
+    u = stage_next.unit
+    removed_rows = [(j, r.measure() * u,
                      Fraction(1, build.schedule.steps[j][0] * heights[j]))
-                    for j in range(kappa, k + 1)]
+                    for j, r in zip(range(kappa, k + 1), removed)]
+    mass_a = a_full.measure() * u
     return NonrecurrenceReport(
         k=k, power=n_k - 1, kappa=kappa,
-        overlap=OverlapResult.of(overlap),
-        overlap_c=OverlapResult.of(overlap_c),
-        escaped=escaped.measure(), escaped_c=escaped_c.measure(),
-        mass_A=a_full.measure(), mass_checked=checked.measure(),
-        mass_C=c_set.measure(),
+        overlap=OverlapResult.of(_scaled(overlap, u)),
+        overlap_c=OverlapResult.of(_scaled(overlap_c, u)),
+        escaped=escaped.measure() * u, escaped_c=escaped_c.measure() * u,
+        mass_A=mass_a, mass_checked=checked.measure() * u,
+        mass_C=c_set.measure() * u,
         removed_per_stage=removed_rows,
-        c_lower_bound=a_full.measure() - sum((row[2] for row in removed_rows),
-                                             Fraction(0)),
+        c_lower_bound=mass_a - sum((row[2] for row in removed_rows), Fraction(0)),
+        build=build,
     )
 
 

@@ -1,8 +1,9 @@
 """Exact half-open interval sets over the rationals.
 
-Sets are finite unions of ``[lo, hi)`` with ``fractions.Fraction``
-endpoints, kept sorted, disjoint and non-adjacent.  All operations are
-exact; measures are exact rationals.  Half-open orientation makes
+Sets are finite unions of ``[lo, hi)`` with ``int`` or ``Fraction``
+endpoints, taken as they are (sets of integer cells stay in integer
+arithmetic) and kept sorted, disjoint and non-adjacent.  All operations
+are exact; measures are exact rationals.  Half-open orientation makes
 translation bookkeeping for piecewise maps seamless (no double counting
 at shared endpoints, boundary points carry no measure).
 """
@@ -12,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-Interval = tuple[Fraction, Fraction]
+Interval = tuple[int | Fraction, int | Fraction]
 
 
 class IntervalSet:
@@ -24,7 +25,7 @@ class IntervalSet:
         if already_normal:
             self.parts: list[Interval] = list(parts)
             return
-        raw = [(Fraction(a), Fraction(b)) for a, b in parts if a < b]
+        raw = [(a, b) for a, b in parts if a < b]
         raw.sort()
         merged: list[Interval] = []
         for a, b in raw:
@@ -36,8 +37,7 @@ class IntervalSet:
         self.parts = merged
 
     @staticmethod
-    def single(lo: Fraction, hi: Fraction) -> "IntervalSet":
-        lo, hi = Fraction(lo), Fraction(hi)
+    def single(lo, hi) -> "IntervalSet":
         return IntervalSet([(lo, hi)] if lo < hi else [], already_normal=True)
 
     def __bool__(self) -> bool:
@@ -55,10 +55,9 @@ class IntervalSet:
         return f"IntervalSet({inner}{more})"
 
     def measure(self) -> Fraction:
-        return sum((b - a for a, b in self.parts), Fraction(0))
+        return Fraction(sum(b - a for a, b in self.parts))
 
-    def translate(self, offset: Fraction) -> "IntervalSet":
-        offset = Fraction(offset)
+    def translate(self, offset) -> "IntervalSet":
         return IntervalSet([(a + offset, b + offset) for a, b in self.parts],
                            already_normal=True)
 

@@ -123,3 +123,32 @@ def test_cbound_prod_single_and_exact_one_factors():
     assert cbound_prod([]) == CBound.exact(1)
     w = CBound.from_turns(F(1, 7))
     assert cbound_prod([z, CBound.exact(1), w]) == _fold_prod([z, w])
+
+
+def _old_dist_to_one(z: CBound) -> Bound:
+    """Reference: |z - 1| through CBound subtraction and Bound products."""
+    return (z - CBound.exact(1)).abs()
+
+
+# rectangles around 1 + 0i, so re - 1 and im each straddle 0, sit on one
+# side of it, or touch it
+_near_one = st.builds(CBound, _bounds.map(lambda b: b + Bound.exact(1)), _bounds)
+
+
+@settings(max_examples=200)
+@given(st.one_of(_near_one, _cbounds))
+def test_dist_to_one_matches_the_fraction_route(z):
+    new, old = z.dist_to_one(), _old_dist_to_one(z)
+    assert (new.lo, new.hi) == (old.lo, old.hi)
+
+
+def test_dist_to_one_sign_cases_and_exact_one():
+    assert CBound.exact(1).dist_to_one() == Bound.exact(0)
+    for re in (Bound(F(1, 2), F(3, 2)), Bound(F(1, 3), F(1)), Bound(F(1), F(9, 7)),
+               Bound(F(5, 4), F(7, 4)), Bound(F(-2, 5), F(1, 9))):
+        for im in (Bound(F(-1, 3), F(1, 5)), Bound.exact(0), Bound(F(-3, 8), F(-1, 8)),
+                   Bound(F(2, 11), F(6, 7))):
+            z = CBound(re, im)
+            assert z.dist_to_one() == _old_dist_to_one(z)
+    w = cbound_prod([CBound.from_turns(F(1, 7))] * 5)
+    assert w.dist_to_one() == _old_dist_to_one(w)
