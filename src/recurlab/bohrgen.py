@@ -33,8 +33,8 @@ from itertools import combinations
 from typing import Callable
 
 from .certificates import Certificate, frac_str
-from .circle import AngleTurns, WitnessCertificate, unimod_dist
-from .precision import (Bound, bound_max, chord, distance_numerators, residue,
+from .circle import AngleTurns, WitnessCertificate, chord_extreme, unimod_dist
+from .precision import (Bound, bound_max, distance_numerators, residue,
                         two_pi_upper)
 
 Family = int | tuple[int, ...]     # 0 for the q-block, a tuple (maybe empty) for A
@@ -259,8 +259,7 @@ def block_jamison_witness(bset: BohrSet, family: Family, eps,
     for n0 in range(1, sch.n_max):
         theta = sum((Fraction(1, divs[N] * sch.H[N])
                      for N in range(n0, sch.n_max)), Fraction(0))
-        sup = chord(Fraction(max(distance_numerators(theta, elements)),
-                             theta.denominator))
+        sup, _ = chord_extreme(theta, elements)
         if sup.certainly_le(eps):
             return SmallSupWitness(theta=theta, family=family_label(family),
                                    n0=n0, elements=len(elements),
@@ -291,19 +290,15 @@ def block_rotation_witness(bset: BohrSet, family: Family,
 
     if family == 0:
         theta = Fraction(1, 3)
-        picks = []
         for N in range(1, sch.n_max):
-            stay, move = theta, theta + Fraction(1, sch.H[N])
-            if min_dist(move) > min_dist(stay):
+            move = theta + Fraction(1, sch.H[N])
+            if min_dist(move) > min_dist(theta):
                 theta = move
-                picks.append(1)
-            else:
-                picks.append(0)
     else:
         theta = sum((Fraction(1, 3 * sch.H[N - 1] * sch.deltas[family][N - 1])
                      for N in range(1, sch.n_max + 1)), Fraction(0))
     residues = [residue(theta, e) for e in elements]
-    delta = chord(min_dist(theta))
+    delta, _ = chord_extreme(theta, elements, min)
     target = Fraction(1, 2)
     return WitnessCertificate(
         theta=AngleTurns.of(theta),

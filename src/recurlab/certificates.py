@@ -90,8 +90,12 @@ class Certificate:
 
     def save(self, path: str | Path) -> Path:
         path = Path(path)
-        path.write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
+        path.write_text(dump_json(self.to_dict()))
         return path
+
+
+def dump_json(data: dict) -> str:
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
 def load_report(path: str | Path) -> dict:

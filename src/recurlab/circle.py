@@ -6,8 +6,9 @@ depends only on the fractional part of ``n theta``, and it is monotone in
 the distance of that fractional part to the nearest integer.  Sups and
 infs over finite index sets are therefore *selected* on exact integer
 residue numerators and only the extremal residue is evaluated in interval
-arithmetic.  Approximate angles (a rational enclosure window) are carried
-through with outward-rounded windows instead.
+arithmetic, by :func:`chord_extreme`, the package's one such selector.
+Approximate angles (a rational enclosure window) are carried through
+with outward-rounded windows instead.
 
 Three separation questions recur downstream and get their own reports:
 
@@ -30,6 +31,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from typing import Iterable
 
 import numpy as np
 
@@ -117,15 +120,13 @@ def unimod_dist(theta, n: int) -> Bound:
     return Bound(chord(dmin).lo, chord(dmax).hi)
 
 
-def _sup_chord_exact(theta: Fraction, terms: list[int]) -> tuple[Bound, Fraction]:
-    """Sup of chords over exact residues: selected on ints, evaluated once."""
-    dmax = Fraction(max(distance_numerators(theta, terms)), theta.denominator)
-    return chord(dmax), dmax
-
-
-def _min_chord_exact(theta: Fraction, terms: list[int]) -> tuple[Bound, Fraction]:
-    dmin = Fraction(min(distance_numerators(theta, terms)), theta.denominator)
-    return chord(dmin), dmin
+def chord_extreme(theta: Fraction, terms: Iterable[int],
+                  pick=max) -> tuple[Bound, Fraction]:
+    """Certified ``pick`` (max: sup, min: inf) of ``|e^{2 pi i n theta} - 1|``
+    over terms, with the selected distance of ``n theta`` to Z: selected on
+    the integer numerators of ``distance_numerators``, evaluated once."""
+    d = Fraction(pick(distance_numerators(theta, terms)), theta.denominator)
+    return chord(d), d
 
 
 # ---------------------------------------------------------------------------
@@ -140,21 +141,6 @@ class DistanceCertificate:
     horizon: int
     bound: Bound
     tail_exact: bool
-    theta1: AngleTurns
-    theta2: AngleTurns
-
-    def to_certificate(self) -> Certificate:
-        return Certificate(
-            kind="orbit-distance",
-            claim=(f"sup of |lambda^n - mu^n| over {self.seq_label}"
-                   f"{' (exact tail)' if self.tail_exact else f', k <= {self.horizon}'}"),
-            passed=True, exact=self.bound.is_exact,
-            method="exact residue selection + certified chord",
-            horizon=self.horizon,
-            params={"theta1": repr(self.theta1), "theta2": repr(self.theta2)},
-            bounds={"sup": self.bound},
-            values={"tail_exact": self.tail_exact},
-        )
 
 
 def d_metric_finite(theta1, theta2, seq: IntegerSequence, K: int) -> DistanceCertificate:
@@ -163,15 +149,13 @@ def d_metric_finite(theta1, theta2, seq: IntegerSequence, K: int) -> DistanceCer
     ``|lambda^n - mu^n| = |e^{2 pi i n (t1 - t2)} - 1|`` since both points
     are unimodular, so only the difference angle matters.
     """
-    t1, t2 = AngleTurns.of(theta1), AngleTurns.of(theta2)
-    diff = t1.minus(t2)
+    diff = AngleTurns.of(theta1).minus(theta2)
     terms = seq.prefix(K + 1)
     if diff.is_exact:
-        bound, _ = _sup_chord_exact(diff.exact, terms)
+        bound, _ = chord_extreme(diff.exact, terms)
     else:
         bound = bound_max(unimod_dist(diff, n) for n in terms)
-    return DistanceCertificate(seq_label=seq.label, horizon=K, bound=bound,
-                               tail_exact=False, theta1=t1, theta2=t2)
+    return DistanceCertificate(seq_label=seq.label, horizon=K, bound=bound, tail_exact=False)
 
 
 @dataclass
@@ -191,13 +175,11 @@ def perturb_divisibility(theta, seq: IntegerSequence, m: int) -> PerturbResult:
         raise ValueError("perturbation tail is exact only for divisibility sequences")
     if m < 1:
         raise ValueError("m must be >= 1")
-    t = AngleTurns.of(theta)
     n_m = seq.term(m)
-    moved = t.plus_fraction(Fraction(1, n_m))
+    moved = AngleTurns.of(theta).plus_fraction(Fraction(1, n_m))
     # sup_k |mu^{n_k} - lambda^{n_k}| = max_{k<m} chord(n_k / n_m), tail = 0
-    bound, _ = _sup_chord_exact(Fraction(1, n_m), seq.prefix(m))
-    cert = DistanceCertificate(seq_label=seq.label, horizon=m - 1, bound=bound,
-                               tail_exact=True, theta1=moved, theta2=t)
+    bound, _ = chord_extreme(Fraction(1, n_m), seq.prefix(m))
+    cert = DistanceCertificate(seq_label=seq.label, horizon=m - 1, bound=bound, tail_exact=True)
     return PerturbResult(theta=moved, certificate=cert)
 
 
@@ -237,14 +219,11 @@ def verify_witness(theta, seq: IntegerSequence, K: int,
     t = AngleTurns.of(theta)
     terms = seq.prefix(K + 1)
     if t.is_exact:
-        delta, _ = _min_chord_exact(t.exact, terms)
+        delta, _ = chord_extreme(t.exact, terms, min)
         residues = [residue(t.exact, n) for n in terms]
     else:
-        delta = None
+        delta = reduce(Bound.min_with, (unimod_dist(t, n) for n in terms))
         residues = None
-        for n in terms:
-            b = unimod_dist(t, n)
-            delta = b if delta is None else delta.min_with(b)
     meets = delta.certainly_ge(target) if target is not None else None
     return WitnessCertificate(theta=t, seq_label=seq.label, horizon=K, delta=delta,
                               residues=residues, target=Fraction(target) if target is not None else None,
@@ -369,22 +348,6 @@ class JamisonReport:
     method: str
     candidates_checked: int
 
-    def to_certificate(self) -> Certificate:
-        return Certificate(
-            kind="jamison-separation",
-            claim=(f"exists lambda != 1 with sup_k<={self.horizon} "
-                   f"|lambda^{{n_k}} - 1| < {self.epsilon}"),
-            passed=self.witness_found,
-            exact=False,
-            method=self.method,
-            horizon=self.horizon,
-            params={"epsilon": self.epsilon, "grid": self.grid,
-                    "candidates_checked": self.candidates_checked},
-            bounds={"sup": self.sup} if self.sup is not None else {},
-            values={"best_theta": frac_str(self.best_theta)
-                    if self.best_theta is not None else None},
-        )
-
 
 def _grid_scan(terms: list[int], grid: int) -> tuple[int, int]:
     """First ``i`` minimising ``max min(r, grid - r)``, ``r = i n mod grid``;
@@ -484,7 +447,7 @@ def jamison_separation_test(seq: IntegerSequence, epsilon, K: int,
         method = "structural candidates 1/n_m (exact residues)"
     best_theta, best_sup = None, None
     for theta in candidates:
-        sup, _ = _sup_chord_exact(theta, terms)
+        sup, _ = chord_extreme(theta, terms)
         if best_sup is None or sup.hi < best_sup.hi:
             best_theta, best_sup = theta, sup
     found = best_sup is not None and best_sup.certainly_lt(epsilon)

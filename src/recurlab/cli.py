@@ -6,7 +6,8 @@ parameters, working precision, and RNG seed; ``run`` executes the
 pipeline and writes a report.json, one JSON file per certificate, and
 plot-ready CSV tables.  The report embeds the fully materialized config
 (defaults included), so re-running from the report alone reproduces
-every number bit for bit.
+every number bit for bit.  Tables are streamed to disk line by line, at
+the config's working precision.
 
 Exit codes: 0 when every certificate passes, 1 when some fail, 2 for
 configuration or usage errors.  CSV numeric columns carry decimal
@@ -23,19 +24,19 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import Iterator
 
 import jsonschema
 
 from .bohrgen import (BohrSeeds, BohrSet, all_rotation_witnesses,
                       block_jamison_witness, bohr_recurrence_probe,
                       family_label, probe_csv, schedule_build)
-from .certificates import (SCHEMA, Certificate, combine_union, encode_value,
-                           frac_str, load_report, summarize)
-from .circle import (GRID_LIMIT, jamison_separation_test, unimod_dist,
-                     verify_witness)
+from .certificates import (SCHEMA, Certificate, combine_union, dump_json,
+                           encode_value, frac_str, load_report, summarize)
+from .circle import GRID_LIMIT, jamison_separation_test, verify_witness
 from .linsys import (PrecisionError, ball_certificate, ball_mc_check,
                      build_operator, norm_table_csv)
-from .precision import chord, distance_numerators, working_bits
+from .precision import chord, distance_numerators, residue, working_bits
 from .rankone import StackingSchedule, nonrecurrence_check, shifted_schedule
 from .seqcore import (IntegerSequence, fact42_split, gen_divisibility,
                       gen_recursive_q, naturals, triangular_pow2)
@@ -268,13 +269,27 @@ class ExperimentConfig:
 # experiment handlers: params -> (certificates, report values, csv files)
 # ---------------------------------------------------------------------------
 
-def _csv(header: str, rows) -> str:
-    return "\n".join([header] + [",".join(str(c) for c in row)
-                                 for row in rows]) + "\n"
+def _csv(header: str, rows) -> Iterator[str]:
+    yield header + "\n"
+    for row in rows:
+        yield ",".join(str(c) for c in row) + "\n"
 
 
 def _dist_cols(b) -> tuple[str, str, str]:
     return b.dec(17), frac_str(b.lo), frac_str(b.hi)
+
+
+def _chord_rows(theta: Fraction, terms: list[int],
+                with_residue: bool = False) -> Iterator[tuple]:
+    """Rows ``k, n_k, [n_k theta mod 1,] dist, dist_lo, dist_hi`` of
+    ``|e^{2 pi i n_k theta} - 1|``, one chord per distinct residue distance.
+    Lazy: the chords take the precision current when the rows are read."""
+    cols = {}
+    for k, (n, d) in enumerate(zip(terms, distance_numerators(theta, terms))):
+        if d not in cols:
+            cols[d] = _dist_cols(chord(Fraction(d, theta.denominator)))
+        res = (frac_str(residue(theta, n)),) if with_residue else ()
+        yield (k, n, *res, *cols[d])
 
 
 def _run_jamison(params, *, bits, seed):
@@ -301,14 +316,7 @@ def _run_jamison(params, *, bits, seed):
         values={"witness_found": rep.witness_found,
                 "best_theta": frac_str(rep.best_theta)
                 if rep.best_theta is not None else None})
-    rows = []
-    if rep.witness_found:
-        theta, terms = rep.best_theta, seq.prefix(K + 1)
-        cols = {}       # equal residue distances give equal columns
-        for k, (n, d) in enumerate(zip(terms, distance_numerators(theta, terms))):
-            if d not in cols:
-                cols[d] = _dist_cols(chord(Fraction(d, theta.denominator)))
-            rows.append((k, n, *cols[d]))
+    rows = _chord_rows(rep.best_theta, seq.prefix(K + 1)) if rep.witness_found else ()
     files = {"scan.csv": _csv("k,n_k,dist,dist_lo,dist_hi", rows)}
     return [cert], {"witness_found": rep.witness_found}, files
 
@@ -320,12 +328,7 @@ def _run_witness(params, *, bits, seed):
     target = params.get("target")
     wit = verify_witness(theta, seq, K,
                          target=_frac(target) if target is not None else None)
-    rows = []
-    for k in range(K + 1):
-        n = seq.term(k)
-        res = wit.residues[k] if wit.residues else ""
-        rows.append((k, n, frac_str(res) if res != "" else "",
-                     *_dist_cols(unimod_dist(theta, n))))
+    rows = _chord_rows(theta, seq.prefix(K + 1), with_residue=True)
     files = {"residues.csv": _csv("k,n_k,residue,dist,dist_lo,dist_hi", rows)}
     return [wit.to_certificate()], {"delta": wit.delta}, files
 
@@ -394,7 +397,7 @@ def _run_linsys(params, *, bits, seed):
     certs = [build.norms.to_certificate()]
     values = {"rho": build.rho, "halvings": build.halvings,
               "operator": build.operator.to_json_dict()}
-    files = {"norms.csv": norm_table_csv(build.norms)}
+    files = {"norms.csv": [norm_table_csv(build.norms)]}
     theta0 = params.get("witness_theta")
     if theta0 is not None:
         theta0 = _frac(theta0)
@@ -458,7 +461,7 @@ def _run_bohr(params, *, bits, seed):
     if probe is not None:
         rep = bohr_recurrence_probe(bset, [_frac(x) for x in probe["rotations"]],
                                     _frac(probe["eps"]))
-        files["probe.csv"] = probe_csv([rep])
+        files["probe.csv"] = [probe_csv([rep])]
         values["probe"] = {"found": rep.found, "element": rep.element,
                            "scanned": rep.scanned}
     return certs, values, files
@@ -517,31 +520,34 @@ _HANDLERS = {"jamison": _run_jamison, "witness": _run_witness,
 
 
 def run(config: ExperimentConfig, out_dir: str | Path | None = None) -> dict:
-    """Execute one experiment; returns the report dict after writing it."""
+    """Execute one experiment; returns the report dict after writing it.
+    Tables are iterables of lines, lazy ones included, so they are written
+    inside ``working_bits``; each certificate is encoded once."""
     out = Path(out_dir or config.out or ".")
     out.mkdir(parents=True, exist_ok=True)
+    outputs = []
     with working_bits(config.bits):
         certs, values, files = _HANDLERS[config.kind](
             config.params, bits=config.bits, seed=config.seed)
-    outputs = []
-    for name, text in sorted(files.items()):
-        (out / name).write_text(text)
-        outputs.append(name)
-    for i, cert in enumerate(certs):
-        name = f"cert-{i:02d}-{cert.kind}.json"
-        cert.save(out / name)
+        for name, lines in sorted(files.items()):
+            with open(out / name, "w") as f:
+                f.writelines(lines)
+            outputs.append(name)
+    cert_dicts = [c.to_dict() for c in certs]
+    for i, data in enumerate(cert_dicts):
+        name = f"cert-{i:02d}-{data['kind']}.json"
+        (out / name).write_text(dump_json(data))
         outputs.append(name)
     report = {
         "schema": SCHEMA,
         "kind": config.kind,
         "config": config.to_dict(),
         "passed": all(c.passed for c in certs),
-        "certificates": [c.to_dict() for c in certs],
+        "certificates": cert_dicts,
         "values": encode_value(values),
         "outputs": outputs,
     }
-    (out / "report.json").write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n")
+    (out / "report.json").write_text(dump_json(report))
     return report
 
 
@@ -619,7 +625,7 @@ def _cmd_gen_seq(args) -> int:
     spec = {"name": args.name, "count": args.count, "base": args.base,
             "ratio": args.ratio, "q": args.q}
     seq = _seq_of(spec)
-    text = _csv("k,n_k", [(k, seq.term(k)) for k in range(args.count)])
+    text = "".join(_csv("k,n_k", [(k, seq.term(k)) for k in range(args.count)]))
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)

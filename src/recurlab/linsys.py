@@ -50,7 +50,7 @@ from typing import Iterable
 import numpy as np
 
 from .certificates import Certificate, frac_str
-from .circle import AngleTurns, PerturbResult, perturb_divisibility, unimod_dist
+from .circle import AngleTurns, PerturbResult, chord_extreme, perturb_divisibility
 from .precision import (Bound, bits_for_power, bound_max, chord, cos_turns,
                         get_bits, residue, sin_turns, working_bits)
 from .seqcore import IntegerSequence
@@ -108,9 +108,7 @@ class DiagChain:
 
     def direct_d_to_one(self, seq: IntegerSequence, n: int) -> Bound:
         """Certified sup_k |lambda_n^{n_k} - 1| over all k (exact tail)."""
-        theta = self.angles[n - 1]
-        return bound_max([unimod_dist(theta, t)
-                          for t in seq.prefix(self.horizon)])
+        return chord_extreme(self.angles[n - 1], seq.prefix(self.horizon))[0]
 
     def diag_power_norm(self, power: int) -> Bound:
         """Exact ||D^power - I|| = max_n |lambda_n^power - 1|."""
@@ -125,43 +123,47 @@ class DiagChain:
 
 
 def build_diag_chain(seq: IntegerSequence, N: int,
-                     eps: Iterable[Fraction], m_cap: int | None = None) -> DiagChain:
+                     eps: Iterable[Fraction]) -> DiagChain:
     """Grow N diagonal angles along the j-chain within per-edge budgets.
 
     Needs a chained-divisibility sequence: the perturbation by 1/n_m
     then moves nothing beyond index m-1 and every edge certificate has
-    an exact zero tail.  Raises when some budget is infeasible within
-    the search cap, which happens for slow (constant-ratio) growth.
+    an exact zero tail.  That move does not depend on the angle, so each
+    m's bound is selected once.  Raises when some budget is infeasible
+    for every m <= 4 N + 48, which happens for slow (constant-ratio) growth.
     """
     budgets = [Fraction(e) for e in eps]
     if len(budgets) != N - 1:
         raise ValueError(f"need {N - 1} edge budgets for dimension {N}")
     if any(b <= 0 for b in budgets):
         raise ValueError("edge budgets must be positive")
-    cap = m_cap if m_cap is not None else 4 * N + 48
+    cap = 4 * N + 48
     jm = build_j_function(N)
+    if not seq.divisibility:
+        raise ValueError("perturbation tail is exact only for divisibility sequences")
+    moves: dict[int, Bound] = {}       # m -> sup_k of the move by 1/n_m
     angles = [Fraction(0)]
     ms: list[int | None] = [None]
     edges: list[PerturbResult | None] = [None]
     tele = [Bound.exact(0)]
-    used: set[int] = set()
     for n in range(2, N + 1):
         budget = budgets[n - 2]
         pick = None
         for m in range(1, cap + 1):
-            if m in used:
+            if m in ms:
                 continue
-            try:
-                probe = perturb_divisibility(0, seq, m)
-            except IndexError:
-                break                      # finite ratio list exhausted
-            if probe.certificate.bound.certainly_lt(budget):
+            if m not in moves:
+                try:
+                    n_m = seq.term(m)
+                except IndexError:
+                    break                  # finite ratio list exhausted
+                moves[m], _ = chord_extreme(Fraction(1, n_m), seq.prefix(m))
+            if moves[m].certainly_lt(budget):
                 pick = m
                 break
         if pick is None:
             raise ValueError(f"edge budget {budget} infeasible at level {n} "
                              f"(searched m <= {cap}); the sequence grows too slowly")
-        used.add(pick)
         parent = jm[n]
         step = perturb_divisibility(angles[parent - 1], seq, pick)
         angles.append(step.theta.exact)
@@ -170,7 +172,7 @@ def build_diag_chain(seq: IntegerSequence, N: int,
         tele.append(tele[parent - 1] + step.certificate.bound)
     return DiagChain(seq_label=seq.label, angles=angles, m_indices=ms,
                      edges=edges, tele_bounds=tele, eps=budgets,
-                     horizon=max(used))
+                     horizon=max(ms[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -540,9 +542,11 @@ class OperatorBuild:
     delta: Fraction
 
 
+MAX_HALVINGS = 60     # weight-scale halvings before build_operator gives up
+
+
 def build_operator(seq: IntegerSequence, N: int, K: int, delta,
-                   rho0: Fraction = Fraction(1, 4), bits: int = 53,
-                   max_halvings: int = 60) -> OperatorBuild:
+                   rho0: Fraction = Fraction(1, 4), bits: int = 53) -> OperatorBuild:
     """Assemble D + B: chain the diagonal within sum(eps) <= delta/4,
     then halve the weight scale rho until sup_k ||T^{n_k} - D^{n_k}||
     is certified below delta/2 for k <= K.  A weight scale whose powers
@@ -561,7 +565,7 @@ def build_operator(seq: IntegerSequence, N: int, K: int, delta,
     powers = [seq.term(k) for k in range(K + 1)]
     rho = Fraction(rho0)
     computed: dict[int, tuple] = {}     # k -> (halving, disks, chords)
-    for halvings in range(max_halvings + 1):
+    for halvings in range(MAX_HALVINGS + 1):
         op = chain.to_operator(build_shift_weights(N, rho))
         scaled = {}
         try:
@@ -576,7 +580,7 @@ def build_operator(seq: IntegerSequence, N: int, K: int, delta,
                     scaled[k] = P, chords
         except PrecisionError:
             # the weights feed the radii, so a smaller rho may certify
-            if halvings == max_halvings:
+            if halvings == MAX_HALVINGS:
                 raise
         else:
             # only the norm_TD upper ends decide a halving (a row without
@@ -592,7 +596,7 @@ def build_operator(seq: IntegerSequence, N: int, K: int, delta,
                 norms = NormCertificate(seq.label, delta, rows, N)
                 return OperatorBuild(op, chain, norms, rho, halvings, delta)
         rho /= 2
-    raise ValueError(f"weight tuning failed after {max_halvings} halvings")
+    raise ValueError(f"weight tuning failed after {MAX_HALVINGS} halvings")
 
 
 @dataclass

@@ -114,6 +114,9 @@ def fourier_direct(measure: DiscreteMeasure, n: int) -> CBound:
     return CBound(Bound(re_lo, re_hi), Bound(im_lo, im_hi))
 
 
+MAX_ATOMS = 1 << 16     # materialize() refuses larger products
+
+
 class ConvolutionFactorization:
     """Convolution of few-atom factors; Fourier always via the product rule."""
 
@@ -146,9 +149,9 @@ class ConvolutionFactorization:
     def denominator_lcm(self) -> int:
         return lcm(*self._periods)
 
-    def materialize(self, max_atoms: int = 1 << 16) -> DiscreteMeasure:
+    def materialize(self) -> DiscreteMeasure:
         count = len(self)
-        if count > max_atoms:
+        if count > MAX_ATOMS:
             raise ValueError(f"materialization would enumerate up to {count} atoms")
         out = self.factors[0]
         for f in self.factors[1:]:

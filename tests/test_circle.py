@@ -5,8 +5,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from recurlab.circle import (GRID_LIMIT, AngleTurns, _grid_scan,
-                             _min_chord_exact, _refine_float, _sup_chord_exact,
-                             _survivors, d_metric_finite,
+                             _refine_float, _survivors, chord_extreme,
+                             d_metric_finite,
                              jamison_separation_test, perturb_divisibility,
                              unimod_dist, verify_witness,
                              witness_nested_intervals)
@@ -227,8 +227,8 @@ def test_grid_scan_matches_full_loop_at_the_dtype_switch(grid, data):
        terms=st.lists(st.integers(0, 10 ** 30), min_size=1, max_size=30))
 def test_exact_selection_matches_fraction_selection(theta, terms):
     dists = [residue_distance(residue(theta, n)) for n in terms]
-    assert _sup_chord_exact(theta, terms) == (chord(max(dists)), max(dists))
-    assert _min_chord_exact(theta, terms) == (chord(min(dists)), min(dists))
+    assert chord_extreme(theta, terms) == (chord(max(dists)), max(dists))
+    assert chord_extreme(theta, terms, min) == (chord(min(dists)), min(dists))
 
 
 def _refine_float_loop(theta0, terms, halfwidth, steps=48):
