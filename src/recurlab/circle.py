@@ -352,15 +352,17 @@ class JamisonReport:
 def _grid_scan(terms: list[int], grid: int) -> tuple[int, int]:
     """First ``i`` minimising ``max min(r, grid - r)``, ``r = i n mod grid``;
     returns (i, that max).  Rows ``i`` and ``grid - i`` are equal, so only
-    ``i <= grid // 2`` is scanned.  Terms are reduced mod grid, so products
-    are at most ``(grid // 2) * (grid - 1)``: int32 while that is below
-    2**31 (up to grid 65,536), else int64 (``grid < 2**31``, which the
-    caller enforces)."""
-    dtype = np.int32 if (grid // 2) * (grid - 1) < 2 ** 31 else np.int64
-    n_arr = np.array([n % grid for n in terms], dtype=dtype)
+    ``i <= grid // 2`` is scanned.  Terms ``n`` and ``grid - n`` give equal
+    distances in every row, so the columns are the distinct folded residues
+    ``min(n mod grid, grid - n mod grid)``.  Products are at most
+    ``(grid // 2) ** 2``: int32 while that is below 2**31 (up to grid
+    92,681), else int64 (``grid < 2**31``, which the caller enforces)."""
+    dtype = np.int32 if (grid // 2) ** 2 < 2 ** 31 else np.int64
+    folded = {min(n % grid, -n % grid) for n in terms}
+    n_arr = np.array(sorted(folded), dtype=dtype)
     best_i, best_d = 0, grid
     half = grid // 2
-    chunk = max(1, (1 << 16) // len(terms))     # a cache-sized block of rows
+    chunk = max(1, (1 << 16) // len(n_arr))     # a cache-sized block of rows
     for lo in range(1, half + 1, chunk):
         ii = np.arange(lo, min(lo + chunk, half + 1), dtype=dtype)
         r = ii[:, None] * n_arr[None, :]

@@ -7,7 +7,9 @@ pipeline and writes a report.json, one JSON file per certificate, and
 plot-ready CSV tables.  The report embeds the fully materialized config
 (defaults included), so re-running from the report alone reproduces
 every number bit for bit.  Tables are streamed to disk line by line, at
-the config's working precision.
+the config's working precision.  Configs are checked against
+``CONFIG_SCHEMA`` and ``PARAMS_SCHEMAS`` by ``_violation``, which reads the
+JSON Schema keywords in ``SCHEMA_KEYWORDS``; an error names the key path.
 
 Exit codes: 0 when every certificate passes, 1 when some fail, 2 for
 configuration or usage errors.  CSV numeric columns carry decimal
@@ -20,13 +22,12 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterator
-
-import jsonschema
 
 from .bohrgen import (BohrSeeds, BohrSet, all_rotation_witnesses,
                       block_jamison_witness, bohr_recurrence_probe,
@@ -200,11 +201,77 @@ CONFIG_SCHEMA = {
 }
 
 
-# JSON "integer" admits 3.0; the handlers need a Python int
-_Validator = jsonschema.validators.extend(
-    jsonschema.Draft202012Validator,
-    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
-        "integer", lambda _, x: isinstance(x, int) and not isinstance(x, bool)))
+# JSON Schema types with their Draft 2020-12 meaning, except that "integer"
+# excludes 3.0: the handlers need a Python int
+_TYPES = {"integer": lambda x: isinstance(x, int) and not isinstance(x, bool),
+          "number": lambda x: isinstance(x, numbers.Number)
+          and not isinstance(x, bool),
+          "string": lambda x: isinstance(x, str),
+          "array": lambda x: isinstance(x, list),
+          "object": lambda x: isinstance(x, dict)}
+# the keywords that ``_violation`` reads; the schemas above use no others
+SCHEMA_KEYWORDS = frozenset({
+    "type", "const", "enum", "minimum", "maximum", "minItems", "maxItems",
+    "items", "required", "properties", "additionalProperties", "oneOf",
+    "allOf", "if", "then"})
+
+
+def _violation(schema: dict, x, path: tuple = ()) -> tuple[tuple, str] | None:
+    """The first way ``x`` breaks ``schema``, as (key path, message), or None.
+    ``const`` and ``enum`` values are strings, so ``==`` is JSON equality;
+    ``additionalProperties`` is only ever false."""
+    t = schema.get("type")
+    if t is not None:
+        names = [t] if isinstance(t, str) else t
+        if not any(_TYPES[n](x) for n in names):
+            return path, f"{x!r} is not of type {', '.join(map(repr, names))}"
+    if "const" in schema and x != schema["const"]:
+        return path, f"{schema['const']!r} was expected"
+    if "enum" in schema and x not in schema["enum"]:
+        return path, f"{x!r} is not one of {schema['enum']!r}"
+    if _TYPES["number"](x):
+        if "minimum" in schema and x < schema["minimum"]:
+            return path, f"{x!r} is less than the minimum of {schema['minimum']}"
+        if "maximum" in schema and x > schema["maximum"]:
+            return path, f"{x!r} is greater than the maximum of {schema['maximum']}"
+    if isinstance(x, list):
+        if len(x) < schema.get("minItems", 0):
+            return path, f"{x!r} has fewer than {schema['minItems']} items"
+        if len(x) > schema.get("maxItems", len(x)):
+            return path, f"{x!r} has more than {schema['maxItems']} items"
+        for i, v in enumerate(x if "items" in schema else ()):
+            if err := _violation(schema["items"], v, (*path, i)):
+                return err
+    if isinstance(x, dict):
+        for key in schema.get("required", ()):
+            if key not in x:
+                return path, f"{key!r} is a required property"
+        props = schema.get("properties", {})
+        for key, v in x.items():
+            if key in props:
+                if err := _violation(props[key], v, (*path, key)):
+                    return err
+            elif "additionalProperties" in schema:
+                return path, f"{key!r} is not an allowed property"
+    for sub in schema.get("allOf", ()):
+        if err := _violation(sub, x, path):
+            return err
+    if "if" in schema and _violation(schema["if"], x) is None:
+        if err := _violation(schema.get("then", {}), x, path):
+            return err
+    if "oneOf" in schema:
+        branches = schema["oneOf"]
+        valid = sum(_violation(s, x) is None for s in branches)
+        if valid == 0:
+            # the one branch of x's JSON type says what is wrong inside x
+            typed = [s for s in branches
+                     if "type" in s and not _violation({"type": s["type"]}, x)]
+            if len(typed) == 1:
+                return _violation(typed[0], x, path)
+            return path, f"{x!r} is not valid under any of the given schemas"
+        if valid > 1:
+            return path, f"{x!r} is valid under more than one of the given schemas"
+    return None
 
 
 class ConfigError(ValueError):
@@ -249,11 +316,16 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(data: dict) -> "ExperimentConfig":
-        try:
-            _Validator(CONFIG_SCHEMA).validate(data)
-            _Validator(PARAMS_SCHEMAS[data["kind"]]).validate(data["params"])
-        except jsonschema.ValidationError as e:
-            raise ConfigError(f"config schema violation: {e.message}") from e
+        err = (_violation(CONFIG_SCHEMA, data)
+               or _violation(PARAMS_SCHEMAS[data["kind"]], data["params"],
+                             ("params",)))
+        if err:
+            path, message = err
+            where = "".join(f"[{p}]" if isinstance(p, int) else f".{p}"
+                            for p in path).lstrip(".")
+            raise ConfigError("config schema violation"
+                              + (f" at {where}" if where else "")
+                              + f": {message}")
         return ExperimentConfig(kind=data["kind"], params=data["params"],
                                 bits=data.get("bits", 53),
                                 seed=data.get("seed", 0),
@@ -266,7 +338,8 @@ class ExperimentConfig:
 
 
 # ---------------------------------------------------------------------------
-# experiment handlers: params -> (certificates, report values, csv files)
+# experiment handlers: params -> (certificates, report values, csv files);
+# a certificate is a Certificate or its encoded dict
 # ---------------------------------------------------------------------------
 
 def _csv(header: str, rows) -> Iterator[str]:
@@ -446,8 +519,9 @@ def _run_bohr(params, *, bits, seed):
         certs.append(rot.to_certificate())
         wit_rows.append((lab, "separation", frac_str(rot.theta.exact),
                          rot.delta.dec(17), int(bool(rot.meets_target))))
+    certs = [c.to_dict() for c in certs]    # for the union and for ``run``
     combined = combine_union(
-        [c.to_dict() for c in certs],
+        certs,
         claim=f"merged r={params['r']} block set to depth {params['n_max']}: "
               f"small-sup (eps={eps}) and separation (>1/2) per family")
     combined.values["elements"] = bset.merged
@@ -522,7 +596,8 @@ _HANDLERS = {"jamison": _run_jamison, "witness": _run_witness,
 def run(config: ExperimentConfig, out_dir: str | Path | None = None) -> dict:
     """Execute one experiment; returns the report dict after writing it.
     Tables are iterables of lines, lazy ones included, so they are written
-    inside ``working_bits``; each certificate is encoded once."""
+    inside ``working_bits``; each certificate is encoded once, and a
+    handler may return some already encoded (``Certificate.to_dict``)."""
     out = Path(out_dir or config.out or ".")
     out.mkdir(parents=True, exist_ok=True)
     outputs = []
@@ -533,7 +608,7 @@ def run(config: ExperimentConfig, out_dir: str | Path | None = None) -> dict:
             with open(out / name, "w") as f:
                 f.writelines(lines)
             outputs.append(name)
-    cert_dicts = [c.to_dict() for c in certs]
+    cert_dicts = [c if isinstance(c, dict) else c.to_dict() for c in certs]
     for i, data in enumerate(cert_dicts):
         name = f"cert-{i:02d}-{data['kind']}.json"
         (out / name).write_text(dump_json(data))
@@ -542,7 +617,7 @@ def run(config: ExperimentConfig, out_dir: str | Path | None = None) -> dict:
         "schema": SCHEMA,
         "kind": config.kind,
         "config": config.to_dict(),
-        "passed": all(c.passed for c in certs),
+        "passed": all(c["passed"] for c in cert_dicts),
         "certificates": cert_dicts,
         "values": encode_value(values),
         "outputs": outputs,

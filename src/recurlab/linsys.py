@@ -585,9 +585,10 @@ def build_operator(seq: IntegerSequence, N: int, K: int, delta,
         else:
             # only the norm_TD upper ends decide a halving (a row without
             # disks is the identity or diagonal, norm_TD = 0), so the lower
-            # ends are assembled at the passing halving alone
-            if max((_td_upper(P, bits) for P, _ in scaled.values()),
-                   default=0) < delta / 2:
+            # ends are assembled at the passing halving alone; the deepest
+            # rows fail first, and the first failing row ends the decision
+            if all(_td_upper(scaled[k][0], bits) < delta / 2
+                   for k in sorted(scaled, reverse=True)):
                 rows = []
                 for k, p in enumerate(powers):
                     res = (_power_bounds(*scaled[k], p, bits) if k in scaled

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -200,8 +201,9 @@ def _grid_scan_loop(terms, grid):
     return best_i, best_d
 
 
-# repeating the terms leaves the objective as it is but shrinks the scan's
-# blocks of rows, so a minimum tied across blocks is exercised
+# repeating the terms leaves the objective as it is (the scan deduplicates
+# them); a minimum tied across blocks of rows is exercised by
+# test_grid_scan_matches_unfolded_scan
 @settings(max_examples=60, deadline=None)
 @given(terms=st.lists(st.integers(1, 400), min_size=1, max_size=40),
        extra=st.integers(0, 400), copies=st.integers(1, 100))
@@ -211,16 +213,57 @@ def test_grid_scan_matches_full_loop(terms, extra, copies):
     assert _grid_scan(terms * copies, grid) == _grid_scan_loop(terms, grid)
 
 
-# 65,537 is the least grid whose largest half-grid product
-# (grid // 2)(grid - 1) reaches 2^31: the scan's int32 and int64 routes meet
-# there.  The term grid - 1 makes that product; 46,340 and 46,341, whose
-# squares straddle 2^31, stay int32.
+# 92,682 is the least grid whose largest half-grid product (grid // 2)^2
+# reaches 2^31 (folded terms are at most grid // 2): the scan's int32 and
+# int64 routes meet there.  The term grid // 2 makes that product; 46,340 and
+# 46,341, whose squares straddle 2^31, and 65,536 and 65,537 stay int32.
 @settings(max_examples=12, deadline=None)
-@given(grid=st.sampled_from([46_340, 46_341, 65_536, 65_537]), data=st.data())
+@given(grid=st.sampled_from([46_340, 46_341, 65_536, 65_537, 92_681, 92_682]),
+       data=st.data())
 def test_grid_scan_matches_full_loop_at_the_dtype_switch(grid, data):
     terms = data.draw(st.lists(st.integers(1, grid), min_size=1, max_size=3))
     assert _grid_scan(terms, grid) == _grid_scan_loop(terms, grid)
     assert _grid_scan([grid - 1], grid) == _grid_scan_loop([grid - 1], grid)
+    assert _grid_scan([grid // 2], grid) == _grid_scan_loop([grid // 2], grid)
+
+
+def _grid_scan_unfolded(terms, grid):
+    """Reference: the half-grid block scan with one column per term, no
+    folding or deduplication."""
+    dtype = np.int32 if (grid // 2) * (grid - 1) < 2 ** 31 else np.int64
+    n_arr = np.array([n % grid for n in terms], dtype=dtype)
+    best_i, best_d = 0, grid
+    half = grid // 2
+    chunk = max(1, (1 << 16) // len(terms))
+    for lo in range(1, half + 1, chunk):
+        ii = np.arange(lo, min(lo + chunk, half + 1), dtype=dtype)
+        r = ii[:, None] * n_arr[None, :]
+        np.fmod(r, grid, out=r)
+        d = np.minimum(r, grid - r).max(axis=1)
+        j = int(d.argmin())
+        if int(d[j]) < best_d:
+            best_d, best_i = int(d[j]), lo + j
+    return best_i, best_d
+
+
+# terms n and grid - n, and multiples of grid, in one list, at odd and even
+# grids; multiples of 4 below grid 8000 give 1,000 distinct columns, so the
+# rows run in blocks of 65 and the zero rows 2000 and 4000 tie across blocks
+@settings(max_examples=80, deadline=None)
+@given(grid=st.integers(1, 3000), data=st.data())
+@example(grid=8000, data=None)
+@example(grid=7, data=None)
+@example(grid=8, data=None)
+def test_grid_scan_matches_unfolded_scan(grid, data):
+    if data is None:
+        terms = (list(range(0, 4000, 4)) if grid == 8000
+                 else [0, grid, 5 * grid, grid ** 40])   # every term = 0
+    else:
+        base = data.draw(st.lists(st.integers(0, 10 ** 6), min_size=1,
+                                  max_size=40))
+        terms = base + [k * grid - n for n in base for k in (1, 3)
+                        if k * grid > n] + [grid * len(base)]
+    assert _grid_scan(terms, grid) == _grid_scan_unfolded(terms, grid)
 
 
 @given(theta=st.fractions(min_value=-2, max_value=2, max_denominator=10 ** 12),

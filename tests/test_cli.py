@@ -1,18 +1,23 @@
 """End-to-end runs of the experiment runner on small configs."""
 
 import contextlib
+import copy
+import functools
 import io
 import json
+import subprocess
+import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from recurlab.certificates import Certificate
-from recurlab.cli import (KINDS, PARAMS_SCHEMAS, SCHEMA, ConfigError,
-                          ExperimentConfig, main, run)
+from recurlab.cli import (_TYPES, CONFIG_SCHEMA, KINDS, PARAMS_SCHEMAS,
+                          SCHEMA, SCHEMA_KEYWORDS, ConfigError,
+                          ExperimentConfig, _violation, main, run)
 from recurlab.precision import Bound, get_bits
 from recurlab.specmeasure import ConvolutionFactorization
 
@@ -51,6 +56,11 @@ def test_schema_rejects_bad_configs():
                                           "targets": {"rule": "pow2"}})
     with pytest.raises(ConfigError, match="schema violation"):
         ExperimentConfig.from_dict(pow2_without_log2)
+    empty = config("witness", {"seq": {"name": "naturals", "count": 0},
+                               "theta": "1/3", "horizon": 3})
+    with pytest.raises(ConfigError, match=r"^config schema violation at "
+                       r"params\.seq\.count: 0 is less than the minimum of 1$"):
+        ExperimentConfig.from_dict(empty)
 
 
 def test_malformed_config_exits_nonzero(tmp_path):
@@ -233,6 +243,18 @@ def test_bohr_run(tmp_path):
     assert report["values"]["probe"]["found"]
     assert (tmp_path / "probe.csv").read_text().splitlines()[0] == \
         "tuple,eps,found_k,value"
+
+
+def test_bohr_encodes_each_certificate_once(tmp_path, monkeypatch):
+    calls = []
+    encode = Certificate.to_dict
+    monkeypatch.setattr(Certificate, "to_dict",
+                        lambda self: calls.append(self.kind) or encode(self))
+    cfg = ExperimentConfig.from_dict(config(
+        "bohr", {"r": 2, "n_max": 4, "eps": "1/16",
+                 "probe": {"rotations": ["1/3", "1/5"], "eps": "1/100"}}))
+    report = run(cfg, out_dir=tmp_path)
+    assert sorted(calls) == sorted(c["kind"] for c in report["certificates"])
 
 
 def test_gauss_run(tmp_path):
@@ -482,3 +504,126 @@ def test_schema_valid_configs_exit_0_1_or_2(data):
                 contextlib.redirect_stderr(io.StringIO()):
             rc = main([data["kind"], "--config", str(path), "--out", tmp])
     assert rc in (0, 1, 2)
+
+
+# --- the validator against jsonschema -----------------------------------------
+
+@functools.cache
+def _jsonschema_validator():
+    """The cross-check route: Draft 2020-12 jsonschema, with "integer"
+    excluding 3.0 as in the package's validator."""
+    jsonschema = pytest.importorskip("jsonschema")
+    draft = jsonschema.Draft202012Validator
+    integer = draft.TYPE_CHECKER.redefine(
+        "integer", lambda _, x: isinstance(x, int) and not isinstance(x, bool))
+    return jsonschema.validators.extend(draft, type_checker=integer)
+
+
+def _jsonschema_valid(schema: dict, x) -> bool:
+    return _jsonschema_validator()(schema).is_valid(x)
+
+
+def _subschemas(schema: dict):
+    yield schema
+    for key in ("items", "if", "then"):
+        if key in schema:
+            yield from _subschemas(schema[key])
+    for sub in [*schema.get("properties", {}).values(),
+                *schema.get("oneOf", ()), *schema.get("allOf", ())]:
+        yield from _subschemas(sub)
+
+
+def test_schemas_use_exactly_the_implemented_keywords():
+    nodes = [n for s in [CONFIG_SCHEMA, *PARAMS_SCHEMAS.values()]
+             for n in _subschemas(s)]
+    assert {k for n in nodes for k in n} == SCHEMA_KEYWORDS
+    for n in nodes:
+        types = n.get("type", [])
+        assert set([types] if isinstance(types, str) else types) <= set(_TYPES)
+        # the validator compares with ==, JSON equality on strings
+        values = n.get("enum", []) + ([n["const"]] if "const" in n else [])
+        assert all(isinstance(v, str) for v in values)
+        assert n.get("additionalProperties", False) is False
+
+
+def test_import_leaves_jsonschema_unloaded():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    subprocess.run([sys.executable, "-c", "import recurlab.cli, sys; "
+                    "assert 'jsonschema' not in sys.modules"],
+                   check=True, env={"PYTHONPATH": src})
+
+
+# values that break the integer, range, type and oneOf rules
+_ODD = st.sampled_from([True, False, None, 3.0, 0, -1, 2 ** 31, 1.5, "", "x",
+                        "pow2", "chacon", [], {}, [0], [1.7], {"rule": "pow2"}])
+_KEYS = st.sampled_from(["stray", "log2", "q", "p", "seq", "rule", "count"])
+
+
+@st.composite
+def _mutated(draw, value):
+    """``value`` with one node replaced, one key dropped or one key added."""
+    if isinstance(value, (dict, list)) and value and draw(st.integers(0, 2)):
+        keys = sorted(value) if isinstance(value, dict) else range(len(value))
+        key = draw(st.sampled_from(keys))
+        value = copy.copy(value)
+        value[key] = draw(_mutated(value[key]))
+        return value
+    if isinstance(value, dict) and draw(st.booleans()):
+        value = dict(value)
+        if value and draw(st.booleans()):
+            del value[draw(st.sampled_from(sorted(value)))]
+        else:
+            value[draw(_KEYS)] = draw(_ODD)
+        return value
+    return draw(_ODD)
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(_configs, _configs.flatmap(_mutated)))
+@example(config("kahane", {"seq": TRI13, "stages": 2,
+                           "targets": {"rule": "pow2"}}))
+@example(config("witness", {"seq": {"name": "recursive-q", "count": 4,
+                                    "q": [3, True]}, "theta": 1.5,
+                            "horizon": 3}))
+@example(config("rankone", {"schedule": {"kind": "shifted", "p": 2},
+                            "k_range": [1, 2.0]}))
+def test_validator_accepts_exactly_what_jsonschema_accepts(data):
+    try:
+        ExperimentConfig.from_dict(data)
+        ours = True
+    except ConfigError:
+        ours = False
+    theirs = _jsonschema_valid(CONFIG_SCHEMA, data) and _jsonschema_valid(
+        PARAMS_SCHEMAS[data["kind"]], data["params"])
+    assert ours == theirs
+
+
+# each keyword on its own and in the combinations the config schemas use,
+# with both oneOf branches matching 2
+_KEYWORD_SCHEMAS = [
+    {"oneOf": [{"type": "integer"}, {"minimum": 0}]},
+    {"type": ["string", "number"], "maximum": 3},
+    {"type": "array", "items": {"type": "integer", "minimum": 1},
+     "minItems": 1, "maxItems": 2},
+    {"type": "object", "required": ["rule"],
+     "properties": {"rule": {"enum": ["a", "pow2"]},
+                    "log2": {"type": "integer"}},
+     "additionalProperties": False,
+     "allOf": [{"if": {"properties": {"rule": {"const": "pow2"}}},
+                "then": {"required": ["log2"]}}]},
+]
+_JSON = st.recursive(
+    st.one_of(_ODD, st.integers(-3, 5), st.floats(-3, 5), st.just("a")),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(st.sampled_from(["rule", "log2", "x"]), inner,
+                        max_size=3)),
+    max_leaves=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(schema=st.sampled_from(_KEYWORD_SCHEMAS), x=_JSON)
+@example(schema=_KEYWORD_SCHEMAS[0], x=2)
+def test_each_keyword_agrees_with_jsonschema(schema, x):
+    assert (_violation(schema, x) is None) == _jsonschema_valid(schema, x)
