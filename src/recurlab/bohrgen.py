@@ -334,7 +334,7 @@ class ProbeReport:
     scanned: int
 
     def csv_row(self) -> str:
-        names = ";".join(frac_str(t.exact) if t.is_exact else "~" for t in self.thetas)
+        names = ";".join(frac_str(t.exact) for t in self.thetas)
         found = self.element if self.found else ""
         val = f"{float(self.value.hi):.6g}" if self.value is not None else ""
         return f"{names},{frac_str(self.eps)},{found},{val}"

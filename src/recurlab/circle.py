@@ -1,14 +1,16 @@
 """Certified geometry of unimodular orbits ``lambda^n = e^{2 pi i n theta}``.
 
-For exact rational angles everything reduces to residue arithmetic: the
+Angles are exact rationals in turns (:class:`AngleTurns`): the paper's
+witnesses (``1/3``, the chain angles ``sum 1/n_m``, the r-Bohr H-chain
+angles) are rational, config angles parse as Fractions, and the one float
+search, the Jamison polish, snaps to a bounded-denominator Fraction before
+anything is certified.  So everything reduces to residue arithmetic: the
 distance ``|lambda^n - 1|`` is the chord ``2 |sin(pi n theta)|``, it
 depends only on the fractional part of ``n theta``, and it is monotone in
 the distance of that fractional part to the nearest integer.  Sups and
 infs over finite index sets are therefore *selected* on exact integer
 residue numerators and only the extremal residue is evaluated in interval
 arithmetic, by :func:`chord_extreme`, the package's one such selector.
-Approximate angles (a rational enclosure window) are carried through
-with outward-rounded windows instead.
 
 Three separation questions recur downstream and get their own reports:
 
@@ -31,93 +33,44 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from typing import Iterable
 
 import numpy as np
 
 from .certificates import Certificate, frac_str
-from .precision import (Bound, bound_max, chord, distance_numerators, pi_bound,
-                        residue, residue_distance)
+from .precision import Bound, chord, distance_numerators, pi_bound, residue
 from .seqcore import IntegerSequence
 
 
 class AngleTurns:
-    """Angle in turns: exact Fraction in [0, 1) or a rational window."""
+    """Angle in turns: an exact Fraction in [0, 1)."""
 
-    __slots__ = ("exact", "window")
+    __slots__ = ("exact",)
 
-    def __init__(self, exact: Fraction | None = None, window: Bound | None = None):
-        if (exact is None) == (window is None):
-            raise ValueError("give exactly one of exact, window")
-        self.exact = Fraction(exact) % 1 if exact is not None else None
-        self.window = window
+    def __init__(self, exact):
+        self.exact = Fraction(exact) % 1
 
     @staticmethod
     def of(x) -> "AngleTurns":
-        if isinstance(x, AngleTurns):
-            return x
-        return AngleTurns(exact=Fraction(x))
+        return x if isinstance(x, AngleTurns) else AngleTurns(x)
 
-    @staticmethod
-    def approx(value, radius) -> "AngleTurns":
-        v, r = Fraction(value), Fraction(radius)
-        if r < 0:
-            raise ValueError("negative radius")
-        return AngleTurns(window=Bound(v - r, v + r))
-
-    @property
-    def is_exact(self) -> bool:
-        return self.exact is not None
-
-    def minus(self, other: "AngleTurns") -> "AngleTurns":
-        other = AngleTurns.of(other)
-        if self.is_exact and other.is_exact:
-            return AngleTurns(exact=self.exact - other.exact)
-        a = Bound.exact(self.exact) if self.is_exact else self.window
-        b = Bound.exact(other.exact) if other.is_exact else other.window
-        return AngleTurns(window=a - b)
+    def minus(self, other) -> "AngleTurns":
+        return AngleTurns(self.exact - AngleTurns.of(other).exact)
 
     def plus_fraction(self, fr: Fraction) -> "AngleTurns":
-        if self.is_exact:
-            return AngleTurns(exact=self.exact + fr)
-        return AngleTurns(window=self.window + Bound.exact(fr))
+        return AngleTurns(self.exact + fr)
 
     def __repr__(self) -> str:
-        if self.is_exact:
-            return f"AngleTurns({self.exact})"
-        return f"AngleTurns(~{self.window})"
+        return f"AngleTurns({self.exact})"
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, AngleTurns):
-            return NotImplemented
-        return self.exact == other.exact and self.window == other.window
-
-
-def _dist_range_of_window(win: Bound, n: int) -> tuple[Fraction, Fraction]:
-    """Range of distance-to-Z of n*t over the window, as [min, max]."""
-    half = Fraction(1, 2)
-    scaled = win.scale(n)
-    if scaled.width >= 1:
-        return Fraction(0), half
-    base = scaled.lo.__floor__()
-    a, b = scaled.lo - base, scaled.hi - base     # 0 <= a <= b < 2
-    hits_int = (a == 0) or (a <= 1 <= b)
-    dmin = Fraction(0) if hits_int else min(residue_distance(a), residue_distance(b))
-    hits_half = (a <= half <= b) or (a <= half + 1 <= b)
-    dmax = half if hits_half else max(residue_distance(a), residue_distance(b))
-    return dmin, dmax
+        return isinstance(other, AngleTurns) and self.exact == other.exact
 
 
 def unimod_dist(theta, n: int) -> Bound:
-    """Certified ``|e^{2 pi i n theta} - 1|``."""
-    theta = AngleTurns.of(theta)
-    if n < 0:
-        n = -n   # conjugation does not change the chord
-    if theta.is_exact:
-        return chord(residue(theta.exact, n))
-    dmin, dmax = _dist_range_of_window(theta.window, n)
-    return Bound(chord(dmin).lo, chord(dmax).hi)
+    """Certified ``|e^{2 pi i n theta} - 1|``; conjugation (``n -> -n``)
+    does not change the chord."""
+    return chord(residue(AngleTurns.of(theta).exact, abs(n)))
 
 
 def chord_extreme(theta: Fraction, terms: Iterable[int],
@@ -150,11 +103,7 @@ def d_metric_finite(theta1, theta2, seq: IntegerSequence, K: int) -> DistanceCer
     are unimodular, so only the difference angle matters.
     """
     diff = AngleTurns.of(theta1).minus(theta2)
-    terms = seq.prefix(K + 1)
-    if diff.is_exact:
-        bound, _ = chord_extreme(diff.exact, terms)
-    else:
-        bound = bound_max(unimod_dist(diff, n) for n in terms)
+    bound, _ = chord_extreme(diff.exact, seq.prefix(K + 1))
     return DistanceCertificate(seq_label=seq.label, horizon=K, bound=bound, tail_exact=False)
 
 
@@ -191,14 +140,11 @@ class WitnessCertificate:
     seq_label: str
     horizon: int
     delta: Bound
-    residues: list[Fraction] | None
+    residues: list[Fraction]
     target: Fraction | None
     meets_target: bool | None
 
     def to_certificate(self) -> Certificate:
-        values = {"residues": sorted({frac_str(r) for r in self.residues})
-                  if self.residues is not None else None,
-                  "meets_target": self.meets_target}
         return Certificate(
             kind="rotation-witness",
             claim=f"min of |lambda^{{n_k}} - 1| over {self.seq_label}, k <= {self.horizon}",
@@ -209,7 +155,8 @@ class WitnessCertificate:
             params={"theta": repr(self.theta),
                     "target": frac_str(self.target) if self.target is not None else None},
             bounds={"delta": self.delta},
-            values=values,
+            values={"residues": sorted({frac_str(r) for r in self.residues}),
+                    "meets_target": self.meets_target},
         )
 
 
@@ -218,12 +165,8 @@ def verify_witness(theta, seq: IntegerSequence, K: int,
     """Term-by-term certification of a separation witness."""
     t = AngleTurns.of(theta)
     terms = seq.prefix(K + 1)
-    if t.is_exact:
-        delta, _ = chord_extreme(t.exact, terms, min)
-        residues = [residue(t.exact, n) for n in terms]
-    else:
-        delta = reduce(Bound.min_with, (unimod_dist(t, n) for n in terms))
-        residues = None
+    delta, _ = chord_extreme(t.exact, terms, min)
+    residues = [residue(t.exact, n) for n in terms]
     meets = delta.certainly_ge(target) if target is not None else None
     return WitnessCertificate(theta=t, seq_label=seq.label, horizon=K, delta=delta,
                               residues=residues, target=Fraction(target) if target is not None else None,

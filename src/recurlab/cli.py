@@ -4,12 +4,14 @@ One experiment = one config file = one output directory.  A config is a
 JSON object (schema "recurlab/1") naming an experiment kind, its module
 parameters, working precision, and RNG seed; ``run`` executes the
 pipeline and writes a report.json, one JSON file per certificate, and
-plot-ready CSV tables.  The report embeds the fully materialized config
-(defaults included), so re-running from the report alone reproduces
-every number bit for bit.  Tables are streamed to disk line by line, at
-the config's working precision.  Configs are checked against
-``CONFIG_SCHEMA`` and ``PARAMS_SCHEMAS`` by ``_violation``, which reads the
-JSON Schema keywords in ``SCHEMA_KEYWORDS``; an error names the key path.
+plot-ready CSV tables.  The report embeds the config as run: ``params``
+as given, after flag overrides, with ``bits``, ``seed`` and ``out``
+filled in.  Parameter defaults live in the handlers, so re-running from
+the report alone reproduces every number bit for bit.  Tables are
+streamed to disk line by line, at the config's working precision.
+Configs are checked against ``CONFIG_SCHEMA`` and ``PARAMS_SCHEMAS`` by
+``_violation``, which reads the JSON Schema keywords in
+``SCHEMA_KEYWORDS``; an error names the key path.
 
 Exit codes: 0 when every certificate passes, 1 when some fail, 2 for
 configuration or usage errors.  CSV numeric columns carry decimal

@@ -192,8 +192,6 @@ class DiagShiftOperator:
         N = self.dimension
         if N < 1 or len(self.diag) != N:
             raise ValueError("diag length must equal the dimension")
-        if any(not a.is_exact for a in self.diag):
-            raise ValueError("diagonal angles must be exact rationals")
         if len({a.exact for a in self.diag}) != N:
             raise ValueError("diagonal values must be pairwise distinct")
         self.weights = [Fraction(w) for w in self.weights]
@@ -401,7 +399,8 @@ def power_norm(op: DiagShiftOperator, n: int, bits: int = 53,
         ti = bound_max([chord(residue(a.exact, n)) for a in op.diag])
         return PowerNormResult(n, ti, Bound.exact(0), bits, "diagonal-exact")
     P, chords = _power_disks(op, n, bits)
-    return _power_bounds(_radius_checked(P, n, bits), chords, n, bits)
+    P = _radius_checked(P, n, bits)
+    return _power_bounds(P, chords, n, bits, _td_upper(P, bits))
 
 
 def _power_disks(op: DiagShiftOperator, n: int, bits: int):
@@ -453,8 +452,9 @@ def _td_upper(P, bits: int) -> Fraction:
     return _tri_norm_upper(U, bits)
 
 
-def _power_bounds(P, chords: list[int], n: int, bits: int) -> PowerNormResult:
-    """Both norm enclosures from the disks and chords of ``_power_disks``."""
+def _power_bounds(P, chords: list[int], n: int, bits: int,
+                  upper_td: Fraction) -> PowerNormResult:
+    """Both norm enclosures from ``_power_disks`` and ``_td_upper``."""
     re, im, rad = P
     U_ti, ti_re = _abs_upper(re, im) + rad, re.copy()
     for j, c in enumerate(chords):
@@ -466,7 +466,6 @@ def _power_bounds(P, chords: list[int], n: int, bits: int) -> PowerNormResult:
     td_re, td_im, td_rad = (M.copy() for M in P)
     for M in (td_re, td_im, td_rad):
         np.fill_diagonal(M, 0)
-    upper_td = _td_upper(P, bits)
     lower_td = _rayleigh_lower(td_re, td_im, td_rad, bits)
 
     assert lower_ti <= upper_ti and lower_td <= upper_td
@@ -587,12 +586,16 @@ def build_operator(seq: IntegerSequence, N: int, K: int, delta,
             # disks is the identity or diagonal, norm_TD = 0), so the lower
             # ends are assembled at the passing halving alone; the deepest
             # rows fail first, and the first failing row ends the decision
-            if all(_td_upper(scaled[k][0], bits) < delta / 2
-                   for k in sorted(scaled, reverse=True)):
+            upper_td = {}
+            for k in sorted(scaled, reverse=True):
+                upper_td[k] = _td_upper(scaled[k][0], bits)
+                if upper_td[k] >= delta / 2:
+                    break
+            else:
                 rows = []
                 for k, p in enumerate(powers):
-                    res = (_power_bounds(*scaled[k], p, bits) if k in scaled
-                           else power_norm(op, p, bits=bits))
+                    res = (_power_bounds(*scaled[k], p, bits, upper_td[k])
+                           if k in scaled else power_norm(op, p, bits=bits))
                     rows.append(NormRow(k, p, res.norm_ti, res.norm_td, bits))
                 norms = NormCertificate(seq.label, delta, rows, N)
                 return OperatorBuild(op, chain, norms, rho, halvings, delta)
@@ -661,8 +664,6 @@ def ball_mc_check(op: DiagShiftOperator, theta0, seq: IntegerSequence,
     and by more than 1 at n = 2^55.  Large n_k make the check meaningless.
     """
     t0 = AngleTurns.of(theta0)
-    if not t0.is_exact:
-        raise ValueError("the rotation witness angle must be exact")
     g = float(gamma)
     if not 0 < g < 1:
         raise ValueError("gamma must be in (0, 1)")
@@ -713,12 +714,9 @@ def kalish_eigencheck(lam, grid: int) -> KalishResult:
     O(1/grid) quadrature error.  lambda = 1 integrates in closed form:
     zeta - (zeta - 1) = 1, residual exactly zero.
     """
-    t = AngleTurns.of(lam)
-    if not t.is_exact:
-        raise ValueError("lambda must be an exact rational angle")
     if grid < 256:
         raise ValueError("grid must be at least 2^8")
-    theta = t.exact
+    theta = AngleTurns.of(lam).exact
     tol = 10.0 * 2.0 * math.pi / grid
     if theta == 0:
         return KalishResult(theta, grid, 0, 0.0, tol, True, "closed-form")

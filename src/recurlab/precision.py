@@ -209,10 +209,6 @@ class Bound:
         other = _as_bound(other)
         return Bound(max(self.lo, other.lo), max(self.hi, other.hi))
 
-    def min_with(self, other: "Bound") -> "Bound":
-        other = _as_bound(other)
-        return Bound(min(self.lo, other.lo), min(self.hi, other.hi))
-
     def sqrt(self) -> "Bound":
         if self.lo < 0:
             raise ValueError("sqrt of an interval reaching below 0")

@@ -81,9 +81,6 @@ def test_operator_validation():
     good = _angles((1, 3), (1, 5))
     with pytest.raises(ValueError, match="distinct"):
         DiagShiftOperator(2, _angles((1, 3), (1, 3)), [F(1, 4)])
-    with pytest.raises(ValueError, match="exact"):
-        DiagShiftOperator(2, [good[0], AngleTurns.approx(F(1, 5), F(1, 64))],
-                          [F(1, 4)])
     with pytest.raises(ValueError, match="weights"):
         DiagShiftOperator(2, good, [])
     with pytest.raises(ValueError, match=">= 0"):
@@ -366,8 +363,8 @@ def test_rescaled_power_contains_true_norms():
         op = DiagShiftOperator(N, diag, weights)
         small = DiagShiftOperator(N, diag, [w / 2 ** h for w in weights])
         P, chords = linsys._power_disks(op, n, bits)
-        res = linsys._power_bounds(linsys._radius_checked(linsys._rescale(P, h), n, bits),
-                                    chords, n, bits)
+        P = linsys._radius_checked(linsys._rescale(P, h), n, bits)
+        res = linsys._power_bounds(P, chords, n, bits, linsys._td_upper(P, bits))
         ti, td = _reference_norms(small, n)
         assert res.norm_ti.lo <= ti <= res.norm_ti.hi, (small, n, bits)
         assert res.norm_td.lo <= td <= res.norm_td.hi, (small, n, bits)
@@ -453,8 +450,6 @@ def test_operator_json(built):
 def test_kalish_guards():
     with pytest.raises(ValueError, match="2\\^8"):
         kalish_eigencheck(F(1, 3), 128)
-    with pytest.raises(ValueError, match="exact"):
-        kalish_eigencheck(AngleTurns.approx(F(1, 3), F(1, 100)), 1024)
 
 
 def test_kalish_unit_eigenvalue_closed_form():
