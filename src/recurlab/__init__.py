@@ -9,8 +9,10 @@ certified power norms (linsys), progression block families (bohrgen),
 and a config-driven experiment runner (cli).  Everything user-facing
 reports through the certificate schema in ``certificates``.
 
-Submodules import numpy and mpmath on demand; ``import recurlab``
-alone stays cheap.
+``import recurlab`` alone stays cheap, and ``recurlab.cli`` imports only
+``certificates`` and ``seqcore``: a kind's layer modules load when its
+config validates (``cli.KIND_MODULES``), so a ``rankone`` run loads
+neither numpy nor mpmath.
 """
 
 __version__ = "0.1.0"

@@ -19,8 +19,6 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
-from .precision import Bound, CBound, dec_str
-
 SCHEMA = "recurlab/1"
 
 _SAFE_INT = 2 ** 53
@@ -32,16 +30,9 @@ def frac_str(fr: Fraction) -> str:
 
 
 def encode_value(v: Any) -> Any:
-    """Recursively encode a value into JSON-safe primitives."""
-    if isinstance(v, Bound):
-        return {
-            "lo": frac_str(v.lo),
-            "hi": frac_str(v.hi),
-            "dec": v.dec(40),
-            "exact": v.is_exact,
-        }
-    if isinstance(v, CBound):
-        return {"re": encode_value(v.re), "im": encode_value(v.im)}
+    """Recursively encode a value into JSON-safe primitives.  A value with a
+    ``json_value`` method (``precision.Bound`` and ``CBound``) encodes
+    itself, so this module imports no other part of the package."""
     if isinstance(v, Fraction):
         return frac_str(v)
     if isinstance(v, bool):
@@ -57,7 +48,8 @@ def encode_value(v: Any) -> Any:
         return [encode_value(x) for x in seq]
     if v is None or isinstance(v, str):
         return v
-    return str(v)
+    json_value = getattr(v, "json_value", None)
+    return json_value() if json_value else str(v)
 
 
 @dataclass

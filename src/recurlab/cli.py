@@ -11,7 +11,10 @@ the report alone reproduces every number bit for bit.  Tables are
 streamed to disk line by line, at the config's working precision.
 Configs are checked against ``CONFIG_SCHEMA`` and ``PARAMS_SCHEMAS`` by
 ``_violation``, which reads the JSON Schema keywords in
-``SCHEMA_KEYWORDS``; an error names the key path.
+``SCHEMA_KEYWORDS``; an error names the key path.  The module itself
+imports only ``certificates`` and ``seqcore``: a config that validates
+loads the layer modules of its kind (``KIND_MODULES``), so a ``rankone``
+run never loads mpmath or numpy.
 
 Exit codes: 0 when every certificate passes, 1 when some fail, 2 for
 configuration or usage errors.  CSV numeric columns carry decimal
@@ -22,31 +25,38 @@ strings at recorded precision; exact rationals appear additionally as
 from __future__ import annotations
 
 import argparse
+import gc
+import importlib
 import json
 import math
 import numbers
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterator
 
-from .bohrgen import (BohrSeeds, BohrSet, all_rotation_witnesses,
-                      block_jamison_witness, bohr_recurrence_probe,
-                      family_label, probe_csv, schedule_build)
 from .certificates import (SCHEMA, Certificate, combine_union, dump_json,
                            encode_value, frac_str, load_report, summarize)
-from .circle import GRID_LIMIT, jamison_separation_test, verify_witness
-from .linsys import (PrecisionError, ball_certificate, ball_mc_check,
-                     build_operator, norm_table_csv)
-from .precision import chord, distance_numerators, residue, working_bits
-from .rankone import StackingSchedule, nonrecurrence_check, shifted_schedule
 from .seqcore import (IntegerSequence, fact42_split, gen_divisibility,
                       gen_recursive_q, naturals, triangular_pow2)
-from .specmeasure import (GaussianRectangleModel, gauss_rectangle_overlap_mc,
-                          kahane_build, rigidity_check)
 
 KINDS = ("jamison", "witness", "kahane", "rankone", "linsys", "bohr", "gauss")
+
+# the modules each kind's handler runs, package layers written relative;
+# numpy.random is there because numpy loads it on first use, which the
+# seeded samplers of linsys (the ``mc`` ball check) and gauss make.
+# ``from_dict`` imports them, so their cost falls in set-up and ``run``
+# loads nothing; ``run`` enters the working precision only for the kinds
+# that load ``precision``
+KIND_MODULES = {"jamison": (".precision", ".circle"),
+                "witness": (".precision", ".circle"),
+                "kahane": (".precision", ".specmeasure"),
+                "rankone": (".rankone",),
+                "linsys": (".precision", ".circle", ".linsys", "numpy.random"),
+                "bohr": (".precision", ".bohrgen"),
+                "gauss": (".precision", ".specmeasure", "numpy.random")}
 
 _FRAC = {"type": ["string", "number"]}
 MIN_BITS = 53
@@ -84,8 +94,10 @@ PARAMS_SCHEMAS = {
         "required": ["seq", "epsilon", "horizon"],
         "properties": {"seq": _SEQ_SCHEMA, "epsilon": _FRAC,
                        "horizon": {"type": "integer", "minimum": 0},
+                       # circle.GRID_LIMIT - 1, written out so that the
+                       # schema loads no numpy
                        "grid": {"type": "integer", "minimum": 0,
-                                "maximum": GRID_LIMIT - 1},
+                                "maximum": 2 ** 31 - 1},
                        "expect": {"enum": ["witness", "separation", "scan"]}},
         "additionalProperties": False,
     },
@@ -328,6 +340,15 @@ class ExperimentConfig:
             raise ConfigError("config schema violation"
                               + (f" at {where}" if where else "")
                               + f": {message}")
+        loaded = len(sys.modules)
+        for name in KIND_MODULES[data["kind"]]:
+            importlib.import_module(name, __package__)
+        if len(sys.modules) > loaded:
+            # the objects an import creates survive into the young
+            # generations; collect them here, or the collection they make
+            # due falls in the run (about 2 ms of a 13 ms pass over the
+            # Chacon tower stages 1..4 with compiled bytecode)
+            gc.collect(1)
         return ExperimentConfig(kind=data["kind"], params=data["params"],
                                 bits=data.get("bits", 53),
                                 seed=data.get("seed", 0),
@@ -359,6 +380,7 @@ def _chord_rows(theta: Fraction, terms: list[int],
     """Rows ``k, n_k, [n_k theta mod 1,] dist, dist_lo, dist_hi`` of
     ``|e^{2 pi i n_k theta} - 1|``, one chord per distinct residue distance.
     Lazy: the chords take the precision current when the rows are read."""
+    from .precision import chord, distance_numerators, residue
     cols = {}
     for k, (n, d) in enumerate(zip(terms, distance_numerators(theta, terms))):
         if d not in cols:
@@ -368,6 +390,7 @@ def _chord_rows(theta: Fraction, terms: list[int],
 
 
 def _run_jamison(params, *, bits, seed):
+    from .circle import jamison_separation_test
     seq = _seq_of(params["seq"])
     eps = _frac(params["epsilon"])
     K = params["horizon"]
@@ -397,6 +420,7 @@ def _run_jamison(params, *, bits, seed):
 
 
 def _run_witness(params, *, bits, seed):
+    from .circle import verify_witness
     seq = _seq_of(params["seq"])
     theta = _frac(params["theta"])
     K = params["horizon"]
@@ -409,6 +433,7 @@ def _run_witness(params, *, bits, seed):
 
 
 def _run_kahane(params, *, bits, seed):
+    from .specmeasure import kahane_build, rigidity_check
     seq = _seq_of(params["seq"])
     N = params["stages"]
     K = params.get("horizon", N - 1)
@@ -421,7 +446,8 @@ def _run_kahane(params, *, bits, seed):
     return [fact.certificate, check], {"stages": N}, files
 
 
-def _schedule_of(spec: dict) -> StackingSchedule:
+def _schedule_of(spec: dict):
+    from .rankone import StackingSchedule, shifted_schedule
     kind = spec["kind"]
     rounds = spec.get("rounds", 8)
     if kind == "chacon":
@@ -436,6 +462,7 @@ def _schedule_of(spec: dict) -> StackingSchedule:
 
 
 def _run_rankone(params, *, bits, seed):
+    from .rankone import nonrecurrence_check
     schedule = _schedule_of(params["schedule"])
     k_lo, k_hi = params["k_range"]
     if k_lo > k_hi or k_lo < 1:
@@ -460,6 +487,9 @@ def _run_rankone(params, *, bits, seed):
 
 
 def _run_linsys(params, *, bits, seed):
+    from .circle import verify_witness
+    from .linsys import (PrecisionError, ball_certificate, ball_mc_check,
+                         build_operator, norm_table_csv)
     seq = _seq_of(params["seq"])
     N, K = params["dimension"], params["horizon"]
     try:
@@ -507,6 +537,9 @@ def _run_linsys(params, *, bits, seed):
 
 
 def _run_bohr(params, *, bits, seed):
+    from .bohrgen import (BohrSeeds, BohrSet, all_rotation_witnesses,
+                          block_jamison_witness, bohr_recurrence_probe,
+                          family_label, probe_csv, schedule_build)
     seeds = BohrSeeds(h1=params["h1"]) if "h1" in params else None
     bset = BohrSet(schedule_build(params["r"], params["n_max"], seeds))
     eps = _frac(params["eps"])
@@ -544,6 +577,8 @@ def _run_bohr(params, *, bits, seed):
 
 
 def _run_gauss(params, *, bits, seed):
+    from .specmeasure import (GaussianRectangleModel,
+                              gauss_rectangle_overlap_mc, kahane_build)
     kp = params["kahane"]
     seq = _seq_of(kp["seq"])
     targets = _targets_of(kp["targets"], kp["stages"])
@@ -599,11 +634,17 @@ def run(config: ExperimentConfig, out_dir: str | Path | None = None) -> dict:
     """Execute one experiment; returns the report dict after writing it.
     Tables are iterables of lines, lazy ones included, so they are written
     inside ``working_bits``; each certificate is encoded once, and a
-    handler may return some already encoded (``Certificate.to_dict``)."""
+    handler may return some already encoded (``Certificate.to_dict``).
+    A kind that loads no ``precision`` is exact and runs without a
+    working precision."""
     out = Path(out_dir or config.out or ".")
     out.mkdir(parents=True, exist_ok=True)
     outputs = []
-    with working_bits(config.bits):
+    scope = nullcontext()
+    if ".precision" in KIND_MODULES[config.kind]:
+        from .precision import working_bits
+        scope = working_bits(config.bits)
+    with scope:
         certs, values, files = _HANDLERS[config.kind](
             config.params, bits=config.bits, seed=config.seed)
         for name, lines in sorted(files.items()):

@@ -406,9 +406,13 @@ def power_norm(op: DiagShiftOperator, n: int, bits: int = 53,
 def _power_disks(op: DiagShiftOperator, n: int, bits: int):
     """The disks (re, im, rad) of T^n in 2^-bits units with the diagonal
     overridden by its exact value lambda_j^n, and the upper ends of the
-    chords |lambda_j^n - 1| in the same units."""
+    chords |lambda_j^n - 1| in the same units.  The disks of T itself are
+    enclosed at one precision for every n, so the rows of a build share
+    one set of trig enclosures."""
+    with working_bits(max(get_bits(), bits + 32)):
+        T = _operator_disks(op, bits)
     with working_bits(max(get_bits(), bits + 32, bits_for_power(n))):
-        re, im, rad = _mat_power(_operator_disks(op, bits), n, bits)
+        re, im, rad = _mat_power(T, n, bits)
         # exact diagonal of the triangular power
         residues = [residue(a.exact, n) for a in op.diag]
         for j, r in enumerate(residues):

@@ -46,6 +46,8 @@ from typing import Iterable, Iterator, Union
 from mpmath import iv
 from mpmath.libmp.libmpi import mpi_cos_sin
 
+from .certificates import frac_str
+
 iv.prec = 128
 
 RationalLike = Union[int, Fraction]
@@ -220,6 +222,11 @@ class Bound:
     def dec(self, digits: int = 40) -> str:
         return dec_str(self.mid, digits)
 
+    def json_value(self) -> dict:
+        """The bound as ``certificates.encode_value`` writes it."""
+        return {"lo": frac_str(self.lo), "hi": frac_str(self.hi),
+                "dec": self.dec(40), "exact": self.is_exact}
+
     def __repr__(self) -> str:
         if self.is_exact:
             return f"Bound({self.lo})"
@@ -299,12 +306,12 @@ def cos_turns(t: RationalLike) -> Bound:
 
 
 # One linsys.build_operator at dimension N and horizon K computes each
-# power once and asks for at most N(3K + 2) keys: cos and sin, one key, of
-# the N diagonal angles at each of at most K + 1 working precisions, the N
-# chords at k = 0, and the cos-sin and chord keys of the N residues at
-# each k >= 1.  A repeated build asks again in the same order, and an LRU
-# cache smaller than such a cycle never hits, so the bound holds the 3,968
-# keys of dimension 64, horizon 20.
+# power once and asks for at most N(2K + 2) keys: cos and sin, one key, of
+# the N diagonal angles at one working precision, the N chords at k = 0,
+# and the cos-sin and chord keys of the N residues at each k >= 1.  A
+# repeated build asks again in the same order, and an LRU cache smaller
+# than such a cycle never hits, so the bound holds the 2,688 keys of
+# dimension 64, horizon 20.
 @lru_cache(maxsize=4096)
 def _enclose(kind: str, t: Fraction, bits: int) -> Bound | CBound:
     """The enclosure of the reduced turn value t at ``bits`` of working
@@ -345,6 +352,9 @@ class CBound:
     @property
     def is_exact(self) -> bool:
         return self.re.is_exact and self.im.is_exact
+
+    def json_value(self) -> dict:
+        return {"re": self.re.json_value(), "im": self.im.json_value()}
 
     def __add__(self, other: "CBound") -> "CBound":
         return CBound(self.re + other.re, self.im + other.im)

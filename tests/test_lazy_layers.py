@@ -1,0 +1,103 @@
+"""What a run loads: the CLI imports only what every kind needs, a config
+that validates loads its kind's modules, and ``run`` loads nothing more."""
+
+import json
+import subprocess
+import sys
+from fractions import Fraction as F
+from pathlib import Path
+
+import pytest
+
+from recurlab.certificates import encode_value
+from recurlab.circle import GRID_LIMIT
+from recurlab.cli import KINDS, PARAMS_SCHEMAS
+from recurlab.precision import Bound, CBound
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+TRI = {"name": "triangular-pow2", "count": 14}
+SMALL = {
+    "jamison": {"seq": {"name": "naturals", "count": 40}, "epsilon": "7/4",
+                "horizon": 39, "grid": 42, "expect": "witness"},
+    "witness": {"seq": TRI, "theta": "1/3", "horizon": 12, "target": "3/2"},
+    "kahane": {"seq": TRI, "stages": 4, "targets": {"rule": "inverse-linear"}},
+    "rankone": {"schedule": {"kind": "chacon", "rounds": 4}, "k_range": [1, 2]},
+    "linsys": {"seq": TRI, "dimension": 4, "horizon": 3, "delta": "1/2",
+               "witness_theta": "1/3", "mc": {"samples": 20}},
+    "bohr": {"r": 2, "n_max": 4, "eps": "1/16",
+             "probe": {"rotations": ["1/3", "1/6"], "eps": "1/100"}},
+    "gauss": {"kahane": {"seq": TRI, "stages": 4,
+                         "targets": {"rule": "inverse-linear"}},
+              "rectangle": [-0.6, 0.9, -0.7, 0.8], "blocks": 10, "side": "A",
+              "max_index": 12, "samples": 1000},
+}
+
+# validates SMALL[kind], runs it, and prints what each step loaded
+_RUN = """
+import json, sys
+from recurlab import cli
+start = set(sys.modules)
+config = cli.ExperimentConfig.from_dict(json.loads(sys.argv[1]))
+validated = set(sys.modules)
+report = cli.run(config, sys.argv[2])
+print(json.dumps({"passed": report["passed"],
+                  "from_dict": sorted(validated - start),
+                  "run": sorted(set(sys.modules) - validated),
+                  "loaded": sorted(sys.modules)}))
+"""
+
+
+def _fresh(code: str, *args: str) -> str:
+    return subprocess.run([sys.executable, "-c", code, *args], check=True,
+                          capture_output=True, text=True,
+                          env={"PYTHONPATH": SRC}).stdout
+
+
+def _tops(modules) -> set:
+    return {m.split(".")[0] for m in modules}
+
+
+def test_cli_import_loads_no_numpy_mpmath_or_jsonschema():
+    out = _fresh("import json, sys, recurlab.cli; print(json.dumps(sorted(sys.modules)))")
+    assert not _tops(json.loads(out)) & {"numpy", "mpmath", "jsonschema"}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_run_loads_nothing_after_from_dict(kind, tmp_path):
+    data = {"schema": "recurlab/1", "kind": kind, "params": SMALL[kind]}
+    got = json.loads(_fresh(_RUN, json.dumps(data), str(tmp_path)))
+    assert got["passed"]
+    assert got["run"] == []
+
+
+def test_rankone_run_loads_no_mpmath_or_numpy(tmp_path):
+    data = {"schema": "recurlab/1", "kind": "rankone", "params": SMALL["rankone"]}
+    got = json.loads(_fresh(_RUN, json.dumps(data), str(tmp_path)))
+    assert got["passed"] and (tmp_path / "levels.csv").exists()
+    assert "recurlab.rankone" in got["from_dict"]
+    assert not _tops(got["loaded"]) & {"numpy", "mpmath"}
+    assert "recurlab.precision" not in got["loaded"]
+
+
+_INEXACT = {"lo": "1/3", "hi": "1/2",
+            "dec": "0.4166666666666666666666666666666666666667", "exact": False}
+_EXACT = {"lo": "-3/4", "hi": "-3/4", "dec": "-0.75", "exact": True}
+_ONE = {"re": {"lo": "1/1", "hi": "1/1", "dec": "1", "exact": True},
+        "im": {"lo": "0/1", "hi": "0/1", "dec": "0", "exact": True}}
+
+
+def test_encode_value_of_bounds_matches_golden_dicts():
+    inexact, exact = Bound(F(1, 3), F(1, 2)), Bound.exact(F(-3, 4))
+    assert encode_value(inexact) == _INEXACT
+    assert encode_value(exact) == _EXACT
+    assert encode_value(CBound(inexact, exact)) == {"re": _INEXACT, "im": _EXACT}
+    assert encode_value(CBound.exact(1)) == _ONE
+    nested = {"k": [exact, (CBound.exact(1), inexact)], 2: {"x": inexact}}
+    assert encode_value(nested) == {"k": [_EXACT, [_ONE, _INEXACT]],
+                                    "2": {"x": _INEXACT}}
+
+
+def test_jamison_grid_maximum_is_below_the_grid_limit():
+    grid = PARAMS_SCHEMAS["jamison"]["properties"]["grid"]
+    assert grid["maximum"] == GRID_LIMIT - 1
