@@ -292,6 +292,16 @@ class JamisonReport:
     candidates_checked: int
 
 
+def _row_max(rows: np.ndarray, cols: np.ndarray, grid: int) -> np.ndarray:
+    """``max min(r, grid - r)`` over cols of ``r = i n mod grid``, per row i."""
+    r = rows[:, None] * cols[None, :]
+    np.fmod(r, grid, out=r)          # r >= 0, so fmod is the residue
+    return np.minimum(r, grid - r).max(axis=1)
+
+
+_PROBES = 32      # columns of the per-row lower bound
+
+
 def _grid_scan(terms: list[int], grid: int) -> tuple[int, int]:
     """First ``i`` minimising ``max min(r, grid - r)``, ``r = i n mod grid``;
     returns (i, that max).  Rows ``i`` and ``grid - i`` are equal, so only
@@ -299,22 +309,46 @@ def _grid_scan(terms: list[int], grid: int) -> tuple[int, int]:
     distances in every row, so the columns are the distinct folded residues
     ``min(n mod grid, grid - n mod grid)``.  Products are at most
     ``(grid // 2) ** 2``: int32 while that is below 2**31 (up to grid
-    92,681), else int64 (``grid < 2**31``, which the caller enforces)."""
+    92,681), else int64 (``grid < 2**31``, which the caller enforces).
+
+    Best first: the max over ``_PROBES`` evenly spaced columns bounds each
+    row from below, and rows are evaluated on every column in ascending
+    (bound, i), in cache-sized batches, until the next bound and row come
+    after the best (value, i) so far; no row left can beat it or tie it at
+    a smaller i.  The bounds are taken over blocks of rows, so memory stays
+    bounded at any grid, and a later block can only beat the best with a
+    strictly smaller value.  With at most ``2 * _PROBES`` columns the bound
+    takes every column and is the value itself."""
     dtype = np.int32 if (grid // 2) ** 2 < 2 ** 31 else np.int64
     folded = {min(n % grid, -n % grid) for n in terms}
     n_arr = np.array(sorted(folded), dtype=dtype)
-    best_i, best_d = 0, grid
+    m = len(n_arr)
+    p = m if m <= 2 * _PROBES else _PROBES     # bounds cost under half a row
+    probes = n_arr[np.arange(p) * m // p]
     half = grid // 2
-    chunk = max(1, (1 << 16) // len(n_arr))     # a cache-sized block of rows
-    for lo in range(1, half + 1, chunk):
-        ii = np.arange(lo, min(lo + chunk, half + 1), dtype=dtype)
-        r = ii[:, None] * n_arr[None, :]
-        np.fmod(r, grid, out=r)          # r >= 0, so fmod is the residue
-        d = np.minimum(r, grid - r).max(axis=1)
-        j = int(d.argmin())
-        if int(d[j]) < best_d:
-            best_d, best_i = int(d[j]), lo + j
-    return best_i, best_d
+    batch = max(1, (1 << 16) // m)      # a cache-sized batch of rows
+    # rows bounded at once: a cache-sized block when the bounds are the
+    # values, else a long one for the best-first order to range over
+    block = (1 << 16) // p if p == m else (1 << 20) // p
+    best = (grid, 0)
+    for lo in range(1, half + 1, block):
+        ii = np.arange(lo, min(lo + block, half + 1), dtype=dtype)
+        bound = _row_max(ii, probes, grid)
+        if p == m:      # every column is a probe: the bounds are the values
+            j = int(bound.argmin())
+            best = min(best, (int(bound[j]), int(ii[j])))
+            continue
+        order = np.argsort(bound, kind="stable")    # ties in ascending i
+        ranked = ii[order]
+        firsts = zip(bound[order[::batch]].tolist(), ranked[::batch].tolist())
+        for at, first in zip(range(0, len(ranked), batch), firsts):
+            if first > best:
+                break
+            rows = ranked[at:at + batch]
+            d = _row_max(rows, n_arr, grid)
+            d_min = int(d.min())
+            best = min(best, (d_min, int(rows[d == d_min].min())))
+    return best[1], best[0]
 
 
 def _refine_float(theta0: float, terms: list[int], halfwidth: float,

@@ -33,10 +33,12 @@ the powers n_k = 2^(k(k+1)/2) of one operator square once between them.
 Halving the weight scale rho is an exact diagonal similarity,
 T(rho / 2^h) = S T(rho) S^-1 with S = diag(2^(h i)), so ``build_operator``
 computes each power T^{n_k} once, at the first halving that reaches row k,
-and rescales its disks at every later one.  The rounding made at the
-larger scale shrinks with the entries, so in practice no bound is looser
-than powering afresh; at 53 bits dimension 16 certifies through horizon 9
-(n = 2^45).
+and rescales its disks only for a later halving that reads them: for its
+radius check, until that first passes, and for its norm_TD, which a
+halving reads from the deepest row up to the first failing one.  The
+rounding made at the larger scale shrinks with the entries, so in
+practice no bound is looser than powering afresh; at 53 bits dimension 16
+certifies through horizon 9 (n = 2^45).
 """
 
 from __future__ import annotations
@@ -51,8 +53,8 @@ import numpy as np
 
 from .certificates import Certificate, frac_str
 from .circle import AngleTurns, PerturbResult, chord_extreme, perturb_divisibility
-from .precision import (Bound, bits_for_power, bound_max, chord, cos_turns,
-                        get_bits, residue, sin_turns, working_bits)
+from .precision import (Bound, bound_max, chord, cos_turns, get_bits,
+                        residue, sin_turns, working_bits)
 from .seqcore import IntegerSequence
 
 
@@ -283,19 +285,29 @@ def _fixed(b: Bound, bits: int) -> tuple[int, int]:
     return mid, hi - mid
 
 
-def _unit_entry(theta: Fraction, bits: int) -> tuple[int, int, int]:
-    """e^{2 pi i theta} as (re, im, rad) in 2^-bits units, from the trig
-    enclosures at the working precision."""
-    re, re_rad = _fixed(cos_turns(theta), bits)
-    im, im_rad = _fixed(sin_turns(theta), bits)
+def _unit_entry(cos: Bound, sin: Bound, bits: int) -> tuple[int, int, int]:
+    """The unit-circle point with these cos and sin enclosures as
+    (re, im, rad) in 2^-bits units."""
+    re, re_rad = _fixed(cos, bits)
+    im, im_rad = _fixed(sin, bits)
     return re, im, re_rad + im_rad
+
+
+def _chord_upper(cos: Bound, sin: Bound, bits: int) -> int:
+    """Upper end in 2^-bits units of the chord |lambda - 1| of the
+    unit-circle point lambda with these cos and sin enclosures:
+    |lambda - 1|^2 = (1 - cos)^2 + sin^2, and 1 - cos >= 0 is largest at
+    the low end of cos."""
+    sq = (1 - cos.lo) ** 2 + max(sin.lo ** 2, sin.hi ** 2)
+    return _ceil_sqrt(math.ceil(sq * 4 ** bits))
 
 
 def _operator_disks(op: DiagShiftOperator, bits: int):
     N = op.dimension
     re, im, rad = (np.zeros((N, N), dtype=object) for _ in range(3))
     for j, a in enumerate(op.diag):
-        re[j, j], im[j, j], rad[j, j] = _unit_entry(a.exact, bits)
+        cis = cos_turns(a.exact), sin_turns(a.exact)
+        re[j, j], im[j, j], rad[j, j] = _unit_entry(*cis, bits)
     for i, w in enumerate(op.weights):
         re[i, i + 1], rad[i, i + 1] = _fixed(Bound.exact(w), bits)
     return re, im, rad
@@ -406,18 +418,20 @@ def power_norm(op: DiagShiftOperator, n: int, bits: int = 53,
 def _power_disks(op: DiagShiftOperator, n: int, bits: int):
     """The disks (re, im, rad) of T^n in 2^-bits units with the diagonal
     overridden by its exact value lambda_j^n, and the upper ends of the
-    chords |lambda_j^n - 1| in the same units.  The disks of T itself are
-    enclosed at one precision for every n, so the rows of a build share
-    one set of trig enclosures."""
+    chords |lambda_j^n - 1| in the same units.  Every trig enclosure,
+    those of T and those of the residues n theta_j, is made at one
+    precision 32 bits above ``bits``, because the powers run on integers
+    in 2^-bits units and read nothing finer; each residue is enclosed
+    once, for its diagonal entry and its chord."""
     with working_bits(max(get_bits(), bits + 32)):
-        T = _operator_disks(op, bits)
-    with working_bits(max(get_bits(), bits + 32, bits_for_power(n))):
-        re, im, rad = _mat_power(T, n, bits)
+        re, im, rad = _mat_power(_operator_disks(op, bits), n, bits)
         # exact diagonal of the triangular power
-        residues = [residue(a.exact, n) for a in op.diag]
-        for j, r in enumerate(residues):
-            re[j, j], im[j, j], rad[j, j] = _unit_entry(r, bits)
-        chords = [math.ceil(chord(r).hi * 2 ** bits) for r in residues]
+        chords = []
+        for j, a in enumerate(op.diag):
+            r = residue(a.exact, n)
+            cis = cos_turns(r), sin_turns(r)
+            re[j, j], im[j, j], rad[j, j] = _unit_entry(*cis, bits)
+            chords.append(_chord_upper(*cis, bits))
     return (re, im, rad), chords
 
 
@@ -556,7 +570,9 @@ def build_operator(seq: IntegerSequence, N: int, K: int, delta,
     raise PrecisionError is halved too; the error escapes only at the
     last allowed halving.  Each power is computed at the first halving
     that reaches its row, not all at rho0, where the integers grow without
-    bound at deep horizons, and rescaled after (``_rescale``).
+    bound at deep horizons, and rescaled (``_rescale``) from there only for
+    a halving that reads it.  The rows are reached in ascending k, so each
+    is computed at the same halving whichever rows are read.
     Deterministic; the final rho and the number of halvings land in the
     build record.
     """
@@ -568,19 +584,31 @@ def build_operator(seq: IntegerSequence, N: int, K: int, delta,
     powers = [seq.term(k) for k in range(K + 1)]
     rho = Fraction(rho0)
     computed: dict[int, tuple] = {}     # k -> (halving, disks, chords)
+    # rows whose radii passed at some halving: a later rescale maps a
+    # radius <= 2^(bits-8) to at most 2^(bits-9) + 2 off the diagonal and
+    # keeps the diagonal, so for bits >= 10 such a row never fails again
+    radius_ok: set[int] = set()
     for halvings in range(MAX_HALVINGS + 1):
         op = chain.to_operator(build_shift_weights(N, rho))
-        scaled = {}
+        scaled = {}     # k -> disks at this halving, rescaled when read
+
+        def at_scale(k):
+            if k not in scaled:
+                h, P, _ = computed[k]
+                scaled[k] = _rescale(P, halvings - h) if h < halvings else P
+            return scaled[k]
+
         try:
-            # every radius is checked before any norm is assembled, so a
-            # weight scale that runs out of precision costs only rescales
+            # the radii are checked in ascending rows before any norm is
+            # assembled, so a weight scale that runs out of precision costs
+            # only the rescales of rows not yet checked
             for k, p in enumerate(powers):
                 if p and not op.is_diagonal:
                     if k not in computed:
                         computed[k] = (halvings, *_power_disks(op, p, bits))
-                    h, P, chords = computed[k]
-                    P = _radius_checked(_rescale(P, halvings - h), p, bits)
-                    scaled[k] = P, chords
+                    if k not in radius_ok:
+                        _radius_checked(at_scale(k), p, bits)
+                        radius_ok.add(k)
         except PrecisionError:
             # the weights feed the radii, so a smaller rho may certify
             if halvings == MAX_HALVINGS:
@@ -591,15 +619,16 @@ def build_operator(seq: IntegerSequence, N: int, K: int, delta,
             # ends are assembled at the passing halving alone; the deepest
             # rows fail first, and the first failing row ends the decision
             upper_td = {}
-            for k in sorted(scaled, reverse=True):
-                upper_td[k] = _td_upper(scaled[k][0], bits)
+            for k in sorted(computed, reverse=True):
+                upper_td[k] = _td_upper(at_scale(k), bits)
                 if upper_td[k] >= delta / 2:
                     break
             else:
                 rows = []
                 for k, p in enumerate(powers):
-                    res = (_power_bounds(*scaled[k], p, bits, upper_td[k])
-                           if k in scaled else power_norm(op, p, bits=bits))
+                    res = (_power_bounds(at_scale(k), computed[k][2], p, bits,
+                                         upper_td[k])
+                           if k in computed else power_norm(op, p, bits=bits))
                     rows.append(NormRow(k, p, res.norm_ti, res.norm_td, bits))
                 norms = NormCertificate(seq.label, delta, rows, N)
                 return OperatorBuild(op, chain, norms, rho, halvings, delta)

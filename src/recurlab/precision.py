@@ -306,12 +306,13 @@ def cos_turns(t: RationalLike) -> Bound:
 
 
 # One linsys.build_operator at dimension N and horizon K computes each
-# power once and asks for at most N(2K + 2) keys: cos and sin, one key, of
-# the N diagonal angles at one working precision, the N chords at k = 0,
-# and the cos-sin and chord keys of the N residues at each k >= 1.  A
-# repeated build asks again in the same order, and an LRU cache smaller
-# than such a cycle never hits, so the bound holds the 2,688 keys of
-# dimension 64, horizon 20.
+# power once and asks for at most N(K + 2) cos-sin keys, all at one working
+# precision: the N diagonal angles, and the N residues at each k (the
+# residues at k = 0 are the angles when n_0 = 1), each residue serving its
+# diagonal entry and its chord; its diagonal chain adds the chord keys of
+# at most 4N + 48 candidate moves.  A repeated build asks again in the same
+# order, and an LRU cache smaller than such a cycle never hits, so the
+# bound holds the 1,408 + 304 keys of dimension 64, horizon 20.
 @lru_cache(maxsize=4096)
 def _enclose(kind: str, t: Fraction, bits: int) -> Bound | CBound:
     """The enclosure of the reduced turn value t at ``bits`` of working

@@ -216,6 +216,59 @@ def test_grid_scan_matches_full_loop_at_the_dtype_switch(grid, data):
     assert _grid_scan([grid // 2], grid) == _grid_scan_loop([grid // 2], grid)
 
 
+def _grid_scan_full(terms, grid):
+    """Reference: every folded column of every half-grid row, in blocks of
+    rows in ascending order, as the scan ran before it went best first."""
+    dtype = np.int32 if (grid // 2) ** 2 < 2 ** 31 else np.int64
+    folded = {min(n % grid, -n % grid) for n in terms}
+    n_arr = np.array(sorted(folded), dtype=dtype)
+    best_i, best_d = 0, grid
+    half = grid // 2
+    chunk = max(1, (1 << 16) // len(n_arr))
+    for lo in range(1, half + 1, chunk):
+        ii = np.arange(lo, min(lo + chunk, half + 1), dtype=dtype)
+        r = ii[:, None] * n_arr[None, :]
+        np.fmod(r, grid, out=r)
+        d = np.minimum(r, grid - r).max(axis=1)
+        j = int(d.argmin())
+        if int(d[j]) < best_d:
+            best_d, best_i = int(d[j]), lo + j
+    return best_i, best_d
+
+
+_PRIMES = [2, 3, 5, 7, 101, 997, 1009, 2003, 4099, 7919]
+
+
+def test_best_first_scan_matches_full_scan():
+    # random grids and primes; term lists with few columns (the bound is the
+    # value) and many (more than twice the 32 probes), multiples of a
+    # divisor d of the grid (rows i and i + grid / d tie), and 1..grid-1
+    # (at a prime grid every row ties at grid // 2)
+    rng = np.random.default_rng(20261021)
+    for case in range(240):
+        grid = int(rng.choice(_PRIMES)) if case % 3 == 0 else int(rng.integers(1, 6000))
+        shape = case % 4
+        if shape == 0:
+            terms = rng.integers(0, 10 ** 6, rng.integers(1, 300)).tolist()
+        elif shape == 1:
+            step = int(rng.integers(1, 30))
+            terms = [step * int(n) for n in rng.integers(0, 10 ** 4, rng.integers(1, 300))]
+        elif shape == 2:
+            d = int(rng.choice([q for q in range(1, 21) if grid % q == 0]))
+            terms = [d * n for n in range(grid // d)]
+        else:
+            terms = list(range(1, grid))
+        assert _grid_scan(terms, grid) == _grid_scan_full(terms, grid), (grid, terms)
+
+
+def test_best_first_scan_at_the_dtype_switch_and_prime_grids():
+    for grid in (46_341, 92_681, 92_682):
+        for terms in ([1, 2, 3], [grid // 2, grid // 3, 77_777], [5, 10, 15, 20] * 9):
+            assert _grid_scan(terms, grid) == _grid_scan_full(terms, grid), (grid, terms)
+    terms = list(range(1, 2000))
+    assert _grid_scan(terms, 1999) == _grid_scan_full(terms, 1999) == (1, 999)
+
+
 def _grid_scan_unfolded(terms, grid):
     """Reference: the half-grid block scan with one column per term, no
     folding or deduplication."""

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction as F
@@ -14,7 +15,7 @@ from recurlab.linsys import (BallCertificate, DiagShiftOperator, NormCertificate
                              build_operator, build_shift_weights,
                              kalish_eigencheck, norm_table_csv, power_norm,
                              telescope_gap)
-from recurlab.precision import (Bound, bits_for_power, chord, get_bits,
+from recurlab.precision import (Bound, chord, cos_turns, get_bits, sin_turns,
                                 working_bits)
 from recurlab.seqcore import gen_divisibility, triangular_pow2
 
@@ -271,11 +272,12 @@ def test_power_norm_contains_true_norms_at_96_bits(angles, weights, n):
     ti, td = _reference_norms(op, n)
     assert res.norm_ti.lo <= ti <= res.norm_ti.hi
     assert res.norm_td.lo <= td <= res.norm_td.hi
-    # one diagonal entry in the precision context power_norm runs in
+    # one diagonal entry in the precision context _power_disks encloses
+    # every entry in
     from recurlab.linsys import _unit_entry
     theta = op.diag[0].exact
-    with working_bits(max(get_bits(), 96 + 32, bits_for_power(n))):
-        re, im, rad = _unit_entry(theta, 96)
+    with working_bits(max(get_bits(), 96 + 32)):
+        re, im, rad = _unit_entry(cos_turns(theta), sin_turns(theta), 96)
     with mp.workprec(300):
         true = mp.expjpi(2 * mp.mpf(theta.numerator) / theta.denominator)
         assert abs(mpc(re, im) / 2 ** 96 - true) <= mp.mpf(rad) / 2 ** 96
@@ -372,6 +374,75 @@ def test_rescaled_power_contains_true_norms():
         unit = F(1, 2 ** bits)
         assert res.norm_ti.hi <= direct.norm_ti.hi + unit
         assert res.norm_td.hi <= direct.norm_td.hi + unit
+
+
+def test_chord_upper_from_cos_sin_encloses_the_chord():
+    # the chord end of a diagonal entry comes from its cos/sin enclosure:
+    # never below the true chord, at most one unit above the end taken
+    # from a chord enclosure at the same precision
+    rng = random.Random(20261021)
+    specials = [F(0), F(1, 2), F(1, 3), F(1, 4), F(1, 6), F(5, 6), F(3, 4)]
+    for bits in (53, 96, 256):
+        residues = specials + [F(rng.randrange(1, q), q)
+                               for q in (rng.randrange(2, 2 ** 40) for _ in range(200))]
+        with working_bits(max(get_bits(), bits + 32)):
+            ends = [(r, linsys._chord_upper(cos_turns(r), sin_turns(r), bits),
+                     chord(r).hi) for r in residues]
+        with mp.workprec(300):
+            for r, end, hi in ends:
+                true = abs(mp.expjpi(2 * mp.mpf(r.numerator) / r.denominator) - 1)
+                assert end >= true * 2 ** bits, (r, bits)
+                assert end <= math.ceil(hi * 2 ** bits) + 1, (r, bits)
+
+
+@pytest.mark.parametrize("N, K, delta, bits", [
+    (8, 4, DELTA, 53), (16, 5, F(1, 2), 53), (16, 9, F(1, 2), 53),
+    (6, 5, F(1, 2), 96)])
+def test_build_operator_rescales_only_rows_it_reads(monkeypatch, N, K, delta, bits):
+    # a row's radii are checked until they first pass, and a halving
+    # rescales only the rows whose norm_TD it reads
+    shifts = []
+    rescale = linsys._rescale
+
+    def counted(P, h):
+        shifts.append(h)
+        return rescale(P, h)
+
+    monkeypatch.setattr(linsys, "_rescale", counted)
+    build = build_operator(SEQ, N=N, K=K, delta=delta, bits=bits)
+    assert build.norms.passed
+    assert 0 < len(shifts) <= build.halvings + K + 1
+    assert 0 not in shifts
+
+
+# sha256 of report.json without its "out" key, and of norms.csv, for
+# triangular-pow2 linsys configs at delta 1/2, as the build wrote them
+# before it enclosed each residue once and rescaled rows lazily
+LINSYS_GOLDEN = {
+    (16, 5, 53, 14): ("88f03a6b2035fc050d79633a0c506cd809b836928193b53ded1b0a68769d623f",
+                      "5ec2be5c5ec75eb5a819551b3761ba4c2531203f482e72e4bbdfa9183c0baa6c"),
+    (16, 9, 53, 14): ("63512064521b911be2490d26c7f468d6c50466dd6528317acc2a2afeb04897ae",
+                      "adc60e859a8c32373af019b10aa0b30a8dd76485dbf660f9391a01aef17495ba"),
+    (8, 6, 96, 14): ("96e6db816ccf0621f2cd8a20a610f7e4eb4df36f37ec26c8b149971ecb5a1b07",
+                     "f5b0d21bfd0b4571e7235dfdee6aceee999ddb088694651d18169f4b12a1fe15"),
+    (16, 20, 256, 21): ("f6f6263e2eb8319c160c3a7147f405a596fd5591ac6d93b4aedf125c4e68f7c4",
+                        "f35fee281da9b9fe176fc375db1d3f7ba39a3a24ac557a36141b0e0a51679a9c"),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(LINSYS_GOLDEN))
+def test_linsys_reports_match_golden_digests(tmp_path, shape):
+    from recurlab import cli
+    from recurlab.certificates import dump_json
+    N, K, bits, count = shape
+    config = {"schema": "recurlab/1", "kind": "linsys", "bits": bits,
+              "params": {"seq": {"name": "triangular-pow2", "count": count},
+                         "dimension": N, "horizon": K, "delta": "1/2"}}
+    report = cli.run(cli.ExperimentConfig.from_dict(config), tmp_path)
+    del report["config"]["out"]
+    digests = (hashlib.sha256(dump_json(report).encode()).hexdigest(),
+               hashlib.sha256((tmp_path / "norms.csv").read_bytes()).hexdigest())
+    assert digests == LINSYS_GOLDEN[shape]
 
 
 def _norms_with_sup(c: F) -> NormCertificate:
