@@ -318,14 +318,18 @@ def _grid_scan(terms: list[int], grid: int) -> tuple[int, int]:
     a smaller i.  The bounds are taken over blocks of rows, so memory stays
     bounded at any grid, and a later block can only beat the best with a
     strictly smaller value.  With at most ``2 * _PROBES`` columns the bound
-    takes every column and is the value itself."""
-    dtype = np.int32 if (grid // 2) ** 2 < 2 ** 31 else np.int64
+    takes every column and is the value itself.  When the columns are every
+    residue ``1..grid // 2`` the rows have a closed form (``_complete_scan``)
+    and none is evaluated."""
+    half = grid // 2
     folded = {min(n % grid, -n % grid) for n in terms}
+    if len(folded - {0}) == half:      # column 0 is 0 in every row
+        return _complete_scan(grid)
+    dtype = np.int32 if (grid // 2) ** 2 < 2 ** 31 else np.int64
     n_arr = np.array(sorted(folded), dtype=dtype)
     m = len(n_arr)
     p = m if m <= 2 * _PROBES else _PROBES     # bounds cost under half a row
     probes = n_arr[np.arange(p) * m // p]
-    half = grid // 2
     batch = max(1, (1 << 16) // m)      # a cache-sized batch of rows
     # rows bounded at once: a cache-sized block when the bounds are the
     # values, else a long one for the best-first order to range over
@@ -349,6 +353,24 @@ def _grid_scan(terms: list[int], grid: int) -> tuple[int, int]:
             d_min = int(d.min())
             best = min(best, (d_min, int(rows[d == d_min].min())))
     return best[1], best[0]
+
+
+def _complete_scan(grid: int) -> tuple[int, int]:
+    """``_grid_scan`` over the columns ``1..grid // 2``, in closed form.
+
+    Columns n and grid - n give equal distances, so row i ranges over every
+    residue ``i n mod grid``: the multiples of ``d = gcd(i, grid)``, whose
+    largest distance to 0 mod grid is ``d ((grid / d) // 2)``.  That is
+    grid / 2 when grid / d is even and (grid - d) / 2 when it is odd, least
+    for the largest d with grid / d odd: ``d = grid / p`` for the least odd
+    prime p dividing grid, first reached at row i = d.  When grid is a power
+    of two every row has the value grid / 2 and row 1 is the first."""
+    odd = grid // (grid & -grid)
+    if odd == 1:
+        return (1, grid // 2) if grid > 1 else (0, grid)
+    p = next((f for f in range(3, math.isqrt(odd) + 1, 2) if odd % f == 0), odd)
+    d = grid // p
+    return d, d * (p // 2)
 
 
 def _refine_float(theta0: float, terms: list[int], halfwidth: float,

@@ -13,12 +13,14 @@ What is certified and what is sampled:
   T^n - D^n.  Matrix powers run by binary exponentiation in
   midpoint-radius arithmetic on exact integers in units of 2^-bits:
   products are exact, and the floor shift back to 2^-bits units is
-  charged to the radius, so no rounding model is involved.  The diagonal
-  of T^n is replaced by its enclosure of the exact unit-circle value, and
-  the ``.hi`` ends are assembled in integers from an elementwise upper
-  matrix, so they are true upper bounds.  The ``.lo`` ends come from a
-  residual Rayleigh quotient on a floating singular vector scaled to
-  integers, evaluated exactly.
+  charged to the radius, so no rounding model is involved.  Every power
+  of T is upper triangular, so products run on the upper triangle alone.
+  The diagonal of T^n is replaced by its enclosure of the exact
+  unit-circle value, read in those units from the dyadic ends of
+  ``precision.cis_ends`` by a shift, and the ``.hi`` ends are assembled
+  in integers from an elementwise upper matrix, so they are true upper
+  bounds.  The ``.lo`` ends come from a residual Rayleigh quotient on a
+  floating singular vector scaled to integers, evaluated exactly.
 * ``ball_certificate`` turns a rotation-witness delta and a norm table
   into the exact largest radius gamma with
   delta*(1-gamma) - c*(1+gamma) > 2*gamma.
@@ -53,8 +55,8 @@ import numpy as np
 
 from .certificates import Certificate, frac_str
 from .circle import AngleTurns, PerturbResult, chord_extreme, perturb_divisibility
-from .precision import (Bound, bound_max, chord, cos_turns, get_bits,
-                        residue, sin_turns, working_bits)
+from .precision import (Bound, bound_max, chord, cis_ends, get_bits, residue,
+                        working_bits)
 from .seqcore import IntegerSequence
 
 
@@ -274,53 +276,128 @@ def _ceil_sqrt(x: int) -> int:
     return r if r * r == x else r + 1
 
 
-# elementwise upper bound of |re + i im|
-_abs_upper = np.frompyfunc(lambda re, im: _ceil_sqrt(re * re + im * im), 2, 1)
+_isqrt = np.frompyfunc(math.isqrt, 1, 1)
 
 
-def _fixed(b: Bound, bits: int) -> tuple[int, int]:
-    """Midpoint and radius in 2^-bits units of a disk around ``b``."""
-    lo, hi = math.floor(b.lo * 2 ** bits), math.ceil(b.hi * 2 ** bits)
+def _abs_upper(re, im):
+    """Elementwise upper bound of |re + i im| for object arrays of ints."""
+    sq = re * re + im * im
+    r = _isqrt(sq)
+    return r + (r * r != sq).astype(object)
+
+
+def _dyadic(x) -> tuple[int, int]:
+    """(v, e) with v 2^e the value of an mpf tuple."""
+    sign, man, exp, _ = x
+    return (-int(man) if sign else int(man)), int(exp)
+
+
+def _floor_shift(v: int, s: int) -> int:
+    """floor(v 2^s)."""
+    return v << s if s >= 0 else v >> -s
+
+
+def _disk(lo: int, hi: int) -> tuple[int, int]:
+    """Midpoint and radius of a disk around [lo, hi]."""
     mid = (lo + hi) >> 1
     return mid, hi - mid
 
 
-def _unit_entry(cos: Bound, sin: Bound, bits: int) -> tuple[int, int, int]:
-    """The unit-circle point with these cos and sin enclosures as
-    (re, im, rad) in 2^-bits units."""
-    re, re_rad = _fixed(cos, bits)
-    im, im_rad = _fixed(sin, bits)
+def _fixed(w: Fraction, bits: int) -> tuple[int, int]:
+    """Midpoint and radius in 2^-bits units of a disk around ``w``."""
+    p, q = w.numerator << bits, w.denominator
+    return _disk(p // q, -(-p // q))
+
+
+def _unit_entry(cis, bits: int) -> tuple[int, int, int]:
+    """The unit-circle point with the ``precision.cis_ends`` enclosures cis
+    as (re, im, rad) in 2^-bits units: each end is one shift of its
+    mantissa, floored or ceiled outward, clamped to [-1, 1]."""
+    one = 1 << bits
+    disks = []
+    for lo, hi in cis:
+        (a, ea), (b, eb) = _dyadic(lo), _dyadic(hi)
+        disks.append(_disk(max(_floor_shift(a, ea + bits), -one),
+                           min(-_floor_shift(-b, eb + bits), one)))
+    (re, re_rad), (im, im_rad) = disks
     return re, im, re_rad + im_rad
 
 
-def _chord_upper(cos: Bound, sin: Bound, bits: int) -> int:
+def _chord_upper(cis, bits: int) -> int:
     """Upper end in 2^-bits units of the chord |lambda - 1| of the
-    unit-circle point lambda with these cos and sin enclosures:
+    unit-circle point lambda with the enclosures cis:
     |lambda - 1|^2 = (1 - cos)^2 + sin^2, and 1 - cos >= 0 is largest at
-    the low end of cos."""
-    sq = (1 - cos.lo) ** 2 + max(sin.lo ** 2, sin.hi ** 2)
-    return _ceil_sqrt(math.ceil(sq * 4 ** bits))
+    the low end of cos.  The ends are integers over one power of two 2^-e,
+    so the square is exact until the one ceiling to 4^-bits units."""
+    (c, _), (s_lo, s_hi) = cis
+    ends = [_dyadic(x) for x in (c, s_lo, s_hi)]
+    e = min(0, *(x for _, x in ends))
+    one = 1 << -e
+    c, s_lo, s_hi = (v << (x - e) for v, x in ends)
+    sq = (one - max(c, -one)) ** 2 + max(max(s_lo, -one) ** 2, min(s_hi, one) ** 2)
+    return _ceil_sqrt(-_floor_shift(-sq, 2 * (bits + e)))
 
 
 def _operator_disks(op: DiagShiftOperator, bits: int):
     N = op.dimension
     re, im, rad = (np.zeros((N, N), dtype=object) for _ in range(3))
     for j, a in enumerate(op.diag):
-        cis = cos_turns(a.exact), sin_turns(a.exact)
-        re[j, j], im[j, j], rad[j, j] = _unit_entry(*cis, bits)
+        re[j, j], im[j, j], rad[j, j] = _unit_entry(cis_ends(a.exact), bits)
     for i, w in enumerate(op.weights):
-        re[i, i + 1], rad[i, i + 1] = _fixed(Bound.exact(w), bits)
+        re[i, i + 1], rad[i, i + 1] = _fixed(w, bits)
     return re, im, rad
 
 
+@lru_cache(maxsize=None)
+def _triangle(N: int):
+    """Index arrays for products of upper-triangular N x N matrices.  The
+    upper triangle's positions (i, j), i <= j, in row order, are ``flat``
+    (as indices into the flattened matrix); ``a`` and ``b`` list, for each
+    position in turn, the positions (i, k) and (k, j), i <= k <= j, of the
+    terms of C[i, j] = sum_k A[i, k] B[k, j], as indices into the
+    triangle; ``starts`` is the first term of each position."""
+    at = {}
+    for i in range(N):
+        for j in range(i, N):
+            at[i, j] = len(at)
+    a, b, starts = [], [], []
+    for i, j in at:
+        starts.append(len(a))
+        a += [at[i, k] for k in range(i, j + 1)]
+        b += [at[k, j] for k in range(i, j + 1)]
+    flat = [i * N + j for i, j in at]
+    return tuple(np.array(x, dtype=np.intp) for x in (flat, a, b, starts))
+
+
 def _mm(A, B, bits: int):
-    (ar, ai, arad), (br, bi, brad) = A, B
-    re = ar @ br - ai @ bi
-    im = ar @ bi + ai @ br
-    rad = _abs_upper(ar, ai) @ brad + arad @ (_abs_upper(br, bi) + brad)
+    """The disks of A B for disks A and B of upper-triangular matrices, on
+    the upper triangle alone (the lower one is exactly zero).  The complex
+    centre takes three real products, im = (ar + ai)(br + bi) - ar br -
+    ai bi, exact on integers, and |A| is taken once when squaring."""
+    N = len(A[0])
+    flat, ka, kb, starts = _triangle(N)
+    ar, ai, arad = (M.take(flat) for M in A)
+    abs_a = _abs_upper(ar, ai)
+    if B is A:
+        br, bi, brad, abs_b = ar, ai, arad, abs_a
+    else:
+        br, bi, brad = (M.take(flat) for M in B)
+        abs_b = _abs_upper(br, bi)
+
+    def dot(x, y):
+        return np.add.reduceat(x[ka] * y[kb], starts)
+
+    rr, ii = dot(ar, br), dot(ai, bi)
+    re, im = rr - ii, dot(ar + ai, br + bi) - rr - ii
+    rad = dot(abs_a, brad) + dot(arad, abs_b + brad)
     low = (1 << bits) - 1
     lost = ((re & low) != 0).astype(object) + ((im & low) != 0).astype(object)
-    return re >> bits, im >> bits, -(-rad >> bits) + lost
+    out = []
+    for v in (re >> bits, im >> bits, -(-rad >> bits) + lost):
+        M = np.zeros((N, N), dtype=object)
+        M.flat[flat] = v
+        out.append(M)
+    return tuple(out)
 
 
 @lru_cache(maxsize=2)
@@ -428,10 +505,9 @@ def _power_disks(op: DiagShiftOperator, n: int, bits: int):
         # exact diagonal of the triangular power
         chords = []
         for j, a in enumerate(op.diag):
-            r = residue(a.exact, n)
-            cis = cos_turns(r), sin_turns(r)
-            re[j, j], im[j, j], rad[j, j] = _unit_entry(*cis, bits)
-            chords.append(_chord_upper(*cis, bits))
+            cis = cis_ends(residue(a.exact, n))
+            re[j, j], im[j, j], rad[j, j] = _unit_entry(cis, bits)
+            chords.append(_chord_upper(cis, bits))
     return (re, im, rad), chords
 
 

@@ -8,9 +8,12 @@ Conventions used throughout the package:
 * A certified real is a :class:`Bound`: a closed interval with exact
   rational endpoints guaranteed to contain the true value.  Interval
   arithmetic over Fractions is exact, so rigor is never lost to rounding;
-  transcendental entry points (sin, sqrt, pi) go through mpmath's interval
-  context at a configurable working precision and their dyadic endpoints
-  are pulled back into Fractions exactly.
+  transcendental entry points (sin, cos, sqrt, pi) call mpmath's libmp
+  interval functions on raw mpf tuples at a configurable working
+  precision, and their dyadic endpoints are pulled back into Fractions
+  exactly.  :func:`cis_ends` hands the raw ends of cos and sin to callers
+  that work in integer units of 2^-bits (``linsys``), which take them by a
+  shift and build no Fraction.
 * The *chord* of a turn ``t`` is ``|e^{2 pi i t} - 1| = 2 |sin(pi t)|``.
   It depends only on the distance from ``t`` to the nearest integer and is
   monotone in that distance, which lets callers take sups and infs over
@@ -18,13 +21,14 @@ Conventions used throughout the package:
   :func:`distance_numerators`, evaluating only the extremal residue.
 
 The working precision defaults to 128 bits and is held by mpmath's
-interval context alone; :func:`working_bits` sets it for a block and
-restores it on exit.  The transcendental enclosures of :func:`chord`,
-:func:`sin_turns` and :func:`cos_turns` are memoised in a bounded cache
-keyed by the reduced turn value and the working bits, so a repeated
-argument costs one lookup and a coarse enclosure is never served to a
-finer precision.  Cosine and sine of a turn come from one mpmath
-evaluation and share one cache entry.
+interval context (``iv.prec``) alone; :func:`working_bits` sets it for a
+block and restores it on exit.  The transcendental enclosures of
+:func:`chord`, :func:`sin_turns` and :func:`cos_turns` are memoised in a
+bounded cache keyed by the reduced turn value and the working bits, so a
+repeated argument costs one lookup and a coarse enclosure is never served
+to a finer precision; the raw ends of :func:`cis_ends` have a cache of
+their own.  Cosine and sine of a turn come from one libmp evaluation and
+share one cache entry.
 
 Exact arithmetic stays exact without a gcd at every step: dyadic
 endpoints become Fractions by a shift, and the products and sums that
@@ -44,7 +48,9 @@ from math import lcm
 from typing import Iterable, Iterator, Union
 
 from mpmath import iv
-from mpmath.libmp.libmpi import mpi_cos_sin
+from mpmath.libmp import (fhalf, fnone, fone, fzero, from_int, mpf_neg, mpf_pi,
+                          mpf_sqrt, round_ceiling, round_floor)
+from mpmath.libmp.libmpi import mpi_cos_sin, mpi_div, mpi_mul, mpi_sin
 
 from .certificates import frac_str
 
@@ -59,6 +65,14 @@ _EXACT_CHORDS = {
     Fraction(1, 6): Fraction(1),
     Fraction(1, 2): Fraction(2),
 }
+
+# cos(2 pi t) and sin(2 pi t) at the turns t = p/q in [0, 1) where they are
+# rational, keyed by (p, q); every such value is dyadic, so it is an mpf tuple
+_EXACT_COS = {(0, 1): fone, (1, 2): fnone, (1, 3): mpf_neg(fhalf),
+              (2, 3): mpf_neg(fhalf), (1, 4): fzero, (3, 4): fzero,
+              (1, 6): fhalf, (5, 6): fhalf}
+_EXACT_SIN = {(0, 1): fzero, (1, 2): fzero, (1, 4): fone, (3, 4): fnone}
+_TWO = (from_int(2), from_int(2))
 
 
 def set_bits(bits: int) -> None:
@@ -111,10 +125,22 @@ def _mpf_tuple_to_fraction(t) -> Fraction:
     return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
 
 
-def _to_iv(x: RationalLike):
-    """Exact rational -> interval scalar (endpoints correctly rounded)."""
-    fr = Fraction(x)
-    return iv.mpf(fr.numerator) / iv.mpf(fr.denominator)
+def _bound(ends) -> "Bound":
+    """The Bound of a pair of mpf tuples."""
+    return Bound(_mpf_tuple_to_fraction(ends[0]), _mpf_tuple_to_fraction(ends[1]))
+
+
+def _mpi_of(x: Fraction, bits: int):
+    """The libmp interval of an exact rational at ``bits``: the quotient of
+    its numerator and denominator, each rounded outward."""
+    p, q = x.numerator, x.denominator
+    return mpi_div((from_int(p, bits, round_floor), from_int(p, bits, round_ceiling)),
+                   (from_int(q, bits, round_floor), from_int(q, bits, round_ceiling)),
+                   bits)
+
+
+def _mpi_pi(bits: int):
+    return mpf_pi(bits, round_floor), mpf_pi(bits, round_ceiling)
 
 
 @dataclass(frozen=True)
@@ -134,11 +160,6 @@ class Bound:
     def exact(x: RationalLike) -> "Bound":
         fr = Fraction(x)
         return Bound(fr, fr)
-
-    @staticmethod
-    def from_iv(x) -> "Bound":
-        a, b = x._mpi_
-        return Bound(_mpf_tuple_to_fraction(a), _mpf_tuple_to_fraction(b))
 
     # -- queries ------------------------------------------------------
 
@@ -214,8 +235,9 @@ class Bound:
     def sqrt(self) -> "Bound":
         if self.lo < 0:
             raise ValueError("sqrt of an interval reaching below 0")
-        lo = iv.sqrt(_to_iv(self.lo))._mpi_[0]
-        hi = iv.sqrt(_to_iv(self.hi))._mpi_[1]
+        bits = get_bits()
+        lo = mpf_sqrt(_mpi_of(self.lo, bits)[0], bits, round_floor)
+        hi = mpf_sqrt(_mpi_of(self.hi, bits)[1], bits, round_ceiling)
         return Bound(max(Fraction(0), _mpf_tuple_to_fraction(lo)),
                      _mpf_tuple_to_fraction(hi))
 
@@ -256,7 +278,7 @@ def bound_sum(bounds: Iterable[Bound]) -> Bound:
 
 
 def pi_bound() -> Bound:
-    return Bound.from_iv(iv.pi)
+    return _bound(_mpi_pi(get_bits()))
 
 
 def two_pi_upper() -> Fraction:
@@ -282,56 +304,76 @@ def chord(t: RationalLike) -> Bound:
 def sin_turns(t: RationalLike) -> Bound:
     """Certified sin(2 pi t)."""
     fr = Fraction(t) % 1
-    if fr.denominator in (1, 2):
-        return Bound.exact(0)
-    if fr.denominator == 4:
-        return Bound.exact(1 if fr.numerator == 1 else -1)
+    exact = _EXACT_SIN.get((fr.numerator, fr.denominator))
+    if exact is not None:
+        return Bound.exact(_mpf_tuple_to_fraction(exact))
     return _enclose("cis", fr, get_bits()).im
 
 
 def cos_turns(t: RationalLike) -> Bound:
     """Certified cos(2 pi t)."""
     fr = Fraction(t) % 1
-    if fr.denominator == 1:
-        return Bound.exact(1)
-    if fr.denominator == 2:
-        return Bound.exact(-1)
-    if fr.denominator == 3:
-        return Bound.exact(Fraction(-1, 2))
-    if fr.denominator == 4:
-        return Bound.exact(0)
-    if fr.denominator == 6:
-        return Bound.exact(Fraction(1, 2) if fr.numerator in (1, 5) else Fraction(-1, 2))
+    exact = _EXACT_COS.get((fr.numerator, fr.denominator))
+    if exact is not None:
+        return Bound.exact(_mpf_tuple_to_fraction(exact))
     return _enclose("cis", fr, get_bits()).re
+
+
+def _cos_sin(t: Fraction, bits: int):
+    """The libmp enclosures ((cos_lo, cos_hi), (sin_lo, sin_hi)) of
+    cos(2 pi t) and sin(2 pi t) at ``bits``, as mpf tuples: 2 pi t is the
+    product of the exact 2, pi and t in that order, each product rounded
+    outward, and both come from one ``mpi_cos_sin``, whose ends never
+    leave [-1, 1]."""
+    x = mpi_mul(mpi_mul(_TWO, _mpi_pi(bits), bits), _mpi_of(t, bits), bits)
+    return mpi_cos_sin(x, bits)
+
+
+# A linsys diagonal chain asks for the chord keys of at most 4N + 48
+# candidate moves; the cos-sin keys of its powers go to _cis_ends.
+@lru_cache(maxsize=4096)
+def _enclose(kind: str, t: Fraction, bits: int) -> Bound | CBound:
+    """The enclosure of the reduced turn value t at ``bits`` of working
+    precision: for kind "chord" the Bound of the chord 2 sin(pi t), for
+    kind "cis" the CBound of ``e^{2 pi i t}`` from ``_cos_sin``.  Memoised
+    on all three arguments, so an enclosure made at one precision is never
+    served at another; Bounds and CBounds are frozen, so callers may share
+    them."""
+    if kind == "chord":
+        # sin is evaluated on [0, 1/2] turns where the chord lies in [0, 2]
+        pi_t = mpi_mul(_mpi_pi(bits), _mpi_of(t, bits), bits)
+        b = _bound(mpi_mul(_TWO, mpi_sin(pi_t, bits), bits))
+        return Bound(max(Fraction(0), b.lo), min(Fraction(2), b.hi))
+    cos, sin = (Bound(max(Fraction(-1), _mpf_tuple_to_fraction(lo)),
+                      min(Fraction(1), _mpf_tuple_to_fraction(hi)))
+                for lo, hi in _cos_sin(t, bits))
+    return CBound(cos, sin)
 
 
 # One linsys.build_operator at dimension N and horizon K computes each
 # power once and asks for at most N(K + 2) cos-sin keys, all at one working
 # precision: the N diagonal angles, and the N residues at each k (the
 # residues at k = 0 are the angles when n_0 = 1), each residue serving its
-# diagonal entry and its chord; its diagonal chain adds the chord keys of
-# at most 4N + 48 candidate moves.  A repeated build asks again in the same
+# diagonal entry and its chord.  A repeated build asks again in the same
 # order, and an LRU cache smaller than such a cycle never hits, so the
-# bound holds the 1,408 + 304 keys of dimension 64, horizon 20.
+# bound holds the 1,408 keys of dimension 64, horizon 20.
 @lru_cache(maxsize=4096)
-def _enclose(kind: str, t: Fraction, bits: int) -> Bound | CBound:
-    """The enclosure of the reduced turn value t at ``bits`` of working
-    precision: for kind "chord" the Bound of the chord, for kind "cis" the
-    CBound of ``e^{2 pi i t}``, whose cosine and sine come from one mpmath
-    evaluation with the endpoints of ``iv.cos`` and ``iv.sin``.  Memoised
-    on all three arguments, so an enclosure made at one precision is never
-    served at another; Bounds and CBounds are frozen, so callers may share
-    them."""
-    with working_bits(bits):
-        if kind == "chord":
-            # sin is evaluated on [0, 1/2] turns where the chord lies in [0, 2]
-            b = Bound.from_iv(2 * iv.sin(iv.pi * _to_iv(t)))
-            return Bound(max(Fraction(0), b.lo), min(Fraction(2), b.hi))
-        x = 2 * iv.pi * _to_iv(t)
-        cos, sin = (Bound(max(Fraction(-1), _mpf_tuple_to_fraction(lo)),
-                          min(Fraction(1), _mpf_tuple_to_fraction(hi)))
-                    for lo, hi in mpi_cos_sin(x._mpi_, iv.prec))
-        return CBound(cos, sin)
+def _cis_ends(t: Fraction, bits: int):
+    key = t.numerator, t.denominator
+    cos, sin = _EXACT_COS.get(key), _EXACT_SIN.get(key)
+    if sin is not None:
+        return (cos, cos), (sin, sin)
+    ends = _cos_sin(t, bits)
+    return ends if cos is None else ((cos, cos), ends[1])
+
+
+def cis_ends(t: Fraction):
+    """The ends of ``cos_turns(t)`` and ``sin_turns(t)`` for a turn t in
+    [0, 1) at the working precision, as mpf tuples ((cos_lo, cos_hi),
+    (sin_lo, sin_hi)), for callers that compute on the dyadic ends
+    themselves; a rational cosine or sine has equal ends.  Memoised on t
+    and the working bits."""
+    return _cis_ends(t, get_bits())
 
 
 @dataclass(frozen=True)

@@ -269,6 +269,26 @@ def test_best_first_scan_at_the_dtype_switch_and_prime_grids():
     assert _grid_scan(terms, 1999) == _grid_scan_full(terms, 1999) == (1, 999)
 
 
+def test_complete_columns_scan_in_closed_form():
+    # every residue 1..grid // 2 among the folded columns, with and without
+    # column 0 and with repeats: powers of two, odd and even composites
+    # whose least odd prime is 3, 5, 7 or the whole odd part, and primes
+    grids = [1, 2, 3, 4, 6, 8, 9, 12, 15, 25, 35, 49, 64, 70, 98, 105, 121,
+             143, 210, 243, 1024, 1155, 2001, 4096, 4097] + _PRIMES
+    for grid in grids:
+        half = grid // 2
+        for terms in (list(range(grid)), list(range(1, half + 1)) or [0],
+                      [grid - n for n in range(1, half + 1)] * 2 + [0, grid]):
+            got = _grid_scan(terms, grid)
+            assert got == _grid_scan_full(terms, grid), (grid, terms)
+            if grid <= 300:
+                assert got == _grid_scan_loop(terms, grid), (grid, terms)
+    # with one column missing the rows are evaluated
+    for grid in (1009, 1155):
+        terms = [n for n in range(1, grid // 2 + 1) if n != 200]
+        assert _grid_scan(terms, grid) == _grid_scan_full(terms, grid), grid
+
+
 def _grid_scan_unfolded(terms, grid):
     """Reference: the half-grid block scan with one column per term, no
     folding or deduplication."""

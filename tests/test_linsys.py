@@ -15,8 +15,8 @@ from recurlab.linsys import (BallCertificate, DiagShiftOperator, NormCertificate
                              build_operator, build_shift_weights,
                              kalish_eigencheck, norm_table_csv, power_norm,
                              telescope_gap)
-from recurlab.precision import (Bound, chord, cos_turns, get_bits, sin_turns,
-                                working_bits)
+from recurlab.precision import (Bound, chord, cis_ends, cos_turns, get_bits,
+                                sin_turns, working_bits)
 from recurlab.seqcore import gen_divisibility, triangular_pow2
 
 SEQ = triangular_pow2(40)
@@ -220,6 +220,7 @@ def test_build_operator_computes_each_power_once_and_reaches_horizon_9(monkeypat
 def _cold_power_norm(op, n):
     linsys._ladder.cache_clear()
     precision._enclose.cache_clear()
+    precision._cis_ends.cache_clear()
     return power_norm(op, n)
 
 
@@ -277,7 +278,7 @@ def test_power_norm_contains_true_norms_at_96_bits(angles, weights, n):
     from recurlab.linsys import _unit_entry
     theta = op.diag[0].exact
     with working_bits(max(get_bits(), 96 + 32)):
-        re, im, rad = _unit_entry(cos_turns(theta), sin_turns(theta), 96)
+        re, im, rad = _unit_entry(cis_ends(theta), 96)
     with mp.workprec(300):
         true = mp.expjpi(2 * mp.mpf(theta.numerator) / theta.denominator)
         assert abs(mpc(re, im) / 2 ** 96 - true) <= mp.mpf(rad) / 2 ** 96
@@ -386,13 +387,125 @@ def test_chord_upper_from_cos_sin_encloses_the_chord():
         residues = specials + [F(rng.randrange(1, q), q)
                                for q in (rng.randrange(2, 2 ** 40) for _ in range(200))]
         with working_bits(max(get_bits(), bits + 32)):
-            ends = [(r, linsys._chord_upper(cos_turns(r), sin_turns(r), bits),
-                     chord(r).hi) for r in residues]
+            ends = [(r, linsys._chord_upper(cis_ends(r), bits), chord(r).hi)
+                    for r in residues]
         with mp.workprec(300):
             for r, end, hi in ends:
                 true = abs(mp.expjpi(2 * mp.mpf(r.numerator) / r.denominator) - 1)
                 assert end >= true * 2 ** bits, (r, bits)
                 assert end <= math.ceil(hi * 2 ** bits) + 1, (r, bits)
+
+
+# ---------------------------------------------------------------------------
+# integer units and triangle products against the Fraction and full-matrix
+# code they replaced
+# ---------------------------------------------------------------------------
+
+def _old_fixed(b: Bound, bits: int) -> tuple[int, int]:
+    """Reference: midpoint and radius through Fraction floor and ceiling."""
+    lo, hi = math.floor(b.lo * 2 ** bits), math.ceil(b.hi * 2 ** bits)
+    mid = (lo + hi) >> 1
+    return mid, hi - mid
+
+
+def _old_unit_entry(cos: Bound, sin: Bound, bits: int) -> tuple[int, int, int]:
+    """Reference: the unit-circle entry from cos and sin Bounds."""
+    re, re_rad = _old_fixed(cos, bits)
+    im, im_rad = _old_fixed(sin, bits)
+    return re, im, re_rad + im_rad
+
+
+def _old_chord_upper(cos: Bound, sin: Bound, bits: int) -> int:
+    """Reference: the chord's upper end through Fractions."""
+    sq = (1 - cos.lo) ** 2 + max(sin.lo ** 2, sin.hi ** 2)
+    return linsys._ceil_sqrt(math.ceil(sq * 4 ** bits))
+
+
+def test_integer_units_match_the_fraction_route():
+    rng = random.Random(20261022)
+    specials = [F(p, q) for q in (1, 2, 3, 4, 6) for p in range(q)]
+    for bits in (53, 85, 96, 128, 256, 400):
+        residues = specials + [F(1, 2) + F(s, 2 ** 70) for s in (-1, 1)] + [
+            F(1, 2 ** 90), F(2 ** 90 - 1, 2 ** 90)] + [
+            F(rng.randrange(1, q), q) for q in (rng.randrange(2, 2 ** 64) for _ in range(60))]
+        for work in (bits + 32, bits, max(8, bits - 40)):
+            with working_bits(work):
+                for r in residues:
+                    cos, sin = cos_turns(r), sin_turns(r)
+                    cis = cis_ends(r)
+                    assert linsys._unit_entry(cis, bits) == _old_unit_entry(cos, sin, bits)
+                    assert linsys._chord_upper(cis, bits) == _old_chord_upper(cos, sin, bits)
+        for w in [F(0), F(1, 4), F(1, 3), F(2, 7) / 2 ** 40, F(5, 2 ** 300)]:
+            assert linsys._fixed(w, bits) == _old_fixed(Bound.exact(w), bits)
+
+
+def _old_abs_upper(re, im):
+    """Reference: the per-entry lambda the isqrt ufunc replaced."""
+    f = np.frompyfunc(lambda a, b: linsys._ceil_sqrt(a * a + b * b), 2, 1)
+    return f(re, im)
+
+
+def _old_mm(A, B, bits: int):
+    """Reference: four full-matrix real products and |A|, |B| taken apart."""
+    (ar, ai, arad), (br, bi, brad) = A, B
+    re = ar @ br - ai @ bi
+    im = ar @ bi + ai @ br
+    rad = _old_abs_upper(ar, ai) @ brad + arad @ (_old_abs_upper(br, bi) + brad)
+    low = (1 << bits) - 1
+    lost = ((re & low) != 0).astype(object) + ((im & low) != 0).astype(object)
+    return re >> bits, im >> bits, -(-rad >> bits) + lost
+
+
+def _random_disks(rng, N, size):
+    re, im, rad = (np.zeros((N, N), dtype=object) for _ in range(3))
+    for i in range(N):
+        for j in range(i, N):
+            re[i, j] = rng.randrange(-2 ** size, 2 ** size)
+            im[i, j] = rng.choice([0, rng.randrange(-2 ** size, 2 ** size)])
+            rad[i, j] = rng.choice([0, 1, rng.randrange(2 ** (size // 2))])
+    return re, im, rad
+
+
+def _same(P, Q):
+    return all(M.shape == R.shape and (M == R).all() for M, R in zip(P, Q))
+
+
+def test_triangle_products_match_full_matrix_products():
+    rng = random.Random(20261023)
+    for bits, size in ((53, 54), (256, 257), (256, 330)):
+        for N in (1, 2, 3, 5, 8, 16):
+            A, B = _random_disks(rng, N, size), _random_disks(rng, N, size)
+            assert _same(linsys._mm(A, A, bits), _old_mm(A, A, bits))
+            assert _same(linsys._mm(A, B, bits), _old_mm(A, B, bits))
+    # P T on an operator's own disks, and squares along its ladder
+    op = DiagShiftOperator(4, _angles((1, 3), (1, 5), (1, 7), (2, 11)),
+                           build_shift_weights(4, F(1, 8)))
+    for bits in (53, 256):
+        with working_bits(bits + 32):
+            T = linsys._operator_disks(op, bits)
+        P, old = T, T
+        for _ in range(6):
+            P, old = linsys._mm(P, T, bits), _old_mm(old, T, bits)
+            assert _same(P, old)
+            P, old = linsys._mm(P, P, bits), _old_mm(old, old, bits)
+            assert _same(P, old)
+
+
+def test_abs_upper_matches_the_lambda():
+    rng = random.Random(20261024)
+    for shape in ((7,), (4, 4)):
+        re = np.array([rng.randrange(-2 ** 300, 2 ** 300) for _ in range(math.prod(shape))],
+                      dtype=object).reshape(shape)
+        im = np.array([rng.randrange(-2 ** 300, 2 ** 300) for _ in range(math.prod(shape))],
+                      dtype=object).reshape(shape)
+        assert (linsys._abs_upper(re, im) == _old_abs_upper(re, im)).all()
+    # zero, perfect squares (3-4-5 triangles) and their neighbours
+    re = np.array([0, 3, -3 * 2 ** 200, 1, 0, 2 ** 100 + 1], dtype=object)
+    im = np.array([0, 4, 4 * 2 ** 200, 0, -7, 0], dtype=object)
+    got = linsys._abs_upper(re, im)
+    assert list(got) == [0, 5, 5 * 2 ** 200, 1, 7, 2 ** 100 + 1]
+    assert (got == _old_abs_upper(re, im)).all()
+    assert list(linsys._abs_upper(re + 1, im)) == list(_old_abs_upper(re + 1, im))
 
 
 @pytest.mark.parametrize("N, K, delta, bits", [

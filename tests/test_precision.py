@@ -1,16 +1,19 @@
-"""The working-precision context, the exact residue helper and the
+"""The working-precision context, the exact residue helper, the libmp
+enclosure kernel against mpmath's interval context, and the
 integer-numerator kernels against the Fraction code they replaced."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import iv, mpf
+from mpmath.libmp.libmpi import mpi_cos_sin
 
 from recurlab import precision
 from recurlab.precision import (Bound, CBound, _enclose, _mpf_tuple_to_fraction,
-                                _to_iv, cbound_prod, chord, cos_turns, get_bits,
-                                residue, sin_turns, working_bits)
+                                cbound_prod, chord, cis_ends, cos_turns, get_bits,
+                                pi_bound, residue, sin_turns, working_bits)
 
 huge = st.integers(min_value=2 ** 200, max_value=2 ** 400)
 
@@ -78,10 +81,91 @@ def test_dyadic_conversion_cases():
     assert _mpf_tuple_to_fraction((0, 5, 3, 3)) == 40
 
 
+# ---------------------------------------------------------------------------
+# the libmp kernel against mpmath's interval context
+# ---------------------------------------------------------------------------
+
+def _to_iv(x):
+    """Reference: exact rational -> interval scalar (endpoints correctly rounded)."""
+    fr = F(x)
+    return iv.mpf(fr.numerator) / iv.mpf(fr.denominator)
+
+
+def _from_iv(x) -> Bound:
+    a, b = x._mpi_
+    return Bound(_mpf_tuple_to_fraction(a), _mpf_tuple_to_fraction(b))
+
+
+def _iv_enclose(kind, t, bits):
+    """Reference: the enclosure through iv-context objects that the libmp
+    kernel replaced."""
+    with working_bits(bits):
+        if kind == "chord":
+            b = _from_iv(2 * iv.sin(iv.pi * _to_iv(t)))
+            return Bound(max(F(0), b.lo), min(F(2), b.hi))
+        x = 2 * iv.pi * _to_iv(t)
+        cos, sin = (Bound(max(F(-1), _mpf_tuple_to_fraction(lo)),
+                          min(F(1), _mpf_tuple_to_fraction(hi)))
+                    for lo, hi in mpi_cos_sin(x._mpi_, iv.prec))
+        return CBound(cos, sin)
+
+
+KERNEL_BITS = (53, 85, 96, 128, 256, 400)
+
+
+def _kernel_turns(rng):
+    """Turns in [0, 1): every turn of denominator 1, 2, 3, 4 and 6, turns
+    within 2^-40 .. 2^-300 of 0 and of 1/2 on both sides, and random ones."""
+    turns = {F(p, q) for q in (1, 2, 3, 4, 6) for p in range(q)}
+    for e in (40, 100, 300):
+        for near in (F(0), F(1, 2), F(1)):
+            for sign in (-1, 1):
+                t = near + sign * F(rng.randrange(1, 2 ** 20), 2 ** (e + 20) + 1)
+                if 0 <= t < 1:
+                    turns.add(t)
+    while len(turns) < 80:
+        q = rng.randrange(2, 2 ** rng.randrange(2, 120))
+        turns.add(F(rng.randrange(q), q))
+    return sorted(turns)
+
+
+def test_enclose_matches_the_interval_context():
+    turns = _kernel_turns(random.Random(20261019))
+    for bits in KERNEL_BITS:
+        for t in turns:
+            assert _enclose("cis", t, bits) == _iv_enclose("cis", t, bits), (t, bits)
+            d = min(t, 1 - t)
+            assert _enclose("chord", d, bits) == _iv_enclose("chord", d, bits), (d, bits)
+
+
+def test_sqrt_and_pi_match_the_interval_context():
+    rng = random.Random(20261020)
+    for bits in KERNEL_BITS:
+        with working_bits(bits):
+            assert pi_bound() == _from_iv(iv.pi)
+            for _ in range(40):
+                lo = F(rng.randrange(0, 2 ** 80), rng.randrange(1, 2 ** 60))
+                b = Bound(lo, lo + F(rng.randrange(0, 9), rng.randrange(1, 2 ** 30)))
+                ref = Bound(max(F(0), _mpf_tuple_to_fraction(iv.sqrt(_to_iv(b.lo))._mpi_[0])),
+                            _mpf_tuple_to_fraction(iv.sqrt(_to_iv(b.hi))._mpi_[1]))
+                assert b.sqrt() == ref, (b, bits)
+            assert Bound.exact(0).sqrt() == Bound.exact(0)
+            assert Bound.exact(4).sqrt() == Bound.exact(2)
+
+
+def test_cis_ends_are_the_ends_of_cos_and_sin_turns():
+    for bits in KERNEL_BITS:
+        with working_bits(bits):
+            for t in _kernel_turns(random.Random(bits)):
+                c, s = cis_ends(t)
+                assert Bound(*map(_mpf_tuple_to_fraction, c)) == cos_turns(t), (t, bits)
+                assert Bound(*map(_mpf_tuple_to_fraction, s)) == sin_turns(t), (t, bits)
+
+
 def _fraction_trig(kind, t) -> Bound:
     """Reference: the separate iv.cos / iv.sin enclosure the fused call replaced."""
     trig = iv.cos if kind == "cos" else iv.sin
-    b = Bound.from_iv(trig(2 * iv.pi * _to_iv(t)))
+    b = _from_iv(trig(2 * iv.pi * _to_iv(t)))
     return Bound(max(F(-1), b.lo), min(F(1), b.hi))
 
 
