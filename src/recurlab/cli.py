@@ -622,7 +622,7 @@ def _run_gauss(params, *, bits, seed):
         "k,n_k,a_k,p_in,p_in_se,sym_diff,sym_diff_se,second_moment,"
         "second_moment_se,second_moment_closed,shift_moment,shift_moment_se,"
         "shift_moment_closed", rows)}
-    return [cert], {"atoms": len(fact)}, files
+    return [cert], {"atoms": fact.atom_count()}, files
 
 
 _HANDLERS = {"jamison": _run_jamison, "witness": _run_witness,

@@ -12,8 +12,9 @@ Conventions used throughout the package:
   interval functions on raw mpf tuples at a configurable working
   precision, and their dyadic endpoints are pulled back into Fractions
   exactly.  :func:`cis_ends` hands the raw ends of cos and sin to callers
-  that work in integer units of 2^-bits (``linsys``), which take them by a
-  shift and build no Fraction.
+  that work on integers (the 2^-bits units of ``linsys``, the Fourier
+  rectangles of ``specmeasure``), which take them by a shift and build no
+  Fraction.
 * The *chord* of a turn ``t`` is ``|e^{2 pi i t} - 1| = 2 |sin(pi t)|``.
   It depends only on the distance from ``t`` to the nearest integer and is
   monotone in that distance, which lets callers take sups and infs over
@@ -22,19 +23,22 @@ Conventions used throughout the package:
 
 The working precision defaults to 128 bits and is held by mpmath's
 interval context (``iv.prec``) alone; :func:`working_bits` sets it for a
-block and restores it on exit.  The transcendental enclosures of
-:func:`chord`, :func:`sin_turns` and :func:`cos_turns` are memoised in a
-bounded cache keyed by the reduced turn value and the working bits, so a
-repeated argument costs one lookup and a coarse enclosure is never served
-to a finer precision; the raw ends of :func:`cis_ends` have a cache of
-their own.  Cosine and sine of a turn come from one libmp evaluation and
-share one cache entry.
+block and restores it on exit.  The transcendental enclosures are
+memoised in two bounded caches keyed by the reduced turn value and the
+working bits, so a repeated argument costs one lookup and a coarse
+enclosure is never served to a finer precision: the chord Bounds of
+:func:`chord`, and the raw mpf ends of :func:`cis_ends`, of which
+:func:`cos_turns` and :func:`sin_turns` are the Bounds.  Cosine and sine
+of a turn come from one libmp evaluation and share one cache entry.
 
 Exact arithmetic stays exact without a gcd at every step: dyadic
-endpoints become Fractions by a shift, and the products and sums that
-certify a Fourier coefficient (:func:`cbound_prod` here, the atom sum of
-``specmeasure.fourier_direct``) run on integer numerators over one common
-denominator and are reduced to Fractions once, at the end.
+endpoints become integers or Fractions by a shift, and a certified
+Fourier coefficient is an integer rectangle ``(re_lo, re_hi, im_lo,
+im_hi, den)`` from the atom sum of ``specmeasure`` (the ``cis_ends``
+weighted over one common denominator) through the products of
+:func:`rect_prod` to :func:`rect_dist_to_one`.  Fractions are reduced
+once, where a caller reads them; :func:`cbound_prod` and
+``CBound.dist_to_one`` are the same kernels on CBounds.
 """
 
 from __future__ import annotations
@@ -298,25 +302,23 @@ def chord(t: RationalLike) -> Bound:
     exact = _EXACT_CHORDS.get(d)
     if exact is not None:
         return Bound.exact(exact)
-    return _enclose("chord", d, get_bits())
+    return _enclose(d, get_bits())
+
+
+def _unit_bound(ends) -> Bound:
+    """The Bound of a pair of ``cis_ends`` mpf tuples, clamped to [-1, 1]."""
+    return Bound(max(Fraction(-1), _mpf_tuple_to_fraction(ends[0])),
+                 min(Fraction(1), _mpf_tuple_to_fraction(ends[1])))
 
 
 def sin_turns(t: RationalLike) -> Bound:
     """Certified sin(2 pi t)."""
-    fr = Fraction(t) % 1
-    exact = _EXACT_SIN.get((fr.numerator, fr.denominator))
-    if exact is not None:
-        return Bound.exact(_mpf_tuple_to_fraction(exact))
-    return _enclose("cis", fr, get_bits()).im
+    return _unit_bound(cis_ends(Fraction(t) % 1)[1])
 
 
 def cos_turns(t: RationalLike) -> Bound:
     """Certified cos(2 pi t)."""
-    fr = Fraction(t) % 1
-    exact = _EXACT_COS.get((fr.numerator, fr.denominator))
-    if exact is not None:
-        return Bound.exact(_mpf_tuple_to_fraction(exact))
-    return _enclose("cis", fr, get_bits()).re
+    return _unit_bound(cis_ends(Fraction(t) % 1)[0])
 
 
 def _cos_sin(t: Fraction, bits: int):
@@ -332,22 +334,15 @@ def _cos_sin(t: Fraction, bits: int):
 # A linsys diagonal chain asks for the chord keys of at most 4N + 48
 # candidate moves; the cos-sin keys of its powers go to _cis_ends.
 @lru_cache(maxsize=4096)
-def _enclose(kind: str, t: Fraction, bits: int) -> Bound | CBound:
-    """The enclosure of the reduced turn value t at ``bits`` of working
-    precision: for kind "chord" the Bound of the chord 2 sin(pi t), for
-    kind "cis" the CBound of ``e^{2 pi i t}`` from ``_cos_sin``.  Memoised
-    on all three arguments, so an enclosure made at one precision is never
-    served at another; Bounds and CBounds are frozen, so callers may share
-    them."""
-    if kind == "chord":
-        # sin is evaluated on [0, 1/2] turns where the chord lies in [0, 2]
-        pi_t = mpi_mul(_mpi_pi(bits), _mpi_of(t, bits), bits)
-        b = _bound(mpi_mul(_TWO, mpi_sin(pi_t, bits), bits))
-        return Bound(max(Fraction(0), b.lo), min(Fraction(2), b.hi))
-    cos, sin = (Bound(max(Fraction(-1), _mpf_tuple_to_fraction(lo)),
-                      min(Fraction(1), _mpf_tuple_to_fraction(hi)))
-                for lo, hi in _cos_sin(t, bits))
-    return CBound(cos, sin)
+def _enclose(t: Fraction, bits: int) -> Bound:
+    """The Bound of the chord 2 sin(pi t) of the residue distance t at
+    ``bits`` of working precision.  Memoised on both arguments, so an
+    enclosure made at one precision is never served at another; Bounds
+    are frozen, so callers may share them."""
+    # sin is evaluated on [0, 1/2] turns where the chord lies in [0, 2]
+    pi_t = mpi_mul(_mpi_pi(bits), _mpi_of(t, bits), bits)
+    b = _bound(mpi_mul(_TWO, mpi_sin(pi_t, bits), bits))
+    return Bound(max(Fraction(0), b.lo), min(Fraction(2), b.hi))
 
 
 # One linsys.build_operator at dimension N and horizon K computes each
@@ -356,7 +351,10 @@ def _enclose(kind: str, t: Fraction, bits: int) -> Bound | CBound:
 # residues at k = 0 are the angles when n_0 = 1), each residue serving its
 # diagonal entry and its chord.  A repeated build asks again in the same
 # order, and an LRU cache smaller than such a cycle never hits, so the
-# bound holds the 1,408 keys of dimension 64, horizon 20.
+# bound holds the 1,408 keys of dimension 64, horizon 20.  The atom
+# residues of the product-formula factors (one key per Kahane factor and
+# frequency residue, and the exact 0) and cos_turns and sin_turns share
+# the cache.
 @lru_cache(maxsize=4096)
 def _cis_ends(t: Fraction, bits: int):
     key = t.numerator, t.denominator
@@ -368,11 +366,11 @@ def _cis_ends(t: Fraction, bits: int):
 
 
 def cis_ends(t: Fraction):
-    """The ends of ``cos_turns(t)`` and ``sin_turns(t)`` for a turn t in
-    [0, 1) at the working precision, as mpf tuples ((cos_lo, cos_hi),
-    (sin_lo, sin_hi)), for callers that compute on the dyadic ends
-    themselves; a rational cosine or sine has equal ends.  Memoised on t
-    and the working bits."""
+    """The ends of cos(2 pi t) and sin(2 pi t) for a turn t in [0, 1) at
+    the working precision, as mpf tuples ((cos_lo, cos_hi), (sin_lo,
+    sin_hi)), for callers that compute on the dyadic ends themselves;
+    ``cos_turns`` and ``sin_turns`` are their Bounds, and a rational cosine
+    or sine has equal ends.  Memoised on t and the working bits."""
     return _cis_ends(t, get_bits())
 
 
@@ -421,39 +419,48 @@ class CBound:
         return self.abs2().sqrt()
 
     def dist_to_one(self) -> Bound:
-        """``(self - 1).abs()``, squared on integer numerators over the common
-        denominator d (``Bound.abs``'s sign cases) and reduced once, over d²."""
-        ends = (self.re.lo - 1, self.re.hi - 1, self.im.lo, self.im.hi)
-        d = lcm(*(e.denominator for e in ends))
-        n = [e.numerator * (d // e.denominator) for e in ends]
-        lo2 = hi2 = 0
-        for lo, hi in (n[:2], n[2:]):
-            lo, hi = (lo, hi) if lo >= 0 else (-hi, -lo) if hi <= 0 else (0, max(-lo, hi))
-            lo2, hi2 = lo2 + lo * lo, hi2 + hi * hi
-        return Bound(Fraction(lo2, d * d), Fraction(hi2, d * d)).sqrt()
-
-
-_ONE = CBound.exact(1)
+        """``(self - 1).abs()``; see :func:`rect_dist_to_one`."""
+        return rect_dist_to_one(rect_of(self))
 
 
 def cbound_prod(factors: Iterable[CBound]) -> CBound:
     """The product of the factors, equal to the left fold of ``CBound.__mul__``
-    from the exact 1.
+    from the exact 1; see :func:`rect_prod`."""
+    return rect_cbound(rect_prod(rect_of(f) for f in factors))
 
-    The rectangle is carried as four integer numerators over one running
-    denominator: each factor is brought to the lcm of its endpoint
-    denominators, the interval products take the min and max of the same
-    four products as ``Bound.__mul__`` scaled by a positive integer, and
-    only the result is reduced to Fractions.  Factors equal to the exact 1
-    leave the rectangle as it is and are skipped.
-    """
+
+# ---------------------------------------------------------------------------
+# integer rectangles
+# ---------------------------------------------------------------------------
+# A rectangle (re_lo, re_hi, im_lo, im_hi, den) with den > 0 is the certified
+# complex number [re_lo, re_hi] / den + i [im_lo, im_hi] / den.  Products
+# and distances run on the five integers; the Fractions of a CBound or a
+# Bound are reduced once, where a caller reads them.
+
+def rect_of(z: CBound) -> tuple[int, int, int, int, int]:
+    """The rectangle of z over the lcm of its endpoint denominators."""
+    ends = (z.re.lo, z.re.hi, z.im.lo, z.im.hi)
+    d = lcm(*(e.denominator for e in ends))
+    return (*(e.numerator * (d // e.denominator) for e in ends), d)
+
+
+def rect_cbound(rect) -> CBound:
+    re_lo, re_hi, im_lo, im_hi, den = rect
+    return CBound(Bound(Fraction(re_lo, den), Fraction(re_hi, den)),
+                  Bound(Fraction(im_lo, den), Fraction(im_hi, den)))
+
+
+def rect_prod(rects) -> tuple[int, int, int, int, int]:
+    """The product of the rectangles, equal to the left fold of
+    ``CBound.__mul__`` from the exact 1: the interval products take the
+    min and max of the same four products as ``Bound.__mul__``, all over
+    the product of the denominators, so only their common positive scale
+    differs.  Factors equal to the exact 1 leave the product as it is and
+    are skipped."""
     re_lo, re_hi, im_lo, im_hi, den = 1, 1, 0, 0, 1
-    for f in factors:
-        if f == _ONE:
+    for x_lo, x_hi, y_lo, y_hi, d in rects:
+        if x_lo == x_hi == d and y_lo == y_hi == 0:
             continue
-        ends = (f.re.lo, f.re.hi, f.im.lo, f.im.hi)
-        d = lcm(*(e.denominator for e in ends))
-        x_lo, x_hi, y_lo, y_hi = (e.numerator * (d // e.denominator) for e in ends)
         rr = (re_lo * x_lo, re_lo * x_hi, re_hi * x_lo, re_hi * x_hi)
         ii = (im_lo * y_lo, im_lo * y_hi, im_hi * y_lo, im_hi * y_hi)
         ri = (re_lo * y_lo, re_lo * y_hi, re_hi * y_lo, re_hi * y_hi)
@@ -461,8 +468,28 @@ def cbound_prod(factors: Iterable[CBound]) -> CBound:
         re_lo, re_hi, im_lo, im_hi = (min(rr) - max(ii), max(rr) - min(ii),
                                       min(ri) + min(ir), max(ri) + max(ir))
         den *= d
-    return CBound(Bound(Fraction(re_lo, den), Fraction(re_hi, den)),
-                  Bound(Fraction(im_lo, den), Fraction(im_hi, den)))
+    return re_lo, re_hi, im_lo, im_hi, den
+
+
+def rect_abs2(rect) -> tuple[int, int]:
+    """The ends of ``CBound.abs2`` of the rectangle as numerators over
+    den^2: ``Bound.abs``'s sign cases, then the squares, on integers."""
+    re_lo, re_hi, im_lo, im_hi, _ = rect
+    lo2 = hi2 = 0
+    for lo, hi in ((re_lo, re_hi), (im_lo, im_hi)):
+        lo, hi = (lo, hi) if lo >= 0 else (-hi, -lo) if hi <= 0 else (0, max(-lo, hi))
+        lo2, hi2 = lo2 + lo * lo, hi2 + hi * hi
+    return lo2, hi2
+
+
+def rect_dist_to_one(rect) -> Bound:
+    """``|z - 1|`` of the rectangle z, equal to ``(z - 1).abs()`` on its
+    CBound: the square comes from :func:`rect_abs2` and is reduced once,
+    over den^2, before the square root."""
+    re_lo, re_hi, im_lo, im_hi, den = rect
+    lo2, hi2 = rect_abs2((re_lo - den, re_hi - den, im_lo, im_hi, den))
+    d2 = den * den
+    return Bound(Fraction(lo2, d2), Fraction(hi2, d2)).sqrt()
 
 
 def dec_str(fr: Fraction, digits: int = 40) -> str:

@@ -34,13 +34,15 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from functools import lru_cache
+from math import gcd, lcm
 
 import numpy as np
 
 from .certificates import Certificate, frac_str
-from .precision import (Bound, CBound, bits_for_power, bound_sum, cbound_prod,
-                        chord, get_bits, pi_bound, residue, working_bits)
+from .precision import (Bound, CBound, bits_for_power, bound_sum, chord, cis_ends,
+                        get_bits, pi_bound, rect_abs2, rect_cbound,
+                        rect_dist_to_one, rect_prod, residue, working_bits)
 from .seqcore import IntegerSequence
 
 
@@ -93,25 +95,42 @@ def convolve(mu: DiscreteMeasure, nu: DiscreteMeasure) -> DiscreteMeasure:
     return mu.convolve(nu)
 
 
+def _fourier_rect(measure: DiscreteMeasure, n: int) -> tuple[int, int, int, int, int]:
+    """sigma_hat(n) by atom enumeration as a ``precision`` integer rectangle.
+
+    Each atom's ``cis_ends`` at its exact residue are taken by a shift to
+    integers over one power of two 2^e, clamped to [-1, 1] as
+    ``cos_turns`` and ``sin_turns`` clamp them, and weighted over ``W 2^e``,
+    ``W`` the lcm of the weight denominators (the weights are positive, so
+    each end is the weighted sum of the matching ends).  The rectangle is
+    reduced by the gcd of its five integers, so its denominator is the lcm
+    of the reduced endpoint denominators.
+    """
+    W = lcm(*(w.denominator for _, w in measure.atoms))
+    rows = [(*cos, *sin) for cos, sin in
+            (cis_ends(residue(angle, n)) for angle, _ in measure.atoms)]
+    e = -min(x[2] for row in rows for x in row)     # ends in [-1, 1] have exp <= 0
+    one = 1 << e
+    sums = [0, 0, 0, 0]
+    for (_, w), row in zip(measure.atoms, rows):
+        scale = w.numerator * (W // w.denominator)
+        # row is (cos_lo, cos_hi, sin_lo, sin_hi): clamp lo ends up, hi down
+        for c, (sign, man, exp, _) in enumerate(row):
+            v = int(man) << (int(exp) + e)
+            v = -v if sign else v
+            sums[c] += scale * (min(v, one) if c & 1 else max(v, -one))
+    den = W << e
+    g = gcd(*sums, den)
+    return (*(x // g for x in sums), den // g)
+
+
 def fourier_direct(measure: DiscreteMeasure, n: int) -> CBound:
     """sigma_hat(n) by atom enumeration; exact residue reduction per atom.
 
-    The certified sum of ``w_i e^{2 pi i n theta_i}``: each endpoint is the
-    weighted sum of the matching endpoints of the atoms' enclosures (the
-    weights are positive), summed on integer numerators over ``W E``, the
-    lcm ``W`` of the weight denominators times the lcm ``E`` of the
-    enclosure endpoint denominators, and reduced to a Fraction once.
+    The certified sum of ``w_i e^{2 pi i n theta_i}`` (see
+    ``_fourier_rect``), reduced to Fractions once.
     """
-    weights = [w for _, w in measure.atoms]
-    cis = [CBound.from_turns(residue(angle, n)) for angle, _ in measure.atoms]
-    ends = [(z.re.lo, z.re.hi, z.im.lo, z.im.hi) for z in cis]
-    W = lcm(*(w.denominator for w in weights))
-    E = lcm(*(e.denominator for row in ends for e in row))
-    scaled = [w.numerator * (W // w.denominator) for w in weights]
-    sums = [sum(s * e.numerator * (E // e.denominator) for s, e in zip(scaled, col))
-            for col in zip(*ends)]
-    re_lo, re_hi, im_lo, im_hi = (Fraction(x, W * E) for x in sums)
-    return CBound(Bound(re_lo, re_hi), Bound(im_lo, im_hi))
+    return rect_cbound(_fourier_rect(measure, n))
 
 
 MAX_ATOMS = 1 << 16     # materialize() refuses larger products
@@ -125,20 +144,26 @@ class ConvolutionFactorization:
         if not self.factors:
             raise ValueError("need at least one factor")
         self._periods = [f.denominator_lcm() for f in self.factors]
-        self._cache: dict[tuple[int, int, int], CBound] = {}
+        self._cache: dict[tuple[int, int, int], tuple] = {}
 
-    def factor_fourier(self, j: int, n: int) -> CBound:
+    def factor_fourier(self, j: int, n: int) -> tuple[int, int, int, int, int]:
+        """Factor j's coefficient at n as an integer rectangle, memoised on
+        n modulo the factor's period and on the working bits."""
         r = n % self._periods[j]
         key = (j, r, get_bits())
         hit = self._cache.get(key)
         if hit is None:
-            hit = self._cache[key] = fourier_direct(self.factors[j], r)
+            hit = self._cache[key] = _fourier_rect(self.factors[j], r)
         return hit
 
-    def fourier(self, n: int) -> CBound:
-        return cbound_prod(self.factor_fourier(j, n) for j in range(len(self.factors)))
+    def fourier_rect(self, n: int) -> tuple[int, int, int, int, int]:
+        """sigma_hat(n) by the product rule, as an integer rectangle."""
+        return rect_prod(self.factor_fourier(j, n) for j in range(len(self.factors)))
 
-    def __len__(self) -> int:
+    def fourier(self, n: int) -> CBound:
+        return rect_cbound(self.fourier_rect(n))
+
+    def atom_count(self) -> int:
         """Product of the factor sizes: the atom count of ``materialize()``
         when no two sums of one atom per factor agree mod 1, an upper bound
         otherwise.  Every Kahane build is exact here: its consecutive ratios
@@ -146,11 +171,15 @@ class ConvolutionFactorization:
         mod 1."""
         return math.prod(len(f) for f in self.factors)
 
+    def __len__(self) -> int:
+        """``atom_count()``; ``len()`` raises OverflowError from 2^63 on."""
+        return self.atom_count()
+
     def denominator_lcm(self) -> int:
         return lcm(*self._periods)
 
     def materialize(self) -> DiscreteMeasure:
-        count = len(self)
+        count = self.atom_count()
         if count > MAX_ATOMS:
             raise ValueError(f"materialization would enumerate up to {count} atoms")
         out = self.factors[0]
@@ -194,7 +223,7 @@ class KahaneFactorization(ConvolutionFactorization):
         """
         n_k, n_next = self.seq.term(k), self.seq.term(j + 1)
         with working_bits(max(get_bits(), bits_for_power(n_next))):
-            lhs = self.factor_fourier(j, n_k).dist_to_one()
+            lhs = rect_dist_to_one(self.factor_fourier(j, n_k))
             rhs = pi_bound().scale(2 * self.t[j] * Fraction(n_k, n_next))
         return lhs, rhs
 
@@ -275,7 +304,7 @@ def rigidity_check(factored: ConvolutionFactorization, seq: IntegerSequence,
     first_violation = None
     min_slack = None
     for k in range(K + 1):
-        d = factored.fourier(seq.term(k)).dist_to_one()
+        d = rect_dist_to_one(factored.fourier_rect(seq.term(k)))
         deviations.append(d)
         slack = targets[k] - d.hi
         if min_slack is None or slack < min_slack[0]:
@@ -417,6 +446,18 @@ class GaussOverlapEstimate:
     shift_moment_closed: float    # sum w |lambda^n - 1|^2
 
 
+@lru_cache(maxsize=1)
+def _normals(seed: int, samples: int) -> np.ndarray:
+    """The standard complex normals (g_1, g_2), one row each, of the
+    generator seeded by ``seed``.  The draw does not depend on the shift, so
+    every shift index of a run shares one read-only array."""
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((2, 2, samples)) / math.sqrt(2.0)
+    g = z[0] + 1j * z[1]
+    g.flags.writeable = False
+    return g
+
+
 def gauss_rectangle_overlap_mc(model: GaussianRectangleModel, n: int,
                                samples: int) -> GaussOverlapEstimate:
     """Estimate rectangle overlap under the time-n shift of the model field.
@@ -426,24 +467,31 @@ def gauss_rectangle_overlap_mc(model: GaussianRectangleModel, n: int,
     sum w lambda^n``, so it is drawn from that 2x2 covariance directly:
     ``f = sqrt(s) g_1`` and ``f_n = (gamma/s) f + sqrt(s - |gamma|^2/s) g_2``
     with ``g_1, g_2`` standard complex normals from one generator seeded
-    by ``model.seed``.
+    by ``model.seed``.  The normals do not depend on n: they are drawn once
+    per ``(seed, samples)`` and shared, read-only, by every call with that
+    pair, so the estimates at each n are those of a fresh generator.
 
     A ``ConvolutionFactorization`` is the primary route: every factor is a
     probability measure, so ``s = 1``, and ``gamma`` is the certified
-    product ``measure.fourier(n)``, whose enclosure also gives
-    ``1 - |gamma|^2`` and the closed shift moment ``2 (1 - Re gamma)``
-    without the float cancellation of deep stages.  The cost is
-    O(samples + factors).  A ``DiscreteMeasure`` takes both from the float
-    atom sum, O(samples + atoms): the cross-check route.
+    product ``measure.fourier_rect(n)``, an integer rectangle.  Its exact
+    midpoints give ``rho = gamma``, ``1 - |gamma|^2`` and the closed shift
+    moment ``2 (1 - Re gamma)`` without the float cancellation of deep
+    stages; each is rounded to a float once.  The cost is
+    O(samples + factors).  A ``DiscreteMeasure`` takes all three from the
+    float atom sum, O(samples + atoms): the cross-check route.
     """
     if samples < 1000:
         raise ValueError("need at least 1000 samples")
     if isinstance(model.measure, ConvolutionFactorization):
-        gamma = model.measure.fourier(n)
+        rect = model.measure.fourier_rect(n)
+        re_lo, re_hi, im_lo, im_hi, den = rect
+        lo2, hi2 = rect_abs2(rect)
+        # the midpoints of gamma, 1 - |gamma|^2 and 2 (1 - Re gamma) as
+        # exact quotients of ints; int / int rounds once, as float(Fraction)
         s = 1.0
-        rho = complex(float(gamma.re.mid), float(gamma.im.mid))
-        cond_var = max(float((Bound.exact(1) - gamma.abs2()).mid), 0.0)
-        shift_closed = float((Bound.exact(1) - gamma.re).scale(2).mid)
+        rho = complex((re_lo + re_hi) / (2 * den), (im_lo + im_hi) / (2 * den))
+        cond_var = max((2 * den * den - lo2 - hi2) / (2 * den * den), 0.0)
+        shift_closed = (2 * den - re_lo - re_hi) / den
     else:
         atoms = model.measure.atoms
         # exact residue reduction before float conversion: n can be astronomical
@@ -456,9 +504,7 @@ def gauss_rectangle_overlap_mc(model: GaussianRectangleModel, n: int,
         cond_var = s * max(1.0 - abs(rho) ** 2, 0.0)
         shift_closed = float(np.sum(w.real * np.abs(lam_n - 1.0) ** 2))
 
-    rng = np.random.default_rng(model.seed)
-    z = rng.standard_normal((2, 2, samples)) / math.sqrt(2.0)
-    g = z[0] + 1j * z[1]
+    g = _normals(model.seed, samples)
     f = math.sqrt(s) * g[0]
     f_n = rho * f + math.sqrt(cond_var) * g[1]
 

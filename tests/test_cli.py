@@ -287,6 +287,20 @@ def test_gauss_reaches_24_stages_without_materializing(tmp_path, monkeypatch):
     assert report["values"]["atoms"] == 2 ** 24
 
 
+def test_gauss_at_63_stages_counts_its_atoms_exactly(tmp_path):
+    # 2^63 atoms is one past what len() can return
+    p = write_config(tmp_path, config(
+        "gauss", {"kahane": {"seq": {"name": "triangular-pow2", "count": 64},
+                             "stages": 63,
+                             "targets": {"rule": "inverse-linear"}},
+                  "rectangle": [-0.6, 0.9, -0.7, 0.8], "blocks": 10,
+                  "side": "A", "max_index": 12, "samples": 1000}, seed=7))
+    out = tmp_path / "out"
+    assert main(["gauss", "--config", str(p), "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert int(report["values"]["atoms"]) == 2 ** 63
+
+
 # --- flags and overrides ---------------------------------------------------
 
 def test_flag_overrides(tmp_path):

@@ -129,13 +129,19 @@ def _kernel_turns(rng):
     return sorted(turns)
 
 
+def _cis_kernel(t, bits) -> CBound:
+    """The libmp cos-sin enclosure behind ``cis_ends``, without the table
+    of rational values, as the Bounds ``cos_turns`` and ``sin_turns`` make."""
+    return CBound(*map(precision._unit_bound, precision._cos_sin(t, bits)))
+
+
 def test_enclose_matches_the_interval_context():
     turns = _kernel_turns(random.Random(20261019))
     for bits in KERNEL_BITS:
         for t in turns:
-            assert _enclose("cis", t, bits) == _iv_enclose("cis", t, bits), (t, bits)
+            assert _cis_kernel(t, bits) == _iv_enclose("cis", t, bits), (t, bits)
             d = min(t, 1 - t)
-            assert _enclose("chord", d, bits) == _iv_enclose("chord", d, bits), (d, bits)
+            assert _enclose(d, bits) == _iv_enclose("chord", d, bits), (d, bits)
 
 
 def test_sqrt_and_pi_match_the_interval_context():
@@ -174,7 +180,7 @@ def _fraction_trig(kind, t) -> Bound:
        .filter(lambda t: t < 1), st.sampled_from([53, 128, 300]))
 def test_fused_cos_sin_matches_separate_calls(t, bits):
     with working_bits(bits):
-        z = _enclose("cis", t, bits)
+        z = _cis_kernel(t, bits)
         assert z.re == _fraction_trig("cos", t)
         assert z.im == _fraction_trig("sin", t)
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from recurlab.precision import CBound, residue, working_bits
+from recurlab.precision import Bound, CBound, residue, working_bits
 from recurlab.seqcore import gen_divisibility, gen_recursive_q, triangular_pow2
 from recurlab.specmeasure import (ConvolutionFactorization, DiscreteMeasure,
                                   GaussianRectangleModel, convolve,
@@ -116,6 +116,114 @@ def test_fourier_direct_matches_the_fraction_atom_sum(raw, n, bits):
     m = DiscreteMeasure([(a, F(w, total)) for a, w in raw])
     with working_bits(bits):
         assert fourier_direct(m, n) == _fraction_atom_sum(m, n)
+
+
+def _fold_prod(factors) -> CBound:
+    """Reference: the left fold of CBound.__mul__ from the exact 1."""
+    acc = CBound.exact(1)
+    for f in factors:
+        acc = acc * f
+    return acc
+
+
+def _fraction_fourier(fact, n) -> CBound:
+    """Reference: the product formula on the factors' Fraction atom sums."""
+    return _fold_prod([_fraction_atom_sum(f, n) for f in fact.factors])
+
+
+_factorizations = st.lists(
+    st.lists(st.tuples(st.fractions(min_value=0, max_value=1,
+                                    max_denominator=10 ** 3),
+                       st.integers(min_value=1, max_value=10 ** 4)),
+             min_size=1, max_size=3).map(
+        lambda raw: DiscreteMeasure([(a, F(w, sum(x[1] for x in raw)))
+                                     for a, w in raw])),
+    min_size=1, max_size=6).map(ConvolutionFactorization)
+_frequencies = st.one_of(st.integers(0, 10 ** 4), st.integers(2 ** 60, 2 ** 100))
+_bits = st.sampled_from([53, 96, 128, 200])
+
+
+@settings(max_examples=60, deadline=None)
+@given(_factorizations, _frequencies, _bits)
+def test_integer_product_formula_matches_the_fraction_fold(fact, n, bits):
+    with working_bits(bits):
+        assert fact.fourier(n) == _fraction_fourier(fact, n)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_factorizations, st.integers(2, 5), _bits)
+def test_rigidity_deviations_match_the_fraction_fold(fact, ratio, bits):
+    seq = gen_divisibility(1, lambda k: ratio, 6)
+    with working_bits(bits):
+        cert = rigidity_check(fact, seq, [F(1, 2)] * 6, 5)
+        for k in range(6):
+            ref = (_fraction_fourier(fact, seq.term(k)) - CBound.exact(1)).abs()
+            assert cert.bounds[f"dev_k{k}"] == ref, k
+
+
+def _bound_route_estimate(model, n, samples):
+    """Reference: the sampler on the factorization route as the Bound
+    arithmetic of the product's CBound gave it, with its own generator."""
+    gamma = _fraction_fourier(model.measure, n)
+    rho = complex(float(gamma.re.mid), float(gamma.im.mid))
+    cond_var = max(float((Bound.exact(1) - gamma.abs2()).mid), 0.0)
+    shift_closed = float((Bound.exact(1) - gamma.re).scale(2).mid)
+    rng = np.random.default_rng(model.seed)
+    z = rng.standard_normal((2, 2, samples)) / math.sqrt(2.0)
+    g = z[0] + 1j * z[1]
+    f = g[0]
+    f_n = rho * f + math.sqrt(cond_var) * g[1]
+    a, b, c, d = model.rectangle
+    inside = (a < f.real) & (f.real < b) & (c < f.imag) & (f.imag < d)
+    inside_n = (a < f_n.real) & (f_n.real < b) & (c < f_n.imag) & (f_n.imag < d)
+    return {"p_in": np.count_nonzero(inside) / samples,
+            "p_exit": np.count_nonzero(inside & ~inside_n) / samples,
+            "sym_diff": np.count_nonzero(inside ^ inside_n) / samples,
+            "second_moment": float((np.abs(f) ** 2).mean()),
+            "shift_moment": float((np.abs(f_n - f) ** 2).mean()),
+            "shift_moment_closed": shift_closed}
+
+
+@settings(max_examples=25, deadline=None)
+@given(_factorizations, _frequencies, st.integers(0, 2 ** 31))
+def test_gauss_integer_route_matches_the_bound_route(fact, n, seed):
+    model = GaussianRectangleModel(fact, RECT, seed=seed)
+    est = gauss_rectangle_overlap_mc(model, n, 1000)
+    for key, value in _bound_route_estimate(model, n, 1000).items():
+        assert getattr(est, key) == value, key
+
+
+def test_gauss_estimates_do_not_depend_on_call_order():
+    seq = triangular_pow2(13)
+    fact = kahane_build(seq, harmonic, 10)
+    indices = [seq.term(k) for k in (2, 3, 4, 5)] + [1, 3]
+    model = GaussianRectangleModel(fact, RECT, seed=23)
+    forward = [gauss_rectangle_overlap_mc(model, n, 2000) for n in indices]
+    other = GaussianRectangleModel(fact, RECT, seed=24)
+    gauss_rectangle_overlap_mc(other, indices[0], 2000)
+    gauss_rectangle_overlap_mc(model, indices[0], 3000)
+    backward = [gauss_rectangle_overlap_mc(model, n, 2000) for n in reversed(indices)]
+    assert forward == backward[::-1]
+    fresh = GaussianRectangleModel(kahane_build(seq, harmonic, 10), RECT, seed=23)
+    assert [gauss_rectangle_overlap_mc(fresh, n, 2000) for n in indices] == forward
+
+
+def test_gauss_shared_draw_is_read_only():
+    from recurlab.specmeasure import _normals
+    model = GaussianRectangleModel(kahane_build(pow2_seq(), harmonic, 4), RECT,
+                                   seed=31)
+    gauss_rectangle_overlap_mc(model, 3, 1000)
+    g = _normals(31, 1000)
+    assert g.shape == (2, 1000) and not g.flags.writeable
+    with pytest.raises(ValueError):
+        g[0, 0] = 0
+
+
+def test_materialize_refuses_past_2_63_atoms():
+    fact = ConvolutionFactorization([HALF] * 64)
+    assert fact.atom_count() == 2 ** 64
+    with pytest.raises(ValueError, match="atoms"):
+        fact.materialize()
 
 
 def test_fourier_cache_follows_working_precision():
