@@ -322,7 +322,7 @@ def _grid_scan(terms: list[int], grid: int) -> tuple[int, int]:
     residue ``1..grid // 2`` the rows have a closed form (``_complete_scan``)
     and none is evaluated."""
     half = grid // 2
-    folded = {min(n % grid, -n % grid) for n in terms}
+    folded = set(distance_numerators(Fraction(1, grid), terms))
     if len(folded - {0}) == half:      # column 0 is 0 in every row
         return _complete_scan(grid)
     dtype = np.int32 if (grid // 2) ** 2 < 2 ** 31 else np.int64
@@ -373,20 +373,35 @@ def _complete_scan(grid: int) -> tuple[int, int]:
     return d, d * (p // 2)
 
 
+def _max_chord(n_arr: np.ndarray, t: float) -> float:
+    """Float ``max 2 |sin(pi ((n t) mod 1))|`` over the terms ``n_arr``.
+
+    ``x - floor(x)`` equals ``x % 1.0`` bit for bit for every finite float
+    (both round the same exact value once).  ``math.sin`` runs only on
+    terms within ``w = min(2**-20, 1e-12 / (2 pi cos(pi top)))`` of the
+    largest distance ``top`` to Z.  ``2 sin(pi d)`` is concave on [0, 1/2],
+    so every other term's true chord is over 1e-12 below the top one (by
+    the slope ``2 pi cos(pi top)`` times w, or about ``pi^2 2**-40 > 8e-12``
+    near 1/2, where the window is ``2**-20``), far beyond the 2e-15 float
+    error: the same max.  The window narrows as ``top`` falls, so a t near
+    0, where every term is near the top, costs few sines."""
+    x = n_arr * t
+    x -= np.floor(x)
+    dist = np.minimum(x, 1.0 - x)
+    top = float(dist.max())
+    w = min(2.0 ** -20, 1e-12 / (2 * math.pi * math.cos(math.pi * top)))
+    return max(2 * abs(math.sin(math.pi * v)) for v in x[dist >= top - w].tolist())
+
+
 def _refine_float(theta0: float, terms: list[int], halfwidth: float,
                   steps: int = 48) -> float:
-    """Golden-section polish of ``max 2 |sin(pi ((n t) % 1.0))|`` near theta0.
-    The residues are one numpy array (the same IEEE products and remainders
-    as a term loop), and ``math.sin`` runs only on terms within ``2**-20``
-    of the largest distance to Z: any other term's true chord is over 8e-12
-    below the top one, far beyond the 2e-15 float error: the same max."""
+    """Golden-section polish of ``_max_chord`` near theta0: the residues
+    are one numpy array (the same IEEE products and fractional parts as a
+    term loop), and few terms reach ``math.sin``."""
     n_arr = np.array(terms, dtype=np.float64)
 
     def f(t: float) -> float:
-        x = (n_arr * t) % 1.0
-        dist = np.minimum(x, 1.0 - x)
-        near = x[dist >= dist.max() - 2.0 ** -20]
-        return max(2 * abs(math.sin(math.pi * float(v))) for v in near)
+        return _max_chord(n_arr, t)
 
     inv_phi = (5 ** 0.5 - 1) / 2
     a, b = theta0 - halfwidth, theta0 + halfwidth

@@ -368,7 +368,13 @@ class ExperimentConfig:
 def _csv(header: str, rows) -> Iterator[str]:
     yield header + "\n"
     for row in rows:
-        yield ",".join(str(c) for c in row) + "\n"
+        yield ",".join(map(str, row)) + "\n"
+
+
+def _lines(header: str, lines) -> Iterator[str]:
+    """A table whose rows are finished lines."""
+    yield header + "\n"
+    yield from lines
 
 
 def _dist_cols(b) -> tuple[str, str, str]:
@@ -376,17 +382,22 @@ def _dist_cols(b) -> tuple[str, str, str]:
 
 
 def _chord_rows(theta: Fraction, terms: list[int],
-                with_residue: bool = False) -> Iterator[tuple]:
-    """Rows ``k, n_k, [n_k theta mod 1,] dist, dist_lo, dist_hi`` of
-    ``|e^{2 pi i n_k theta} - 1|``, one chord per distinct residue distance.
-    Lazy: the chords take the precision current when the rows are read."""
+                with_residue: bool = False) -> Iterator[str]:
+    """Lines ``k,n_k,[n_k theta mod 1,]dist,dist_lo,dist_hi`` of
+    ``|e^{2 pi i n_k theta} - 1|``; the last three columns are formatted
+    once per distinct residue distance.  Lazy: the chords take the
+    precision current when the lines are read."""
     from .precision import chord, distance_numerators, residue
+    q = theta.denominator
     cols = {}
     for k, (n, d) in enumerate(zip(terms, distance_numerators(theta, terms))):
-        if d not in cols:
-            cols[d] = _dist_cols(chord(Fraction(d, theta.denominator)))
-        res = (frac_str(residue(theta, n)),) if with_residue else ()
-        yield (k, n, *res, *cols[d])
+        c = cols.get(d)
+        if c is None:
+            c = cols[d] = ",".join(_dist_cols(chord(Fraction(d, q))))
+        if with_residue:
+            yield f"{k},{n},{frac_str(residue(theta, n))},{c}\n"
+        else:
+            yield f"{k},{n},{c}\n"
 
 
 def _run_jamison(params, *, bits, seed):
@@ -415,7 +426,7 @@ def _run_jamison(params, *, bits, seed):
                 "best_theta": frac_str(rep.best_theta)
                 if rep.best_theta is not None else None})
     rows = _chord_rows(rep.best_theta, seq.prefix(K + 1)) if rep.witness_found else ()
-    files = {"scan.csv": _csv("k,n_k,dist,dist_lo,dist_hi", rows)}
+    files = {"scan.csv": _lines("k,n_k,dist,dist_lo,dist_hi", rows)}
     return [cert], {"witness_found": rep.witness_found}, files
 
 
@@ -428,7 +439,7 @@ def _run_witness(params, *, bits, seed):
     wit = verify_witness(theta, seq, K,
                          target=_frac(target) if target is not None else None)
     rows = _chord_rows(theta, seq.prefix(K + 1), with_residue=True)
-    files = {"residues.csv": _csv("k,n_k,residue,dist,dist_lo,dist_hi", rows)}
+    files = {"residues.csv": _lines("k,n_k,residue,dist,dist_lo,dist_hi", rows)}
     return [wit.to_certificate()], {"delta": wit.delta}, files
 
 
@@ -481,8 +492,9 @@ def _run_rankone(params, *, bits, seed):
     un, ud, width = stage.unit.numerator, stage.unit.denominator, frac_str(stage.width)
     # level j starts at x * unit = n/d in lowest terms, and that Fraction's float() is n / d
     terms = ((x * un // g, ud // g) for x in stage.starts for g in (math.gcd(x * un, ud),))
-    lvl = ((j, n / d, f"{n}/{d}", width, int(j in stage.red)) for j, (n, d) in enumerate(terms))
-    files["levels.csv"] = _csv("level,lo,lo_frac,width_frac,red", lvl)
+    red = stage.red
+    lvl = (f"{j},{n / d},{n}/{d},{width},{int(j in red)}\n" for j, (n, d) in enumerate(terms))
+    files["levels.csv"] = _lines("level,lo,lo_frac,width_frac,red", lvl)
     return certs, {"heights": schedule.heights()[:k_hi + 2]}, files
 
 
@@ -630,13 +642,27 @@ _HANDLERS = {"jamison": _run_jamison, "witness": _run_witness,
              "linsys": _run_linsys, "bohr": _run_bohr, "gauss": _run_gauss}
 
 
+def _report_json(report: dict, cert_texts: list[str]) -> str:
+    """``dump_json(report)``, with the certificates' own ``dump_json``
+    texts spliced in verbatim.  ``"certificates"`` sorts first among the
+    report's keys, and JSON text has no raw newline inside a string, so
+    indenting every line of a text by four spaces nests it exactly as
+    ``json.dumps(indent=2)`` would."""
+    rest = dump_json({k: v for k, v in report.items() if k != "certificates"})
+    if not cert_texts:
+        return '{\n  "certificates": [],\n' + rest[2:]
+    certs = ",\n".join("    " + t[:-1].replace("\n", "\n    ") for t in cert_texts)
+    return '{\n  "certificates": [\n' + certs + "\n  ],\n" + rest[2:]
+
+
 def run(config: ExperimentConfig, out_dir: str | Path | None = None) -> dict:
     """Execute one experiment; returns the report dict after writing it.
     Tables are iterables of lines, lazy ones included, so they are written
-    inside ``working_bits``; each certificate is encoded once, and a
-    handler may return some already encoded (``Certificate.to_dict``).
-    A kind that loads no ``precision`` is exact and runs without a
-    working precision."""
+    inside ``working_bits``.  Each certificate is encoded once, and a
+    handler may return some already encoded (``Certificate.to_dict``); its
+    JSON text is serialized once, written to its file and embedded in
+    report.json verbatim.  A kind that loads no ``precision`` is exact and
+    runs without a working precision."""
     out = Path(out_dir or config.out or ".")
     out.mkdir(parents=True, exist_ok=True)
     outputs = []
@@ -652,9 +678,10 @@ def run(config: ExperimentConfig, out_dir: str | Path | None = None) -> dict:
                 f.writelines(lines)
             outputs.append(name)
     cert_dicts = [c if isinstance(c, dict) else c.to_dict() for c in certs]
-    for i, data in enumerate(cert_dicts):
+    cert_texts = [dump_json(data) for data in cert_dicts]
+    for i, (data, text) in enumerate(zip(cert_dicts, cert_texts)):
         name = f"cert-{i:02d}-{data['kind']}.json"
-        (out / name).write_text(dump_json(data))
+        (out / name).write_text(text)
         outputs.append(name)
     report = {
         "schema": SCHEMA,
@@ -665,7 +692,7 @@ def run(config: ExperimentConfig, out_dir: str | Path | None = None) -> dict:
         "values": encode_value(values),
         "outputs": outputs,
     }
-    (out / "report.json").write_text(dump_json(report))
+    (out / "report.json").write_text(_report_json(report, cert_texts))
     return report
 
 

@@ -49,7 +49,7 @@ from functools import lru_cache
 from fractions import Fraction
 from decimal import Decimal, localcontext
 from math import lcm
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Union
 
 from mpmath import iv
 from mpmath.libmp import (fhalf, fnone, fone, fzero, from_int, mpf_neg, mpf_pi,
@@ -111,15 +111,14 @@ def residue(theta: Fraction, n: int) -> Fraction:
     return Fraction((n * theta.numerator) % theta.denominator, theta.denominator)
 
 
-def distance_numerators(theta: Fraction, terms: Iterable[int]) -> Iterator[int]:
-    """Integer numerators ``min(r, q - r)``, ``r = n * p mod q``, of
-    ``dist(n * theta, Z)`` over ``q = theta.denominator`` for each n in
-    terms.  The chord is monotone in that distance, so a sup or inf over
-    terms is selected on these ints and only the extreme is a Fraction."""
+def distance_numerators(theta: Fraction, terms: Iterable[int]) -> list[int]:
+    """The list of integer numerators ``min(r, q - r)``, ``r = n * p mod
+    q``, of ``dist(n * theta, Z)`` over ``q = theta.denominator``, one per
+    n in terms, in order.  The chord is monotone in that distance, so a sup
+    or inf over terms is selected on these ints and only the extreme is a
+    Fraction.  One list comprehension, with no call per term."""
     p, q = theta.numerator, theta.denominator
-    for n in terms:
-        r = n * p % q
-        yield min(r, q - r)
+    return [r if (r := n * p % q) + r <= q else q - r for n in terms]
 
 
 def _mpf_tuple_to_fraction(t) -> Fraction:

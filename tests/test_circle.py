@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import recurlab.circle as circle_module
 from recurlab.circle import (GRID_LIMIT, AngleTurns, _grid_scan,
-                             _refine_float, _survivors, chord_extreme,
-                             d_metric_finite,
+                             _max_chord, _refine_float, _survivors,
+                             chord_extreme, d_metric_finite,
                              jamison_separation_test, perturb_divisibility,
                              unimod_dist, verify_witness,
                              witness_nested_intervals)
@@ -367,6 +368,54 @@ def _refine_float_loop(theta0, terms, halfwidth, steps=48):
 def test_refine_float_matches_term_loop(terms, theta0, grid):
     assert (_refine_float(theta0, terms, 1.0 / grid)
             == _refine_float_loop(theta0, terms, 1.0 / grid))
+
+
+def _max_chord_fixed_window(n_arr, t):
+    """Reference: the polish objective with ``% 1.0`` and a fixed
+    ``2**-20`` window for the sines."""
+    x = (n_arr * t) % 1.0
+    dist = np.minimum(x, 1.0 - x)
+    near = x[dist >= dist.max() - 2.0 ** -20]
+    return max(2 * abs(math.sin(math.pi * float(v))) for v in near)
+
+
+@settings(max_examples=300, deadline=None)
+@given(terms=st.lists(st.integers(0, 2 ** 31), min_size=1, max_size=300),
+       t=st.one_of(st.floats(-1, 1), st.floats(-1e-9, 1e-9),
+                   st.floats(1 / 3 - 1e-9, 1 / 3 + 1e-9),
+                   st.floats(0.5 - 1e-9, 0.5 + 1e-9)))
+def test_max_chord_matches_the_fixed_window(terms, t):
+    n_arr = np.array(terms, dtype=np.float64)
+    assert _max_chord(n_arr, t) == _max_chord_fixed_window(n_arr, t)
+
+
+def test_max_chord_matches_the_fixed_window_on_naturals_to_92681():
+    # the grid-92681 polish walks toward t = 0, where every term is within
+    # 2**-20 of the top distance
+    n_arr = np.arange(1, 92682, dtype=np.float64)
+    ts = [0.0, 1e-15, 3.7e-14, 1e-12, 5e-10, 1 / 92681, 2 / 92681,
+          1 / 3, 1 / 3 + 1e-13, 0.5, 0.5 - 1e-13, 0.123456789,
+          -1e-15, -3.7e-14, -1e-12]
+    for t in ts:
+        assert _max_chord(n_arr, t) == _max_chord_fixed_window(n_arr, t)
+
+
+def test_max_chord_window_narrows_near_zero(monkeypatch):
+    # near t = 0 every term of 1..92681 is within 2**-20 of the top
+    # distance; the narrowed window leaves 160 sines at t = 1e-15
+    calls, sin = [], math.sin
+
+    def counting_sin(x):
+        calls.append(x)
+        return sin(x)
+
+    n_arr = np.arange(1, 92682, dtype=np.float64)
+    monkeypatch.setattr(circle_module.math, "sin", counting_sin)
+    want = _max_chord_fixed_window(n_arr, 1e-15)
+    assert len(calls) == 92681
+    calls.clear()
+    assert _max_chord(n_arr, 1e-15) == want
+    assert len(calls) < 1000
 
 
 def test_jamison_structural_divisibility():

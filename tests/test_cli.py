@@ -125,6 +125,16 @@ def test_rankone_run(tmp_path):
     assert rows[2].split(",")[:3] == ["2", "12", "0/1"]
     levels = (tmp_path / "out" / "levels.csv").read_text().splitlines()
     assert levels[0] == "level,lo,lo_frac,width_frac,red"
+    # reference: each level's start as a Fraction, from the check's stage
+    from recurlab.rankone import StackingSchedule, nonrecurrence_check
+    stage = nonrecurrence_check(StackingSchedule.chacon(6), 2).build.stages[-1]
+    want = []
+    for j, x in enumerate(stage.starts):
+        lo = x * stage.unit
+        want.append(f"{j},{float(lo)},{lo.numerator}/{lo.denominator},"
+                    f"{stage.width.numerator}/{stage.width.denominator},"
+                    f"{1 if j in stage.red else 0}")
+    assert levels[1:] == want and len(stage.red) > 0
 
 
 def test_jamison_naturals_no_witness(tmp_path):

@@ -12,7 +12,8 @@ from mpmath.libmp.libmpi import mpi_cos_sin
 
 from recurlab import precision
 from recurlab.precision import (Bound, CBound, _enclose, _mpf_tuple_to_fraction,
-                                cbound_prod, chord, cis_ends, cos_turns, get_bits,
+                                cbound_prod, chord, cis_ends, cos_turns,
+                                distance_numerators, get_bits,
                                 pi_bound, residue, sin_turns, working_bits)
 
 huge = st.integers(min_value=2 ** 200, max_value=2 ** 400)
@@ -24,6 +25,20 @@ def test_residue_is_n_theta_mod_1(theta, n):
     r = residue(theta, n)
     assert r == (n * theta) % 1
     assert 0 <= r < 1
+
+
+@given(st.one_of(st.fractions(max_denominator=10 ** 6),
+                 st.builds(F, st.integers(-2 ** 400, 2 ** 400),
+                           st.integers(1, 2 ** 400))),
+       st.lists(st.one_of(st.integers(-10 ** 6, 10 ** 6), huge,
+                          huge.map(lambda n: -n)), max_size=40))
+def test_distance_numerators_match_the_generator(theta, terms):
+    def reference():
+        p, q = theta.numerator, theta.denominator
+        for n in terms:
+            r = n * p % q
+            yield min(r, q - r)
+    assert distance_numerators(theta, terms) == list(reference())
 
 
 def test_working_bits_sets_and_restores():
