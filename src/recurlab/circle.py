@@ -399,23 +399,19 @@ def _refine_float(theta0: float, terms: list[int], halfwidth: float,
     are one numpy array (the same IEEE products and fractional parts as a
     term loop), and few terms reach ``math.sin``."""
     n_arr = np.array(terms, dtype=np.float64)
-
-    def f(t: float) -> float:
-        return _max_chord(n_arr, t)
-
     inv_phi = (5 ** 0.5 - 1) / 2
     a, b = theta0 - halfwidth, theta0 + halfwidth
     c, d = b - inv_phi * (b - a), a + inv_phi * (b - a)
-    fc, fd = f(c), f(d)
+    fc, fd = _max_chord(n_arr, c), _max_chord(n_arr, d)
     for _ in range(steps):
         if fc <= fd:
             b, d, fd = d, c, fc
             c = b - inv_phi * (b - a)
-            fc = f(c)
+            fc = _max_chord(n_arr, c)
         else:
             a, c, fc = c, d, fd
             d = a + inv_phi * (b - a)
-            fd = f(d)
+            fd = _max_chord(n_arr, d)
     return (a + b) / 2
 
 

@@ -642,27 +642,13 @@ _HANDLERS = {"jamison": _run_jamison, "witness": _run_witness,
              "linsys": _run_linsys, "bohr": _run_bohr, "gauss": _run_gauss}
 
 
-def _report_json(report: dict, cert_texts: list[str]) -> str:
-    """``dump_json(report)``, with the certificates' own ``dump_json``
-    texts spliced in verbatim.  ``"certificates"`` sorts first among the
-    report's keys, and JSON text has no raw newline inside a string, so
-    indenting every line of a text by four spaces nests it exactly as
-    ``json.dumps(indent=2)`` would."""
-    rest = dump_json({k: v for k, v in report.items() if k != "certificates"})
-    if not cert_texts:
-        return '{\n  "certificates": [],\n' + rest[2:]
-    certs = ",\n".join("    " + t[:-1].replace("\n", "\n    ") for t in cert_texts)
-    return '{\n  "certificates": [\n' + certs + "\n  ],\n" + rest[2:]
-
-
 def run(config: ExperimentConfig, out_dir: str | Path | None = None) -> dict:
     """Execute one experiment; returns the report dict after writing it.
     Tables are iterables of lines, lazy ones included, so they are written
-    inside ``working_bits``.  Each certificate is encoded once, and a
-    handler may return some already encoded (``Certificate.to_dict``); its
-    JSON text is serialized once, written to its file and embedded in
-    report.json verbatim.  A kind that loads no ``precision`` is exact and
-    runs without a working precision."""
+    inside ``working_bits``; each certificate is encoded once, and a
+    handler may return some already encoded (``Certificate.to_dict``).
+    A kind that loads no ``precision`` is exact and runs without a
+    working precision."""
     out = Path(out_dir or config.out or ".")
     out.mkdir(parents=True, exist_ok=True)
     outputs = []
@@ -678,10 +664,9 @@ def run(config: ExperimentConfig, out_dir: str | Path | None = None) -> dict:
                 f.writelines(lines)
             outputs.append(name)
     cert_dicts = [c if isinstance(c, dict) else c.to_dict() for c in certs]
-    cert_texts = [dump_json(data) for data in cert_dicts]
-    for i, (data, text) in enumerate(zip(cert_dicts, cert_texts)):
+    for i, data in enumerate(cert_dicts):
         name = f"cert-{i:02d}-{data['kind']}.json"
-        (out / name).write_text(text)
+        (out / name).write_text(dump_json(data))
         outputs.append(name)
     report = {
         "schema": SCHEMA,
@@ -692,7 +677,7 @@ def run(config: ExperimentConfig, out_dir: str | Path | None = None) -> dict:
         "values": encode_value(values),
         "outputs": outputs,
     }
-    (out / "report.json").write_text(_report_json(report, cert_texts))
+    (out / "report.json").write_text(dump_json(report))
     return report
 
 

@@ -8,7 +8,7 @@ from fractions import Fraction as F
 import pytest
 
 from recurlab import cli, linsys
-from recurlab.certificates import dump_json, frac_str
+from recurlab.certificates import frac_str
 from recurlab.circle import perturb_divisibility, unimod_dist
 from recurlab.cli import ExperimentConfig, run
 from recurlab.linsys import build_diag_chain, build_j_function
@@ -167,48 +167,3 @@ def test_certificate_files_equal_report_entries(tmp_path, cfg):
         assert name.startswith(f"cert-{i:02d}-")
         cert = json.loads((tmp_path / name).read_text())
         assert cert == report["certificates"][i] == on_disk["certificates"][i]
-
-
-TRI13 = {"name": "triangular-pow2", "count": 13}
-
-
-@pytest.mark.parametrize("cfg", [
-    config("jamison", {"seq": TRI13, "epsilon": "1/4", "horizon": 12,
-                       "expect": "witness"}),
-    config("jamison", {"seq": {"name": "naturals", "count": 13},
-                       "epsilon": "7/4", "horizon": 12, "grid": 13,
-                       "expect": "witness"}),
-    config("witness", {"seq": TRI13, "theta": "1/3", "horizon": 12,
-                       "target": "3/2"}),
-    config("kahane", {"seq": TRI13, "stages": 4,
-                      "targets": {"rule": "inverse-linear"}, "horizon": 3},
-           bits=96),
-    config("rankone", {"schedule": {"kind": "chacon", "rounds": 6},
-                       "k_range": [1, 2]}),
-    config("linsys", {"seq": TRI13, "dimension": 4, "horizon": 3,
-                      "delta": "1/2", "witness_theta": "1/3",
-                      "mc": {"samples": 16}}),
-    # fails on precision (as test_cli checks): one failing certificate
-    config("linsys", {"seq": TRI13, "dimension": 3, "horizon": 10,
-                      "delta": "1/2"}),
-    config("bohr", {"r": 2, "n_max": 4, "eps": "1/16",
-                    "probe": {"rotations": ["1/3"], "eps": "1/100"}}),
-    config("gauss", {"kahane": {"seq": TRI13, "stages": 4,
-                                "targets": {"rule": "pow2", "log2": 4}},
-                     "rectangle": [-0.6, 0.9, -0.7, 0.8], "blocks": 10,
-                     "side": "A", "max_index": 5, "samples": 1000}, seed=11),
-], ids=lambda cfg: cfg["kind"])
-def test_report_json_is_the_dump_of_the_report(tmp_path, cfg):
-    report = run(ExperimentConfig.from_dict(cfg), out_dir=tmp_path)
-    assert (tmp_path / "report.json").read_text() == dump_json(report)
-
-
-@pytest.mark.parametrize("count", [0, 1, 3])
-def test_report_splice_matches_dump_json(count):
-    certs = [{"kind": f"k{i}", "values": {"s": "a\nb", "x": [i, {"y": []}]},
-              "bounds": {}} for i in range(count)]
-    report = {"schema": "recurlab/1", "kind": "witness", "passed": True,
-              "certificates": certs, "config": {"params": {}},
-              "values": {}, "outputs": ["a.csv"]}
-    assert (cli._report_json(report, [dump_json(c) for c in certs])
-            == dump_json(report))

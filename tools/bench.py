@@ -1,11 +1,12 @@
 """Write a BENCH file: the gated metrics, the source size and depth probes.
 
-    python3 tools/bench.py --out BENCH_<n>.json [--seed 1] [--seconds 30]
+    python3 tools/bench.py --out BENCH_<n>.json
 
 The gated end-to-end metrics of every workload come from
-``perfbench/run.py --workload all --trace 0``, run unchanged; its last
+``perfbench/run.py --workload all --trace 0``, run unchanged at its default
+seed and run length, so every BENCH file measures the same thing; its last
 stdout line and its machine notes are copied into the file.  ``src.lines``
-counts the lines of ``src/recurlab/*.py`` as perfbench does.  Each depth
+is perfbench's own count of ``src/recurlab/*.py``.  Each depth
 probe runs one config at the deepest size that certifies in seconds, in a
 fresh interpreter per repeat: ``run_s`` times ``cli.run`` alone and
 ``process_s`` the whole process, from start to exit; both are medians over
@@ -26,6 +27,10 @@ from pathlib import Path
 from statistics import median
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT))
+
+from perfbench.run import src_lines  # noqa: E402
+
 REPEATS = 3     # fresh-interpreter runs of each depth probe
 
 # one config per probe, at today's reach
@@ -52,14 +57,9 @@ print(json.dumps({"run_s": time.perf_counter() - t, "passed": report["passed"]})
 """
 
 
-def src_lines() -> int:
-    return sum(len(p.read_text().splitlines())
-               for p in (ROOT / "src" / "recurlab").glob("*.py"))
-
-
-def perfbench(seed: int, seconds: int) -> dict:
+def perfbench() -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", "all",
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+           "--trace", "0"]
     proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True)
     lines = proc.stdout.splitlines()
     if proc.returncode == 2 or not lines:
@@ -96,12 +96,9 @@ def probe(config: dict) -> dict:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--out", required=True, help="the BENCH file to write")
-    ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--seconds", type=int, default=30,
-                    help="perfbench's run length per workload")
     args = ap.parse_args(argv)
-    bench = {"perfbench": perfbench(args.seed, args.seconds),
-             "src.lines": src_lines(),
+    bench = {"perfbench": perfbench(),
+             "src.lines": src_lines()["src.lines"],
              "probes": {name: probe(cfg)
                         for name, cfg in PROBES.items()}}
     Path(args.out).write_text(json.dumps(bench, indent=2) + "\n")
