@@ -27,7 +27,7 @@ documented defaults; certificates bind to the concrete schedule used.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Callable
@@ -102,16 +102,6 @@ class BohrSchedule:
         spread = max(self.deltas[A][i] for A in self.deltas) * self.L[i] * self.Theta[i]
         return max(self.Q[i], spread)
 
-    def growth_margins(self) -> list[Fraction]:
-        """2 pi H_N Q_N / H_{N+1}, each certified below 2^-N."""
-        two_pi = two_pi_upper()
-        return [two_pi * self.H[i] * self.Q[i] / self.H[i + 1]
-                for i in range(self.n_max - 1)]
-
-    def to_json_dict(self) -> dict:
-        return {"r": self.r, "n_max": self.n_max, "H": self.H, "L": self.L,
-                "Q": self.Q, "Theta": self.Theta,
-                "delta": {family_label(A): v for A, v in sorted(self.deltas.items())}}
 
 
 def schedule_build(r: int, n_max: int, seeds: BohrSeeds | None = None) -> BohrSchedule:
@@ -195,12 +185,6 @@ class BohrSet:
             else:
                 raise ValueError(f"unknown family {family!r}")
         return sorted(out)
-
-    def to_json_dict(self) -> dict:
-        return {"schedule": self.schedule.to_json_dict(),
-                "blocks": {f"N{N}:{lab}": xs
-                           for (N, lab), xs in sorted(self.blocks.items())},
-                "merged": self.merged}
 
 
 # ---------------------------------------------------------------------------

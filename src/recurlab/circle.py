@@ -12,11 +12,8 @@ infs over finite index sets are therefore *selected* on exact integer
 residue numerators and only the extremal residue is evaluated in interval
 arithmetic, by :func:`chord_extreme`, the package's one such selector.
 
-Three separation questions recur downstream and get their own reports:
+Two separation questions recur downstream and get their own reports:
 
-* how far apart two orbits can drift over a finite horizon
-  (:func:`d_metric_finite`; with ``n_0 = 1`` in the sequence this
-  finite-horizon quantity is a genuine metric restriction);
 * whether some ``lambda != 1`` stays ``epsilon``-close to 1 along the
   whole horizon (:func:`jamison_separation_test`);
 * whether some ``lambda`` stays *far* from 1 along the whole horizon
@@ -54,12 +51,6 @@ class AngleTurns:
     def of(x) -> "AngleTurns":
         return x if isinstance(x, AngleTurns) else AngleTurns(x)
 
-    def minus(self, other) -> "AngleTurns":
-        return AngleTurns(self.exact - AngleTurns.of(other).exact)
-
-    def plus_fraction(self, fr: Fraction) -> "AngleTurns":
-        return AngleTurns(self.exact + fr)
-
     def __repr__(self) -> str:
         return f"AngleTurns({self.exact})"
 
@@ -96,17 +87,6 @@ class DistanceCertificate:
     tail_exact: bool
 
 
-def d_metric_finite(theta1, theta2, seq: IntegerSequence, K: int) -> DistanceCertificate:
-    """Finite-horizon orbit distance; equals chord of the angle difference.
-
-    ``|lambda^n - mu^n| = |e^{2 pi i n (t1 - t2)} - 1|`` since both points
-    are unimodular, so only the difference angle matters.
-    """
-    diff = AngleTurns.of(theta1).minus(theta2)
-    bound, _ = chord_extreme(diff.exact, seq.prefix(K + 1))
-    return DistanceCertificate(seq_label=seq.label, horizon=K, bound=bound, tail_exact=False)
-
-
 @dataclass
 class PerturbResult:
     theta: AngleTurns
@@ -125,7 +105,7 @@ def perturb_divisibility(theta, seq: IntegerSequence, m: int) -> PerturbResult:
     if m < 1:
         raise ValueError("m must be >= 1")
     n_m = seq.term(m)
-    moved = AngleTurns.of(theta).plus_fraction(Fraction(1, n_m))
+    moved = AngleTurns(AngleTurns.of(theta).exact + Fraction(1, n_m))
     # sup_k |mu^{n_k} - lambda^{n_k}| = max_{k<m} chord(n_k / n_m), tail = 0
     bound, _ = chord_extreme(Fraction(1, n_m), seq.prefix(m))
     cert = DistanceCertificate(seq_label=seq.label, horizon=m - 1, bound=bound, tail_exact=True)

@@ -55,8 +55,8 @@ import numpy as np
 
 from .certificates import Certificate, frac_str
 from .circle import AngleTurns, PerturbResult, chord_extreme, perturb_divisibility
-from .precision import (Bound, bound_max, chord, cis_ends, get_bits, residue,
-                        working_bits)
+from .precision import (Bound, bound_max, chord, cis_ends, dyadic, get_bits,
+                        residue, working_bits)
 from .seqcore import IntegerSequence
 
 
@@ -109,10 +109,6 @@ class DiagChain:
     @property
     def dimension(self) -> int:
         return len(self.angles)
-
-    def direct_d_to_one(self, seq: IntegerSequence, n: int) -> Bound:
-        """Certified sup_k |lambda_n^{n_k} - 1| over all k (exact tail)."""
-        return chord_extreme(self.angles[n - 1], seq.prefix(self.horizon))[0]
 
     def diag_power_norm(self, power: int) -> Bound:
         """Exact ||D^power - I|| = max_n |lambda_n^power - 1|."""
@@ -286,12 +282,6 @@ def _abs_upper(re, im):
     return r + (r * r != sq).astype(object)
 
 
-def _dyadic(x) -> tuple[int, int]:
-    """(v, e) with v 2^e the value of an mpf tuple."""
-    sign, man, exp, _ = x
-    return (-int(man) if sign else int(man)), int(exp)
-
-
 def _floor_shift(v: int, s: int) -> int:
     """floor(v 2^s)."""
     return v << s if s >= 0 else v >> -s
@@ -316,7 +306,7 @@ def _unit_entry(cis, bits: int) -> tuple[int, int, int]:
     one = 1 << bits
     disks = []
     for lo, hi in cis:
-        (a, ea), (b, eb) = _dyadic(lo), _dyadic(hi)
+        (a, ea), (b, eb) = dyadic(lo), dyadic(hi)
         disks.append(_disk(max(_floor_shift(a, ea + bits), -one),
                            min(-_floor_shift(-b, eb + bits), one)))
     (re, re_rad), (im, im_rad) = disks
@@ -330,7 +320,7 @@ def _chord_upper(cis, bits: int) -> int:
     the low end of cos.  The ends are integers over one power of two 2^-e,
     so the square is exact until the one ceiling to 4^-bits units."""
     (c, _), (s_lo, s_hi) = cis
-    ends = [_dyadic(x) for x in (c, s_lo, s_hi)]
+    ends = [dyadic(x) for x in (c, s_lo, s_hi)]
     e = min(0, *(x for _, x in ends))
     one = 1 << -e
     c, s_lo, s_hi = (v << (x - e) for v, x in ends)

@@ -37,8 +37,9 @@ Fourier coefficient is an integer rectangle ``(re_lo, re_hi, im_lo,
 im_hi, den)`` from the atom sum of ``specmeasure`` (the ``cis_ends``
 weighted over one common denominator) through the products of
 :func:`rect_prod` to :func:`rect_dist_to_one`.  Fractions are reduced
-once, where a caller reads them; :func:`cbound_prod` and
-``CBound.dist_to_one`` are the same kernels on CBounds.
+once, where a caller reads them; ``CBound.dist_to_one`` is the same
+kernel on a CBound.  :func:`dyadic` is the one reader of the mpf tuple
+layout.
 """
 
 from __future__ import annotations
@@ -121,11 +122,17 @@ def distance_numerators(theta: Fraction, terms: Iterable[int]) -> list[int]:
     return [r if (r := n * p % q) + r <= q else q - r for n in terms]
 
 
+def dyadic(x) -> tuple[int, int]:
+    """(v, e) with v 2^e the value of an mpf tuple: this module alone reads
+    the mpf layout ``(sign, man, exp, bc)``."""
+    sign, man, exp, _ = x
+    return (-int(man) if sign else int(man)), int(exp)
+
+
 def _mpf_tuple_to_fraction(t) -> Fraction:
     """The exact value ``(-1)^sign man 2^exp`` of an mpmath mpf tuple."""
-    sign, man, exp, _ = t
-    man, exp = (-int(man) if sign else int(man)), int(exp)
-    return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
+    v, e = dyadic(t)
+    return Fraction(v << e) if e >= 0 else Fraction(v, 1 << -e)
 
 
 def _bound(ends) -> "Bound":
@@ -273,13 +280,6 @@ def bound_max(bounds: Iterable[Bound]) -> Bound:
     return acc
 
 
-def bound_sum(bounds: Iterable[Bound]) -> Bound:
-    acc = Bound.exact(0)
-    for b in bounds:
-        acc = acc + b
-    return acc
-
-
 def pi_bound() -> Bound:
     return _bound(_mpi_pi(get_bits()))
 
@@ -384,11 +384,6 @@ class CBound:
     def exact(re: RationalLike, im: RationalLike = 0) -> "CBound":
         return CBound(Bound.exact(re), Bound.exact(im))
 
-    @staticmethod
-    def from_turns(t: RationalLike) -> "CBound":
-        """Enclosure of e^{2 pi i t}."""
-        return CBound(cos_turns(t), sin_turns(t))
-
     @property
     def is_exact(self) -> bool:
         return self.re.is_exact and self.im.is_exact
@@ -420,12 +415,6 @@ class CBound:
     def dist_to_one(self) -> Bound:
         """``(self - 1).abs()``; see :func:`rect_dist_to_one`."""
         return rect_dist_to_one(rect_of(self))
-
-
-def cbound_prod(factors: Iterable[CBound]) -> CBound:
-    """The product of the factors, equal to the left fold of ``CBound.__mul__``
-    from the exact 1; see :func:`rect_prod`."""
-    return rect_cbound(rect_prod(rect_of(f) for f in factors))
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,6 @@ from functools import cached_property
 from .certificates import Certificate, frac_str
 from .ratintervals import IntervalSet, union_all
 from .seqcore import IntegerSequence, decompose_pk_rk
-from . import seqcore
 
 
 @dataclass(frozen=True)
@@ -185,9 +184,6 @@ class TowerBuild:
 
     def stage(self, i: int) -> TowerStage:
         return self.stages[i]
-
-    def mass_ledger(self) -> list[Fraction]:
-        return [s.mass() for s in self.stages]
 
 
 def _stack_once(stage: TowerStage, p: int, r: int,
@@ -389,30 +385,6 @@ def red_index_oracle(schedule: StackingSchedule, rounds: int) -> list[frozenset[
         reds.append(frozenset(nxt))
         height = p * height + r
     return reds
-
-
-def symbolic_survivor_shift(schedule: StackingSchedule, k: int) -> tuple[frozenset[int], frozenset[int]]:
-    """(T^{n_k - 1} images of red survivors, red set) at stage k+1, as indices.
-
-    Survivors are red levels of stage k+1 that came from columns < p_k;
-    within stage k+1 the map adds exactly n_k - 1 to their index.
-    """
-    heights = schedule.heights()
-    reds = red_index_oracle(schedule, k + 1)
-    p_k, _ = schedule.steps[k]
-    n_k, n_next = heights[k], heights[k + 1]
-    red_k, red_next = reds[k], reds[k + 1]
-    a = p_k // 3 if schedule.steps[k][1] >= 1 else 0
-    survivors = set()
-    for c in range(1, p_k):
-        off = (c - 1) * n_k if (schedule.steps[k][1] == 0 or c <= a) else (c - 1) * n_k + 1
-        survivors.update(off + i for i in red_k)
-    if schedule.steps[k][1] >= 1 and not red_k:
-        survivors.add(a * n_k)          # A itself was born this round
-        # A born this round sits before column a+1; it is a survivor only
-        # if a < p_k, which p_k >= 3 guarantees
-    shifted = frozenset(i + n_k - 1 for i in survivors if i + n_k - 1 < n_next)
-    return shifted, red_next
 
 
 # ---------------------------------------------------------------------------

@@ -109,9 +109,6 @@ class IntervalSet:
                 return True
         return False
 
-    def contains_set(self, other: "IntervalSet") -> bool:
-        return not other.subtract(self)
-
     def largest_component(self) -> Interval | None:
         if not self.parts:
             return None

@@ -6,10 +6,8 @@ positive integers.  This module builds the families used there:
 * chained-divisibility sequences ``n_{k+1} = q_k n_k`` (every term divides
   every later term), the natural habitat for rigidity constructions;
 * affine recursions ``n_{k+1} = q_k n_k + 1``;
-* finite block unions ``{p_j, 2 p_j, ..., j p_j}`` (and their +1 shifts),
-  which separate density-style conditions from separation-style ones;
-* canonical Euclidean decompositions ``n_{k+1} = p_k n_k + r_k`` feeding
-  the cutting-and-stacking builder;
+* Euclidean decompositions ``n_{k+1} = p_k n_k + r_k`` feeding the
+  cutting-and-stacking builder;
 * a deterministic two-sided splitter producing nonincreasing positive
   rationals ``a_k, b_k`` and a partition of the index range into blocks
   alternating between two sides A and B such that on each B block the
@@ -29,11 +27,8 @@ exact at any depth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from typing import Callable, Sequence
-
-from .certificates import SCHEMA
 
 # Materialize explicit integer block endpoints only below this bit size;
 # beyond it the dyadic exponent is the only sane representation.
@@ -49,9 +44,7 @@ class IntegerSequence:
 
     def __init__(self, terms: Sequence[int], label: str = "",
                  divisibility: bool = False,
-                 rule: Callable[[list[int]], int] | None = None,
-                 generator: dict | None = None,
-                 meta: dict | None = None):
+                 rule: Callable[[list[int]], int] | None = None):
         terms = [int(t) for t in terms]
         if not terms:
             raise ValueError("empty sequence")
@@ -64,8 +57,6 @@ class IntegerSequence:
         self.label = label or "seq"
         self.divisibility = bool(divisibility)
         self._rule = rule
-        self.generator = generator
-        self.meta = dict(meta or {})
         if divisibility:
             self._check_divisibility(terms)
 
@@ -79,10 +70,6 @@ class IntegerSequence:
 
     def __len__(self) -> int:
         return len(self._terms)
-
-    @property
-    def normalized(self) -> bool:
-        return self._terms[0] == 1
 
     def extend_to(self, count: int) -> None:
         while len(self._terms) < count:
@@ -114,59 +101,6 @@ class IntegerSequence:
         head = ", ".join(str(t) for t in self._terms[:6])
         more = ", ..." if len(self._terms) > 6 else ""
         return f"IntegerSequence({self.label}: {head}{more})"
-
-    # -- serialization ----------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema": SCHEMA,
-            "label": self.label,
-            "terms": [str(t) for t in self._terms],
-            "divisibility": self.divisibility,
-            "normalized": self.normalized,
-            "generator": self.generator,
-            "meta": {k: (str(v) if isinstance(v, int) and abs(v) >= 2 ** 53 else v)
-                     for k, v in self.meta.items()},
-        }
-
-    @staticmethod
-    def from_json_dict(data: dict) -> "IntegerSequence":
-        terms = [int(t) for t in data["terms"]]
-        gen = data.get("generator")
-        rule = _rule_from_generator(gen) if gen else None
-        return IntegerSequence(
-            terms, label=data.get("label", "seq"),
-            divisibility=bool(data.get("divisibility", False)),
-            rule=rule, generator=gen, meta=data.get("meta") or {})
-
-
-def _rule_from_generator(gen: dict) -> Callable[[list[int]], int] | None:
-    kind = gen.get("kind")
-    if kind == "divisibility":
-        ratios = [int(r) for r in gen.get("ratios", [])]
-
-        def rule(terms: list[int]) -> int:
-            k = len(terms) - 1
-            if k >= len(ratios):
-                raise IndexError("ratio list exhausted")
-            return terms[-1] * ratios[k]
-        return rule
-    if kind == "triangular_pow2":
-        return lambda terms: terms[-1] * 2 ** len(terms)
-    if kind == "recursive_q":
-        qs = [int(q) for q in gen.get("q", [])]
-        const = gen.get("q_const")
-
-        def rule(terms: list[int]) -> int:
-            k = len(terms) - 1
-            q = qs[k] if k < len(qs) else (int(const) if const else None)
-            if q is None:
-                raise IndexError("multiplier list exhausted")
-            return q * terms[-1] + 1
-        return rule
-    if kind == "naturals":
-        return lambda terms: terms[-1] + 1
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -202,19 +136,22 @@ def gen_divisibility(base: int, ratios: Sequence[int] | Callable[[int], int],
             if q < 2:
                 raise ValueError("ratio below 2")
             return ts[-1] * q
-        gen = None
     else:
-        rule = _rule_from_generator({"kind": "divisibility", "ratios": list(ratios)})
-        gen = {"kind": "divisibility", "base": base, "ratios": [int(r) for r in ratios]}
+        ratio_list = [int(r) for r in ratios]
+
+        def rule(ts: list[int]) -> int:
+            k = len(ts) - 1
+            if k >= len(ratio_list):
+                raise IndexError("ratio list exhausted")
+            return ts[-1] * ratio_list[k]
     return IntegerSequence(terms, label=f"div(base={base})", divisibility=True,
-                           rule=rule, generator=gen)
+                           rule=rule)
 
 
 def triangular_pow2(count: int) -> IntegerSequence:
     """The divisibility sequence ``n_k = 2^{k(k+1)/2}`` (ratios 2^{k+1})."""
     seq = gen_divisibility(1, lambda k: 2 ** (k + 1), count)
     seq.label = "2^(k(k+1)/2)"
-    seq.generator = {"kind": "triangular_pow2"}
     return seq
 
 
@@ -232,108 +169,41 @@ def gen_recursive_q(q: int | Sequence[int], count: int) -> IntegerSequence:
         if qs[k] < 1:
             raise ValueError("multipliers must be >= 1")
         terms.append(qs[k] * terms[-1] + 1)
-    gen = ({"kind": "recursive_q", "q_const": int(q)} if const
-           else {"kind": "recursive_q", "q": qs})
+
+    def rule(ts: list[int]) -> int:
+        k = len(ts) - 1
+        if not const and k >= len(qs):
+            raise IndexError("multiplier list exhausted")
+        return (q if const else qs[k]) * ts[-1] + 1
     return IntegerSequence(terms, label=f"affine(q={q if const else tuple(qs)})",
-                           rule=_rule_from_generator(gen), generator=gen)
-
-
-def gen_remark_counterexample(p: Sequence[int], shifted: bool = False,
-                              count: int | None = None) -> IntegerSequence:
-    """Union of blocks ``{p_j, 2 p_j, ..., j p_j}`` (j = 1-based position).
-
-    Requires ``j * p_j < p_{j+1}`` so blocks stay ordered and disjoint.
-    With ``shifted`` every element is increased by 1.
-    """
-    p = [int(x) for x in p]
-    if not p or any(x < 1 for x in p):
-        raise ValueError("p must be positive integers")
-    for j, (a, b) in enumerate(zip(p, p[1:]), start=1):
-        if j * a >= b:
-            raise ValueError(f"block overlap: {j}*{a} >= {b}")
-    terms: list[int] = []
-    for j, pj in enumerate(p, start=1):
-        terms.extend(m * pj for m in range(1, j + 1))
-    if shifted:
-        terms = [t + 1 for t in terms]
-    if count is not None:
-        terms = terms[:count]
-    label = f"blocks(p={tuple(p)}{', shifted' if shifted else ''})"
-    return IntegerSequence(terms, label=label,
-                           meta={"blocks": [min(j, len(terms)) for j in range(1, len(p) + 1)],
-                                 "shifted": shifted})
+                           rule=rule)
 
 
 def naturals(count: int) -> IntegerSequence:
     return IntegerSequence(list(range(1, count + 1)), label="naturals",
-                           rule=lambda ts: ts[-1] + 1,
-                           generator={"kind": "naturals"})
+                           rule=lambda ts: ts[-1] + 1)
 
 
 # ---------------------------------------------------------------------------
-# Euclidean decomposition and shifts
+# Euclidean decomposition
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class PkRkDecomposition:
-    """``n_{k+1} = p n_k + r`` with the canonical Euclidean choice."""
+    """``n_{k+1} = p n_k + r`` with the Euclidean choice ``0 <= r < n_k``."""
 
     k: int
     n_k: int
     n_next: int
     p: int
     r: int
-    canonical: bool
-    ratio_partial_sum: Fraction  # sum_{j<=k} r_j / (p_j n_j)
-
-    @property
-    def p_ge_3(self) -> bool:
-        return self.p >= 3
-
-    def __post_init__(self):
-        if self.p * self.n_k + self.r != self.n_next:
-            raise ValueError("decomposition identity violated")
-        if self.canonical and not (0 <= self.r < self.n_k):
-            raise ValueError("canonical decomposition requires 0 <= r < n_k")
 
 
 def decompose_pk_rk(seq: IntegerSequence, k: int) -> PkRkDecomposition:
-    """Canonical decomposition at index k, with the running ratio sum."""
-    total = Fraction(0)
-    dec = None
-    for j in range(k + 1):
-        n_j, n_j1 = seq.term(j), seq.term(j + 1)
-        p, r = divmod(n_j1, n_j)
-        total += Fraction(r, p * n_j)
-        if j == k:
-            dec = PkRkDecomposition(k=j, n_k=n_j, n_next=n_j1, p=p, r=r,
-                                    canonical=True, ratio_partial_sum=total)
-    assert dec is not None
-    return dec
-
-
-def shift_set(seq: IntegerSequence, p: int) -> IntegerSequence:
-    """``{n_k - p} ∩ Z_{>=1}``, sorted; records the first surviving index."""
-    if p < 0:
-        raise ValueError("shift must be nonnegative")
-    terms = []
-    k0 = None
-    for k in range(len(seq)):
-        v = seq.term(k) - p
-        if v >= 1:
-            if k0 is None:
-                k0 = k
-            terms.append(v)
-    if not terms:
-        raise ValueError(f"no term of {seq.label} exceeds the shift {p}")
-    src, base = seq, k0
-
-    def rule(ts: list[int]) -> int:
-        return src.term(base + len(ts)) - p
-
-    return IntegerSequence(terms, label=f"{seq.label} - {p}",
-                           rule=rule if seq._rule is not None else None,
-                           meta={"k0": k0, "shift": p})
+    """The Euclidean decomposition of ``n_{k+1}`` by ``n_k``."""
+    n_k, n_next = seq.term(k), seq.term(k + 1)
+    p, r = divmod(n_next, n_k)
+    return PkRkDecomposition(k=k, n_k=n_k, n_next=n_next, p=p, r=r)
 
 
 # ---------------------------------------------------------------------------
@@ -348,14 +218,6 @@ class Pow2:
 
     def __mul__(self, other: "Pow2") -> "Pow2":
         return Pow2(self.log2 + other.log2)
-
-    def cube(self) -> "Pow2":
-        return Pow2(3 * self.log2)
-
-    def as_fraction(self) -> Fraction:
-        if abs(self.log2) > _ENDPOINT_BIT_GUARD:
-            raise OverflowError(f"2^{self.log2} too large to materialize")
-        return Fraction(2) ** self.log2
 
     def __str__(self) -> str:
         return f"2^{self.log2}"
@@ -385,20 +247,6 @@ class SplitterOutput:
     """Alternating two-sided block structure over indices 1..p_n."""
 
     blocks: list[SplitBlock]
-
-    def block_for_index(self, k: int) -> SplitBlock:
-        for blk in self.blocks:
-            if blk.start is None or blk.end is None:
-                break
-            if blk.start <= k <= blk.end:
-                return blk
-        raise IndexError(f"index {k} outside materialized blocks")
-
-    def a_at(self, k: int) -> Pow2:
-        return self.block_for_index(k).a
-
-    def b_at(self, k: int) -> Pow2:
-        return self.block_for_index(k).b
 
     def side_indices(self, side: str, max_index: int) -> list[int]:
         """Indices of the given side not exceeding ``max_index``."""
@@ -459,22 +307,6 @@ class SplitterOutput:
             "own_side_sums": self.check_own_side_sums(),
             "cube_root_sums": self.check_cube_root_sums(),
             "partition": self.check_partition(),
-        }
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema": SCHEMA,
-            "kind": "two-sided-split",
-            "blocks": [{
-                "n": blk.n, "side": blk.side,
-                "length": str(Pow2(blk.length_log2)),
-                "a": str(blk.a), "b": str(blk.b),
-                "start": str(blk.start) if blk.start is not None
-                and blk.start.bit_length() <= 4096 else None,
-                "end": str(blk.end) if blk.end is not None
-                and blk.end.bit_length() <= 4096 else None,
-            } for blk in self.blocks],
-            "checks": self.check_all(),
         }
 
 

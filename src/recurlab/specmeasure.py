@@ -40,7 +40,7 @@ from math import gcd, lcm
 import numpy as np
 
 from .certificates import Certificate, frac_str
-from .precision import (Bound, CBound, bits_for_power, bound_sum, chord, cis_ends,
+from .precision import (Bound, CBound, bits_for_power, cis_ends, dyadic,
                         get_bits, pi_bound, rect_abs2, rect_cbound,
                         rect_dist_to_one, rect_prod, residue, working_bits)
 from .seqcore import IntegerSequence
@@ -83,10 +83,6 @@ class DiscreteMeasure:
                                 for a1, w1 in self.atoms
                                 for a2, w2 in other.atoms])
 
-    def atom_energy(self) -> Fraction:
-        """sum of squared weights; the Wiener limit of the energy average."""
-        return sum((w * w for _, w in self.atoms), Fraction(0))
-
     def denominator_lcm(self) -> int:
         return lcm(*(a.denominator for a, _ in self.atoms))
 
@@ -107,17 +103,16 @@ def _fourier_rect(measure: DiscreteMeasure, n: int) -> tuple[int, int, int, int,
     of the reduced endpoint denominators.
     """
     W = lcm(*(w.denominator for _, w in measure.atoms))
-    rows = [(*cos, *sin) for cos, sin in
+    rows = [[dyadic(x) for x in (*cos, *sin)] for cos, sin in
             (cis_ends(residue(angle, n)) for angle, _ in measure.atoms)]
-    e = -min(x[2] for row in rows for x in row)     # ends in [-1, 1] have exp <= 0
+    e = -min(x for row in rows for _, x in row)     # ends in [-1, 1] have exp <= 0
     one = 1 << e
     sums = [0, 0, 0, 0]
     for (_, w), row in zip(measure.atoms, rows):
         scale = w.numerator * (W // w.denominator)
         # row is (cos_lo, cos_hi, sin_lo, sin_hi): clamp lo ends up, hi down
-        for c, (sign, man, exp, _) in enumerate(row):
-            v = int(man) << (int(exp) + e)
-            v = -v if sign else v
+        for c, (v, x) in enumerate(row):
+            v <<= x + e
             sums[c] += scale * (min(v, one) if c & 1 else max(v, -one))
     den = W << e
     g = gcd(*sums, den)
@@ -326,90 +321,6 @@ def rigidity_check(factored: ConvolutionFactorization, seq: IntegerSequence,
         bounds={f"dev_k{k}": d for k, d in enumerate(deviations)},
         values=values,
     )
-
-
-# ---------------------------------------------------------------------------
-# energy and drift diagnostics
-# ---------------------------------------------------------------------------
-
-def wiener_energy(measure: DiscreteMeasure, N: int) -> tuple[Bound, Fraction]:
-    """Cesaro energy average ((1/N) sum_{n=1..N} |sigma_hat(n)|^2, sum w_i^2).
-
-    When every atom denominator divides N the average collapses exactly:
-    each cross pair (i, j) contributes a full set of q-th roots of unity,
-    which sums to zero, leaving the diagonal sum of squared weights.
-    Otherwise the average is accumulated term by term with certified
-    arithmetic (cost O(N * atoms)).
-    """
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    energy = measure.atom_energy()
-    if N % measure.denominator_lcm() == 0:
-        return Bound.exact(energy), energy
-    avg = bound_sum(fourier_direct(measure, n).abs2() for n in range(1, N + 1))
-    return avg.scale(Fraction(1, N)), energy
-
-
-@dataclass
-class DriftReport:
-    """Chain diagnostic linking rigidity targets to base-frequency drift."""
-
-    k: int
-    q_k: int
-    q_next: int
-    premise_bounds: tuple[Bound, Bound]
-    premise_holds: bool
-    drift: Bound          # L = integral of |lambda - 1| d sigma
-    ceiling: Bound        # R = 2 sqrt(2) (q_{k+1}^{-2} + q_k^{-1})
-    conclusion_certified: bool
-    consistent: bool
-
-    def to_certificate(self) -> Certificate:
-        return Certificate(
-            kind="recursive-q-drift",
-            claim=f"premise at (k, k+1) forces drift <= ceiling at k={self.k}",
-            passed=self.consistent, exact=False,
-            method="certified atom sums + chord chain",
-            params={"k": self.k, "q_k": self.q_k, "q_next": self.q_next,
-                    "premise_holds": self.premise_holds},
-            bounds={"drift": self.drift, "ceiling": self.ceiling,
-                    "premise_k": self.premise_bounds[0],
-                    "premise_next": self.premise_bounds[1]},
-            values={"conclusion_certified": self.conclusion_certified},
-        )
-
-
-def example44_diagnostic(measure: DiscreteMeasure, seq: IntegerSequence,
-                         k: int) -> DriftReport:
-    """Check the drift chain on a ``n_{k+1} = q_k n_k + 1`` sequence.
-
-    If the measure is rigid enough at stages k and k+1 (deviation at most
-    ``q_j^{-4}``), then the mean distance of the base frequency from 1,
-    ``L = integral |lambda - 1| d sigma``, must stay under
-    ``2 sqrt(2) (q_{k+1}^{-2} + q_k^{-1})``: the +1 offset in the
-    recursion transfers stage rigidity down to frequency one.  The report
-    never asserts the conclusion when the premise fails.
-    """
-    n = [seq.term(k), seq.term(k + 1), seq.term(k + 2)]
-    qs = []
-    for lo, hi in ((n[0], n[1]), (n[1], n[2])):
-        if (hi - 1) % lo:
-            raise ValueError("sequence does not satisfy n_{k+1} = q_k n_k + 1")
-        qs.append((hi - 1) // lo)
-    q_k, q_next = qs
-    dev_k = fourier_direct(measure, n[0]).dist_to_one()
-    dev_next = fourier_direct(measure, n[1]).dist_to_one()
-    premise = (dev_k.hi <= Fraction(1, q_k ** 4)
-               and dev_next.hi <= Fraction(1, q_next ** 4))
-    drift = bound_sum(chord(angle).scale(w) for angle, w in measure.atoms)
-    ceiling = Bound.exact(8).sqrt().scale(
-        Fraction(1, q_next ** 2) + Fraction(1, q_k))
-    concluded = drift.hi <= ceiling.lo
-    return DriftReport(k=k, q_k=q_k, q_next=q_next,
-                       premise_bounds=(dev_k, dev_next), premise_holds=premise,
-                       drift=drift, ceiling=ceiling,
-                       conclusion_certified=concluded,
-                       consistent=(not premise) or concluded)
 
 
 # ---------------------------------------------------------------------------

@@ -43,12 +43,6 @@ def test_h_chain_divisibility():
     assert all(s.H[i + 1] % s.H[i] == 0 for i in range(4))
 
 
-def test_growth_margins_shrink():
-    s = schedule_build(1, 4)
-    for i, m in enumerate(s.growth_margins()):
-        assert m < F(1, 2 ** (i + 1))
-
-
 def test_custom_seeds():
     b = set_of(2, 2, BohrSeeds(h1=12, q_of=lambda N: 1))
     assert b.schedule.H == [12, 1836]
@@ -90,9 +84,10 @@ def test_family_elements_both_forms():
 
 def test_nonempty_family_blocks():
     b = set_of(2, 2)
-    assert b.schedule.H == [6, 918]
+    assert b.schedule.H == [6, 918] and sorted(b.schedule.deltas) == [(), (1,)]
     assert b.blocks[(1, "{1}")] == [48, 84]       # 6*2*(3j+1)
     assert b.blocks[(2, "{1}")] == [12852, 23868, 34884]
+    assert family_label(0) == "0" and family_label((1, 2)) == "{1,2}"
 
 
 # --- small-sup witnesses ---------------------------------------------------
@@ -254,18 +249,6 @@ def test_probe_csv():
         "0/1,1/10,6,0\n"
         "1/6,1/10,6,0\n"
         "35561/106002,1/2,,\n")
-
-
-# --- serialization ---------------------------------------------------------
-
-def test_json_shapes():
-    b = set_of(2, 2)
-    sd = b.schedule.to_json_dict()
-    assert sd["H"] == [6, 918] and sorted(sd["delta"]) == ["{1}", "{}"]
-    bd = b.to_json_dict()
-    assert bd["blocks"]["N1:0"] == [7, 13]
-    assert bd["merged"] == sorted(bd["merged"])
-    assert family_label(0) == "0" and family_label((1, 2)) == "{1,2}"
 
 
 # --- schedule invariants under fuzzed seeds --------------------------------

@@ -9,7 +9,7 @@ import pytest
 
 from recurlab import cli, linsys
 from recurlab.certificates import frac_str
-from recurlab.circle import perturb_divisibility, unimod_dist
+from recurlab.circle import chord_extreme, perturb_divisibility, unimod_dist
 from recurlab.cli import ExperimentConfig, run
 from recurlab.linsys import build_diag_chain, build_j_function
 from recurlab.precision import (Bound, bound_max, get_bits, residue,
@@ -125,7 +125,9 @@ def test_diag_chain_matches_reference_probe_loop(N):
     for n in range(1, N + 1):
         ref = bound_max([unimod_dist(chain.angles[n - 1], t)
                          for t in seq.prefix(chain.horizon)])
-        assert chain.direct_d_to_one(seq, n) == ref
+        direct, _ = chord_extreme(chain.angles[n - 1],
+                                  seq.prefix(chain.horizon))
+        assert direct == ref
 
 
 @pytest.mark.parametrize("seq, N", [

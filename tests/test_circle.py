@@ -8,20 +8,17 @@ from hypothesis import example, given, settings, strategies as st
 import recurlab.circle as circle_module
 from recurlab.circle import (GRID_LIMIT, AngleTurns, _grid_scan,
                              _max_chord, _refine_float, _survivors,
-                             chord_extreme, d_metric_finite,
-                             jamison_separation_test, perturb_divisibility,
-                             unimod_dist, verify_witness,
-                             witness_nested_intervals)
+                             chord_extreme, jamison_separation_test,
+                             perturb_divisibility, unimod_dist,
+                             verify_witness, witness_nested_intervals)
 from recurlab.precision import chord, pi_bound, residue, residue_distance
 from recurlab.ratintervals import IntervalSet, balls_mod1
 from recurlab.seqcore import (gen_divisibility, gen_recursive_q, naturals,
                               triangular_pow2)
 
 # closed forms, computed independently:
-#   2 sin(pi/8)  = sqrt(2 - sqrt(2))
 #   2 sin(pi/16) = sqrt(2 - sqrt(2 + sqrt(2)))
 #   2 sin(pi/3)  = sqrt(3)
-TWO_SIN_PI_8 = 0.7653668647301796
 TWO_SIN_PI_16 = 0.3901806440322565
 SQRT_3 = 1.7320508075688772
 
@@ -37,38 +34,6 @@ def test_unimod_dist_exact_residues():
     assert unimod_dist(F(1, 6), 1).is_exact and unimod_dist(F(1, 6), 1).lo == 1
     assert unimod_dist(F(1, 3), 3).is_exact and unimod_dist(F(1, 3), 3).lo == 0
     assert unimod_dist(F(5, 3), 1) == unimod_dist(F(2, 3), 1)
-
-
-def test_d_metric_triangular_64th():
-    cert = d_metric_finite(F(1, 64), 0, triangular_pow2(6), K=5)
-    assert abs(float(cert.bound.mid) - TWO_SIN_PI_8) < 1e-15
-    assert cert.bound.width < F(1, 10**20)
-    assert not cert.tail_exact
-
-
-def test_d_metric_naturals_exact_two():
-    cert = d_metric_finite(F(1, 8), 0, naturals(5), K=4)
-    assert cert.bound.is_exact and cert.bound.lo == 2
-
-
-angles = st.fractions(min_value=0, max_value=1, max_denominator=64)
-
-
-@settings(max_examples=60)
-@given(angles, angles, angles)
-def test_d_metric_triangle_inequality(t1, t2, t3):
-    seq = triangular_pow2(5)
-    d13 = d_metric_finite(t1, t3, seq, K=4).bound
-    d12 = d_metric_finite(t1, t2, seq, K=4).bound
-    d23 = d_metric_finite(t2, t3, seq, K=4).bound
-    assert d13.lo <= d12.hi + d23.hi
-    assert d_metric_finite(t1, t2, seq, K=4).bound == d_metric_finite(t2, t1, seq, K=4).bound
-
-
-@given(angles)
-def test_d_metric_self_distance_zero(t):
-    b = d_metric_finite(t, t, naturals(6), K=5).bound
-    assert b.is_exact and b.lo == 0
 
 
 def test_perturbation_has_exact_tail():
@@ -432,5 +397,3 @@ def test_angle_container():
     with pytest.raises(TypeError):
         AngleTurns()
     assert AngleTurns.of(F(7, 3)).exact == F(1, 3)
-    diff = AngleTurns.of(F(1, 4)).minus(AngleTurns.of(F(3, 4)))
-    assert diff.exact == F(1, 2)

@@ -8,7 +8,7 @@ import pytest
 from mpmath import mp, mpc
 
 from recurlab import linsys, precision
-from recurlab.circle import AngleTurns, verify_witness
+from recurlab.circle import AngleTurns, chord_extreme, verify_witness
 from recurlab.linsys import (BallCertificate, DiagShiftOperator, NormCertificate,
                              NormRow, PrecisionError, ball_certificate,
                              ball_mc_check, build_diag_chain, build_j_function,
@@ -61,7 +61,8 @@ def test_chain_indices_are_fresh_and_budgeted(chain):
 
 def test_chain_telescoping_dominates_direct(chain):
     for n in range(1, 9):
-        direct = chain.direct_d_to_one(SEQ, n)
+        direct, _ = chord_extreme(chain.angles[n - 1],
+                                  SEQ.prefix(chain.horizon))
         assert chain.tele_bounds[n - 1].hi >= direct.lo
 
 

@@ -12,9 +12,10 @@ from mpmath.libmp.libmpi import mpi_cos_sin
 
 from recurlab import precision
 from recurlab.precision import (Bound, CBound, _enclose, _mpf_tuple_to_fraction,
-                                cbound_prod, chord, cis_ends, cos_turns,
-                                distance_numerators, get_bits,
-                                pi_bound, residue, sin_turns, working_bits)
+                                chord, cis_ends, cos_turns,
+                                distance_numerators, get_bits, pi_bound,
+                                rect_cbound, rect_of, rect_prod, residue,
+                                sin_turns, working_bits)
 
 huge = st.integers(min_value=2 ** 200, max_value=2 ** 400)
 
@@ -218,16 +219,17 @@ _cbounds = st.one_of(st.just(CBound.exact(1)), st.builds(CBound, _bounds, _bound
 @settings(max_examples=100)
 @given(st.lists(_cbounds, max_size=6))
 def test_cbound_prod_matches_the_fraction_fold(factors):
-    assert cbound_prod(factors) == _fold_prod(factors)
+    assert rect_cbound(rect_prod(map(rect_of, factors))) == _fold_prod(factors)
 
 
 def test_cbound_prod_single_and_exact_one_factors():
     z = CBound(Bound(F(-1, 3), F(1, 7)), Bound(F(2, 5), F(1, 2)))
-    assert cbound_prod([z]) == z
-    assert cbound_prod([CBound.exact(1), z, CBound.exact(1)]) == z
-    assert cbound_prod([]) == CBound.exact(1)
-    w = CBound.from_turns(F(1, 7))
-    assert cbound_prod([z, CBound.exact(1), w]) == _fold_prod([z, w])
+    one = rect_of(CBound.exact(1))
+    assert rect_cbound(rect_prod([rect_of(z)])) == z
+    assert rect_cbound(rect_prod([one, rect_of(z), one])) == z
+    assert rect_cbound(rect_prod([])) == CBound.exact(1)
+    w = CBound(cos_turns(F(1, 7)), sin_turns(F(1, 7)))
+    assert rect_cbound(rect_prod([rect_of(z), one, rect_of(w)])) == _fold_prod([z, w])
 
 
 def _old_dist_to_one(z: CBound) -> Bound:
@@ -255,5 +257,6 @@ def test_dist_to_one_sign_cases_and_exact_one():
                    Bound(F(2, 11), F(6, 7))):
             z = CBound(re, im)
             assert z.dist_to_one() == _old_dist_to_one(z)
-    w = cbound_prod([CBound.from_turns(F(1, 7))] * 5)
+    w = rect_cbound(rect_prod([rect_of(CBound(cos_turns(F(1, 7)),
+                                              sin_turns(F(1, 7))))] * 5))
     assert w.dist_to_one() == _old_dist_to_one(w)

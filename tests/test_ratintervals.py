@@ -34,8 +34,8 @@ def test_intersect_sweep():
 def test_translate_and_containment():
     a = IntervalSet.single(F(1, 8), F(1, 4)).translate(F(1, 2))
     assert a.parts == [(F(5, 8), F(3, 4))]
-    assert IntervalSet.single(F(0), F(1)).contains_set(a)
-    assert not a.contains_set(IntervalSet.single(F(0), F(1)))
+    assert a.contains_point(F(11, 16))
+    assert not a.contains_point(F(3, 16))
 
 
 def test_remove_ball_wraps_around_circle():

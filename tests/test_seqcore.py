@@ -1,15 +1,13 @@
 """Sequence generators, Euclidean decompositions, and the two-sided splitter."""
 
 import time
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from recurlab.seqcore import (
     IntegerSequence, Pow2, decompose_pk_rk, fact42_split, gen_divisibility,
-    gen_recursive_q, gen_remark_counterexample, naturals, shift_set,
-    triangular_pow2,
+    gen_recursive_q, naturals, triangular_pow2,
 )
 
 
@@ -23,7 +21,7 @@ def test_triangular_pow2_closed_form():
     # independent oracle: n_k = 2^(k(k+1)/2)
     for k in range(13):
         assert seq.term(k) == 2 ** (k * (k + 1) // 2)
-    assert seq.divisibility and seq.normalized
+    assert seq.divisibility
 
 
 def test_divisibility_rejects_small_ratios():
@@ -59,27 +57,12 @@ def test_recursive_q_constant_three():
         assert seq.term(k) == (3 ** (k + 1) - 1) // 2
 
 
-def test_remark_blocks():
-    seq = gen_remark_counterexample((10, 1000))
-    assert seq.materialized() == [10, 1000, 2000]
-    shifted = gen_remark_counterexample((10, 1000), shifted=True)
-    assert shifted.materialized() == [11, 1001, 2001]
-
-
-def test_remark_blocks_reject_overlap():
-    # second block ends at 2*20 = 40, past the third anchor 30
-    with pytest.raises(ValueError, match="overlap"):
-        gen_remark_counterexample((10, 20, 30))
-
-
 def test_lazy_extension_and_roundtrip():
     seq = triangular_pow2(3)
     assert seq.term(12) == 2 ** 78
-    data = seq.to_json_dict()
-    assert data["terms"][-1] == str(2 ** 78)
-    back = IntegerSequence.from_json_dict(data)
-    assert back.term(13) == 2 ** 91
-    assert back.divisibility
+    assert seq.prefix(14) == triangular_pow2(14).materialized()
+    assert seq.term(13) == 2 ** 91
+    assert seq.divisibility
 
 
 def test_naturals():
@@ -87,22 +70,19 @@ def test_naturals():
 
 
 # ---------------------------------------------------------------------------
-# decomposition and shifts
+# decomposition
 # ---------------------------------------------------------------------------
 
 def test_decompose_chacon_schedule():
     seq = gen_recursive_q(3, 5)
-    # at k=0 the canonical choice against n_0 = 1 is (4, 0): r < n_k forces r = 0
+    # at k=0 the Euclidean choice against n_0 = 1 is (4, 0): r < n_k forces r = 0
     d0 = decompose_pk_rk(seq, 0)
-    assert (d0.p, d0.r) == (4, 0) and d0.canonical
-    assert d0.ratio_partial_sum == 0
-    # from k=1 on the affine structure n_{k+1} = 3 n_k + 1 is canonical
+    assert (d0.p, d0.r) == (4, 0)
+    # from k=1 on the affine structure n_{k+1} = 3 n_k + 1 is Euclidean
     d1 = decompose_pk_rk(seq, 1)
-    assert (d1.p, d1.r) == (3, 1) and d1.p_ge_3
-    assert d1.ratio_partial_sum == Fraction(1, 12)
+    assert (d1.k, d1.n_k, d1.n_next, d1.p, d1.r) == (1, 4, 13, 3, 1)
     d2 = decompose_pk_rk(seq, 2)
     assert (d2.p, d2.r) == (3, 1)
-    assert d2.ratio_partial_sum == Fraction(17, 156)
 
 
 @given(st.lists(st.integers(min_value=1, max_value=50), min_size=2, max_size=8))
@@ -118,20 +98,6 @@ def test_decompose_identity_random(steps):
         assert 0 <= d.r < d.n_k
 
 
-def test_shift_set_chacon_minus_one():
-    seq = gen_recursive_q(3, 5)
-    sh = shift_set(seq, 1)
-    assert sh.prefix(4) == [3, 12, 39, 120]
-    assert sh.meta["k0"] == 1
-
-
-def test_shift_set_affine_minus_five():
-    seq = gen_recursive_q((2, 3, 4), 4)
-    sh = shift_set(seq, 5)
-    assert sh.materialized() == [5, 36]
-    assert sh.meta["k0"] == 2
-
-
 # ---------------------------------------------------------------------------
 # two-sided splitter
 # ---------------------------------------------------------------------------
@@ -140,8 +106,7 @@ def test_split_single_block_seeds():
     out = fact42_split(1)
     blk = out.blocks[0]
     assert (blk.start, blk.end) == (1, 1)
-    assert blk.a.as_fraction() == Fraction(1, 2)
-    assert blk.b.as_fraction() == Fraction(1, 8)
+    assert blk.a == Pow2(-1) and blk.b == Pow2(-3)
     assert blk.side == "B"
 
 
@@ -150,9 +115,9 @@ def test_split_two_blocks_frozen():
     blk = out.blocks[1]
     # shortest block with b-sum >= 1/2 at b = 1/8 has 4 indices: 2..5
     assert (blk.start, blk.end) == (2, 5)
-    assert blk.b.as_fraction() == Fraction(1, 8)
+    assert blk.b == Pow2(-3)
     # largest a with 4 * a^(1/3) <= 2^-2 is (2^-4)^3 = 1/4096
-    assert blk.a.as_fraction() == Fraction(1, 4096)
+    assert blk.a == Pow2(-12)
     assert blk.side == "A"
 
 
@@ -186,8 +151,6 @@ def test_split_invariants_any_depth(n):
 
 def test_split_index_lookup():
     out = fact42_split(4)
-    assert out.a_at(3).as_fraction() == Fraction(1, 4096)
-    assert out.b_at(1).as_fraction() == Fraction(1, 8)
     assert out.side_indices("A", 12) == [2, 3, 4, 5]
     assert out.side_indices("B", 8) == [1, 6, 7, 8]
 
@@ -195,4 +158,4 @@ def test_split_index_lookup():
 def test_pow2_ordering():
     assert Pow2(-3) < Pow2(-1)
     assert min(Pow2(-1), Pow2(-12)) == Pow2(-12)
-    assert Pow2(-2).cube() == Pow2(-6)
+    assert Pow2(-2) * Pow2(-4) == Pow2(-6)

@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from recurlab.precision import Bound, CBound, residue, working_bits
+from recurlab.precision import (Bound, CBound, cos_turns, residue, sin_turns,
+                                working_bits)
 from recurlab.seqcore import gen_divisibility, gen_recursive_q, triangular_pow2
 from recurlab.specmeasure import (ConvolutionFactorization, DiscreteMeasure,
                                   GaussianRectangleModel, convolve,
-                                  example44_diagnostic, fourier_direct,
-                                  gauss_rectangle_overlap_mc, kahane_build,
-                                  rigidity_check, wiener_energy)
+                                  fourier_direct, gauss_rectangle_overlap_mc,
+                                  kahane_build, rigidity_check)
 
 DELTA0 = DiscreteMeasure.delta(0)
 HALF = DiscreteMeasure([(0, F(1, 2)), (F(1, 2), F(1, 2))])
@@ -100,7 +100,8 @@ def _fraction_atom_sum(measure, n):
     """Reference: the CBound atom fold the integer-numerator sum replaced."""
     total = CBound.exact(0)
     for angle, weight in measure.atoms:
-        total = total + CBound.from_turns(residue(angle, n)).scale(weight)
+        r = residue(angle, n)
+        total = total + CBound(cos_turns(r), sin_turns(r)).scale(weight)
     return total
 
 
@@ -312,68 +313,6 @@ def test_rigidity_check_trivial_point_mass():
     fact = ConvolutionFactorization([DELTA0])
     cert = rigidity_check(fact, pow2_seq(6), [F(1, 8)] * 6, 5)
     assert cert.passed and cert.exact
-
-
-# ---------------------------------------------------------------------------
-# wiener energy
-# ---------------------------------------------------------------------------
-
-def test_wiener_point_mass():
-    avg, energy = wiener_energy(DELTA0, 7)
-    assert avg.is_exact and avg.lo == 1 and energy == 1
-
-
-def test_wiener_half_even_and_odd():
-    avg, energy = wiener_energy(HALF, 10)
-    assert avg.is_exact and avg.lo == F(1, 2) and energy == F(1, 2)
-    # odd N goes through the direct branch; coefficients are still exact
-    avg, energy = wiener_energy(HALF, 11)
-    assert avg.is_exact and avg.lo == F(5, 11) and energy == F(1, 2)
-
-
-def test_wiener_kahane_matches_factor_product():
-    kah = kahane_build(pow2_seq(), harmonic, 8)
-    mat = kah.materialize()
-    assert len(mat) == 256
-    closed = 1
-    for t in kah.t:
-        closed *= (1 - t) ** 2 + t ** 2
-    assert mat.atom_energy() == closed   # all 2^8 atom angles are distinct
-    avg, energy = wiener_energy(mat, 10 * mat.denominator_lcm())
-    assert avg.is_exact and avg.lo == closed and energy == closed
-
-
-# ---------------------------------------------------------------------------
-# drift diagnostic
-# ---------------------------------------------------------------------------
-
-def test_drift_point_mass_trivial():
-    seq = gen_recursive_q((3, 4, 5, 6), 5)
-    rep = example44_diagnostic(DELTA0, seq, 1)
-    assert rep.premise_holds and rep.drift.lo == 0 and rep.conclusion_certified
-    assert (rep.q_k, rep.q_next) == (4, 5)
-
-
-def test_drift_premise_fails_for_half():
-    seq = gen_recursive_q((3, 4, 5, 6), 5)
-    rep = example44_diagnostic(HALF, seq, 0)
-    assert not rep.premise_holds           # |sigma_hat(1) - 1| = 1 > 1/81
-    assert rep.drift.is_exact and rep.drift.lo == 1
-    assert rep.consistent                   # nothing asserted without premise
-
-
-def test_drift_conclusion_holds_under_premise():
-    seq = gen_recursive_q((3, 4, 5, 6), 5)
-    nearly = DiscreteMeasure([(0, F(999, 1000)), (F(1, 7), F(1, 1000))])
-    rep = example44_diagnostic(nearly, seq, 0)
-    assert rep.premise_holds
-    assert rep.conclusion_certified and rep.consistent
-    assert rep.to_certificate().passed
-
-
-def test_drift_rejects_wrong_recursion():
-    with pytest.raises(ValueError, match="n_"):
-        example44_diagnostic(DELTA0, pow2_seq(6), 1)
 
 
 # ---------------------------------------------------------------------------
