@@ -805,6 +805,14 @@ def _cmd_report(args) -> int:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    # a deep run writes integers past CPython's 4,300-digit str cap
+    # (n_k = 2^(k(k+1)/2) from k = 169, a 112-stage kahane atom mass), and
+    # the ValueError that the cap raises would exit 2 as if the config were
+    # bad; the cap is lifted for the run and restored for the caller (no
+    # cap, 0, before CPython 3.10.7)
+    cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if cap:
+        sys.set_int_max_str_digits(0)
     try:
         if args.command in KINDS:
             return _cmd_experiment(args)
@@ -819,6 +827,9 @@ def main(argv=None) -> int:
     except (ValueError, IndexError, OSError) as e:
         print(f"error in {args.command}: {e}", file=sys.stderr)
         return 2
+    finally:
+        if cap:
+            sys.set_int_max_str_digits(cap)
 
 
 if __name__ == "__main__":

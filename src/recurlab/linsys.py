@@ -20,7 +20,10 @@ What is certified and what is sampled:
   ``precision.cis_ends`` by a shift, and the ``.hi`` ends are assembled
   in integers from an elementwise upper matrix, so they are true upper
   bounds.  The ``.lo`` ends come from a residual Rayleigh quotient on a
-  floating singular vector scaled to integers, evaluated exactly.
+  floating singular vector scaled to integers, evaluated exactly.  The
+  rows of ``build_operator`` carry the upper ends alone, as [0, hi]: its
+  certificates read nothing else, and ``power_norm`` gives a row's lower
+  ends when they are wanted.
 * ``ball_certificate`` turns a rotation-witness delta and a norm table
   into the exact largest radius gamma with
   delta*(1-gamma) - c*(1+gamma) > 2*gamma.
@@ -28,16 +31,20 @@ What is certified and what is sampled:
   spot checks, not certificates, and say so in their reports.
 
 ``power_norm`` raises the precision in a ``working_bits`` block, which
-restores it on exit.  The one state matrix powers share is the top square
-of the ladder T, T^2, T^4, ..., kept per integer disks of T and bits, so
-the powers n_k = 2^(k(k+1)/2) of one operator square once between them.
+restores it on exit.  The one state matrix powers share is kept on the
+operator: its integer disks and the top square of the ladder T, T^2, T^4,
+..., per bits and working precision, so the powers n_k = 2^(k(k+1)/2) of
+one operator square once between them.
 
 Halving the weight scale rho is an exact diagonal similarity,
 T(rho / 2^h) = S T(rho) S^-1 with S = diag(2^(h i)), so ``build_operator``
 computes each power T^{n_k} once, at the first halving that reaches row k,
 and rescales its disks only for a later halving that reads them: for its
 radius check, until that first passes, and for its norm_TD, which a
-halving reads from the deepest row up to the first failing one.  The
+halving reads from the deepest row up to the first failing one.  A
+halving where the largest centre on some superdiagonal of some row,
+shifted by the rescale, already reaches delta/2 certainly fails, and it
+assembles no norm; a halving that computes no row builds no operator.  The
 rounding made at the larger scale shrinks with the entries, so in
 practice no bound is looser than powering afresh; at 53 bits dimension 16
 certifies through horizon 9 (n = 2^45).
@@ -46,7 +53,7 @@ certifies through horizon 9 (n = 2^45).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable
@@ -187,6 +194,10 @@ class DiagShiftOperator:
     diag: list[AngleTurns]
     weights: list[Fraction]
     j_map: dict[int, int] | None = None
+    # (bits, working precision) -> (disks of T, top of its squaring ladder),
+    # filled by _operator_disks; an operator is not changed once built
+    _disks: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     def __post_init__(self):
         N = self.dimension
@@ -329,13 +340,20 @@ def _chord_upper(cis, bits: int) -> int:
 
 
 def _operator_disks(op: DiagShiftOperator, bits: int):
-    N = op.dimension
-    re, im, rad = (np.zeros((N, N), dtype=object) for _ in range(3))
-    for j, a in enumerate(op.diag):
-        re[j, j], im[j, j], rad[j, j] = _unit_entry(cis_ends(a.exact), bits)
-    for i, w in enumerate(op.weights):
-        re[i, i + 1], rad[i, i + 1] = _fixed(w, bits)
-    return re, im, rad
+    """The disks of T in 2^-bits units and the top [i, T^(2^i)] of its
+    squaring ladder, as far as ``_mat_power`` has climbed.  Both are made
+    once per operator, bits and working precision, on which the diagonal's
+    enclosures depend, so the powers of one operator share them."""
+    key = bits, get_bits()
+    if key not in op._disks:
+        N = op.dimension
+        re, im, rad = (np.zeros((N, N), dtype=object) for _ in range(3))
+        for j, a in enumerate(op.diag):
+            re[j, j], im[j, j], rad[j, j] = _unit_entry(cis_ends(a.exact), bits)
+        for i, w in enumerate(op.weights):
+            re[i, i + 1], rad[i, i + 1] = _fixed(w, bits)
+        op._disks[key] = (re, im, rad), []
+    return op._disks[key]
 
 
 @lru_cache(maxsize=None)
@@ -390,22 +408,13 @@ def _mm(A, B, bits: int):
     return tuple(out)
 
 
-@lru_cache(maxsize=2)
-def _ladder(key: tuple) -> list:
-    """[i, T^(2^i)]: the top of the squaring ladder T, T^2, T^4, ... of
-    the disks spelled out by ``key``, as far as ``_mat_power`` has climbed."""
-    return []
-
-
-def _mat_power(T, n: int, bits: int):
+def _mat_power(T, n: int, bits: int, top: list):
     """T^n by binary powering.  The powers of one T share its squaring
-    ladder, of which only the top square is kept: a power with no set bit
-    below the top starts there, any other starts from T, so increasing
-    powers of two square once between them in the memory of plain binary
-    powering.  The ladder is keyed by the contents of T, which depend on
-    the working precision, not by the operator; the result never aliases
-    a square, because power_norm writes into it."""
-    top = _ladder((bits,) + tuple(tuple(M.flat) for M in T))
+    ladder, of which only the top square ``top`` = [i, T^(2^i)] is kept
+    (empty before the first square): a power with no set bit below the top
+    starts there, any other starts from T, so increasing powers of two
+    square once between them in the memory of plain binary powering.  The
+    result never aliases T or a square, because power_norm writes into it."""
     i = top[0] if top and n >> top[0] << top[0] == n else 0
     if i:
         T = top[1]
@@ -478,8 +487,7 @@ def power_norm(op: DiagShiftOperator, n: int, bits: int = 53,
         ti = bound_max([chord(residue(a.exact, n)) for a in op.diag])
         return PowerNormResult(n, ti, Bound.exact(0), bits, "diagonal-exact")
     P, chords = _power_disks(op, n, bits)
-    P = _radius_checked(P, n, bits)
-    return _power_bounds(P, chords, n, bits, _td_upper(P, bits))
+    return _power_bounds(_radius_checked(P, n, bits), chords, n, bits)
 
 
 def _power_disks(op: DiagShiftOperator, n: int, bits: int):
@@ -491,7 +499,8 @@ def _power_disks(op: DiagShiftOperator, n: int, bits: int):
     in 2^-bits units and read nothing finer; each residue is enclosed
     once, for its diagonal entry and its chord."""
     with working_bits(max(get_bits(), bits + 32)):
-        re, im, rad = _mat_power(_operator_disks(op, bits), n, bits)
+        T, top = _operator_disks(op, bits)
+        re, im, rad = _mat_power(T, n, bits, top)
         # exact diagonal of the triangular power
         chords = []
         for j, a in enumerate(op.diag):
@@ -527,24 +536,32 @@ def _radius_checked(P, n: int, bits: int):
     return P
 
 
-def _td_upper(P, bits: int) -> Fraction:
+def _td_upper(P, bits: int) -> tuple[Fraction, np.ndarray]:
     """Upper end of ||T^n - D^n|| from the disks of T^n, whose diagonal
-    cancels exactly."""
+    cancels exactly, and the elementwise upper matrix U it is assembled
+    from, with its diagonal zero for ``_ti_upper`` to fill."""
     re, im, rad = P
     U = _abs_upper(re, im) + rad
     np.fill_diagonal(U, 0)
+    return _tri_norm_upper(U, bits), U
+
+
+def _ti_upper(U, chords: list[int], bits: int) -> Fraction:
+    """Upper end of ||T^n - I|| from the matrix U of ``_td_upper``, which
+    it changes: off the diagonal T^n - I is T^n, on it the chords."""
+    for j, c in enumerate(chords):
+        U[j, j] = c
     return _tri_norm_upper(U, bits)
 
 
-def _power_bounds(P, chords: list[int], n: int, bits: int,
-                  upper_td: Fraction) -> PowerNormResult:
-    """Both norm enclosures from ``_power_disks`` and ``_td_upper``."""
+def _power_bounds(P, chords: list[int], n: int, bits: int) -> PowerNormResult:
+    """Both ends of both norm enclosures from ``_power_disks``."""
+    upper_td, U = _td_upper(P, bits)
+    upper_ti = _ti_upper(U, chords, bits)
     re, im, rad = P
-    U_ti, ti_re = _abs_upper(re, im) + rad, re.copy()
-    for j, c in enumerate(chords):
-        U_ti[j, j] = c
+    ti_re = re.copy()
+    for j in range(len(chords)):
         ti_re[j, j] -= 1 << bits
-    upper_ti = _tri_norm_upper(U_ti, bits)
     lower_ti = _rayleigh_lower(ti_re, im, rad, bits)
 
     td_re, td_im, td_rad = (M.copy() for M in P)
@@ -555,6 +572,24 @@ def _power_bounds(P, chords: list[int], n: int, bits: int,
     assert lower_ti <= upper_ti and lower_td <= upper_td
     return PowerNormResult(n, Bound(lower_ti, upper_ti),
                            Bound(lower_td, upper_td), bits, "midpoint-radius")
+
+
+def _superdiagonal_peaks(P) -> list[int]:
+    """M_d, the largest |re| or |im| centre on superdiagonal d = 1, 2, ...
+    of the disks P."""
+    re, im, _ = P
+    A = np.maximum(np.abs(re), np.abs(im))
+    return [np.diagonal(A, d).max() for d in range(1, len(A))]
+
+
+def _td_floor(peaks: list[int], s: int) -> int:
+    """A lower bound in 2^-bits units for ``_td_upper`` of the disks with
+    the superdiagonal peaks ``peaks`` after ``_rescale`` by s.  A rescaled
+    centre keeps |c| >> (s d) or more in each component (the floor rounds
+    away from zero below 0), so every entry of the upper matrix U is at
+    least that, and both terms of min(sqrt(||U||_1 ||U||_inf), ||U||_F)
+    are at least the largest entry of U."""
+    return max((m >> s * d for d, m in enumerate(peaks, 1)), default=0)
 
 
 # ---------------------------------------------------------------------------
@@ -638,7 +673,12 @@ def build_operator(seq: IntegerSequence, N: int, K: int, delta,
     that reaches its row, not all at rho0, where the integers grow without
     bound at deep horizons, and rescaled (``_rescale``) from there only for
     a halving that reads it.  The rows are reached in ascending k, so each
-    is computed at the same halving whichever rows are read.
+    is computed at the same halving whichever rows are read, and a
+    halving's operator is built only if it computes a row or passes.
+    A halving where some row's norm_TD certainly reaches delta/2
+    (``_td_floor``) fails without assembling any norm.  The rows of the
+    passing halving carry [0, upper end] enclosures: the certificates read
+    upper ends alone, and ``power_norm`` gives both ends of one row.
     Deterministic; the final rho and the number of halvings land in the
     build record.
     """
@@ -649,29 +689,33 @@ def build_operator(seq: IntegerSequence, N: int, K: int, delta,
     chain = build_diag_chain(seq, N, eps)
     powers = [seq.term(k) for k in range(K + 1)]
     rho = Fraction(rho0)
-    computed: dict[int, tuple] = {}     # k -> (halving, disks, chords)
+    computed: dict[int, tuple] = {}     # k -> (halving, disks, chords, peaks)
     # rows whose radii passed at some halving: a later rescale maps a
     # radius <= 2^(bits-8) to at most 2^(bits-9) + 2 off the diagonal and
     # keeps the diagonal, so for bits >= 10 such a row never fails again
     radius_ok: set[int] = set()
     for halvings in range(MAX_HALVINGS + 1):
-        op = chain.to_operator(build_shift_weights(N, rho))
+        op = None
         scaled = {}     # k -> disks at this halving, rescaled when read
 
         def at_scale(k):
             if k not in scaled:
-                h, P, _ = computed[k]
+                h, P = computed[k][:2]
                 scaled[k] = _rescale(P, halvings - h) if h < halvings else P
             return scaled[k]
 
         try:
             # the radii are checked in ascending rows before any norm is
             # assembled, so a weight scale that runs out of precision costs
-            # only the rescales of rows not yet checked
+            # only the rescales of rows not yet checked; rho = 0 is the
+            # diagonal operator, whose rows need no disks
             for k, p in enumerate(powers):
-                if p and not op.is_diagonal:
+                if p and rho:
                     if k not in computed:
-                        computed[k] = (halvings, *_power_disks(op, p, bits))
+                        if op is None:
+                            op = chain.to_operator(build_shift_weights(N, rho))
+                        P, chords = _power_disks(op, p, bits)
+                        computed[k] = (halvings, P, chords, _superdiagonal_peaks(P))
                     if k not in radius_ok:
                         _radius_checked(at_scale(k), p, bits)
                         radius_ok.add(k)
@@ -680,26 +724,44 @@ def build_operator(seq: IntegerSequence, N: int, K: int, delta,
             if halvings == MAX_HALVINGS:
                 raise
         else:
-            # only the norm_TD upper ends decide a halving (a row without
-            # disks is the identity or diagonal, norm_TD = 0), so the lower
-            # ends are assembled at the passing halving alone; the deepest
-            # rows fail first, and the first failing row ends the decision
-            upper_td = {}
-            for k in sorted(computed, reverse=True):
-                upper_td[k] = _td_upper(at_scale(k), bits)
-                if upper_td[k] >= delta / 2:
-                    break
-            else:
+            uppers = _passing_td_uppers(computed, at_scale, halvings, delta / 2, bits)
+            if uppers is not None:
+                if op is None:
+                    op = chain.to_operator(build_shift_weights(N, rho))
                 rows = []
                 for k, p in enumerate(powers):
-                    res = (_power_bounds(at_scale(k), computed[k][2], p, bits,
-                                         upper_td[k])
-                           if k in computed else power_norm(op, p, bits=bits))
-                    rows.append(NormRow(k, p, res.norm_ti, res.norm_td, bits))
+                    if k in uppers:
+                        td, U = uppers[k]
+                        ti = _ti_upper(U, computed[k][2], bits)
+                        rows.append(NormRow(k, p, Bound(Fraction(0), ti),
+                                            Bound(Fraction(0), td), bits))
+                    else:
+                        res = power_norm(op, p, bits=bits)
+                        rows.append(NormRow(k, p, res.norm_ti, res.norm_td, bits))
                 norms = NormCertificate(seq.label, delta, rows, N)
                 return OperatorBuild(op, chain, norms, rho, halvings, delta)
         rho /= 2
     raise ValueError(f"weight tuning failed after {MAX_HALVINGS} halvings")
+
+
+def _passing_td_uppers(computed: dict, at_scale, halvings: int,
+                       limit: Fraction, bits: int) -> dict | None:
+    """k -> ``_td_upper`` of each computed row at this halving when every
+    norm_TD upper end is below ``limit``, else None.  Only these ends
+    decide a halving (a row without disks is the identity or diagonal,
+    norm_TD = 0).  A row whose ``_td_floor`` reaches the limit fails the
+    halving before any assembly; otherwise the ends are assembled from the
+    deepest row, which fails first, up to the first failing one."""
+    units = limit * (1 << bits)
+    if any(_td_floor(peaks, halvings - h) >= units
+           for h, _, _, peaks in computed.values()):
+        return None
+    uppers = {}
+    for k in sorted(computed, reverse=True):
+        uppers[k] = _td_upper(at_scale(k), bits)
+        if uppers[k][0] >= limit:
+            return None
+    return uppers
 
 
 @dataclass

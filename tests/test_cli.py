@@ -5,6 +5,7 @@ import copy
 import functools
 import io
 import json
+import math
 import subprocess
 import sys
 import tempfile
@@ -403,6 +404,43 @@ def test_gen_seq_to_file(tmp_path):
                  "--base", "3", "--ratio", "2", "--out", str(tmp_path)]) == 0
     assert (tmp_path / "sequence.csv").read_text() == \
         "k,n_k\n0,3\n1,6\n2,12\n3,24\n"
+
+
+# --- integers past CPython's 4,300-digit int-to-str cap ---------------------
+
+def _past_the_cap(text: str) -> bool:
+    return any(len(tok) > 4300 for tok in text.replace("/", ",").split(","))
+
+
+def test_gen_seq_past_the_int_str_cap(capsys):
+    # n_199 = 2^19900 has 5,991 digits; the cap is lifted for the run only
+    cap = sys.get_int_max_str_digits()
+    assert main(["gen-seq", "--name", "triangular-pow2", "--count", "200"]) == 0
+    assert sys.get_int_max_str_digits() == cap
+    last = capsys.readouterr().out.splitlines()[-1]
+    digits = math.floor(19900 * math.log10(2)) + 1
+    assert last.startswith("199,") and len(last) == 4 + digits == 5995
+
+
+def test_witness_past_the_int_str_cap(tmp_path):
+    seq = {"name": "triangular-pow2", "count": 201}
+    path = write_config(tmp_path, config("witness", {
+        "seq": seq, "theta": "1/3", "horizon": 200}))
+    assert main(["witness", "--config", str(path), "--out", str(tmp_path / "w")]) == 0
+    last = (tmp_path / "w" / "residues.csv").read_text().splitlines()[-1]
+    assert last.startswith("200,") and _past_the_cap(last)
+
+
+def test_kahane_past_the_int_str_cap(tmp_path):
+    # 112 stages is the first whose max_atom_mass denominator passes the cap
+    seq = {"name": "triangular-pow2", "count": 113}
+    path = write_config(tmp_path, config("kahane", {
+        "seq": seq, "stages": 112, "targets": {"rule": "inverse-linear"},
+        "horizon": 0}, bits=128))
+    assert main(["kahane", "--config", str(path), "--out", str(tmp_path / "k")]) == 0
+    report = json.loads((tmp_path / "k" / "report.json").read_text())
+    mass = report["certificates"][0]["values"]["max_atom_mass"]
+    assert report["passed"] and _past_the_cap(mass)
 
 
 def test_combine_requires_all_passing(tmp_path):

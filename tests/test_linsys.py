@@ -219,10 +219,10 @@ def test_build_operator_computes_each_power_once_and_reaches_horizon_9(monkeypat
 
 
 def _cold_power_norm(op, n):
-    linsys._ladder.cache_clear()
+    # a fresh operator starts with no disks and no squaring ladder
     precision._enclose.cache_clear()
     precision._cis_ends.cache_clear()
-    return power_norm(op, n)
+    return power_norm(DiagShiftOperator(op.dimension, op.diag, op.weights), n)
 
 
 def test_power_norm_ladder_ignores_call_order_and_aliasing():
@@ -233,7 +233,6 @@ def test_power_norm_ladder_ignores_call_order_and_aliasing():
     b = DiagShiftOperator(4, diag, build_shift_weights(4, F(1, 128)))
     calls = [(a, 8), (a, 2), (b, 8), (a, 8), (a, 1), (a, 24), (b, 2 ** 10),
              (a, 2 ** 10), (a, 2 ** 10 + 3)]
-    linsys._ladder.cache_clear()
     warm = [power_norm(op, n) for op, n in calls]
     assert warm == [_cold_power_norm(op, n) for op, n in calls]
 
@@ -310,13 +309,17 @@ def test_power_norm_random_operators_contain_true_norms():
 @pytest.mark.parametrize("N", [3, 4])
 def test_build_rows_contain_true_norms_at_horizon_9(N):
     # rows computed at one weight scale and rescaled through up to 30
-    # halvings, against the reference at the final rho
+    # halvings, against the reference at the final rho; the rows carry
+    # upper ends only, so the lower ends are power_norm's for the same
+    # operator and powers, at 96 bits (53 run out of precision at 2^45)
     build = build_operator(SEQ, N=N, K=9, delta=F(1, 2), rho0=F(1, 4), bits=53)
     assert build.norms.passed and build.halvings >= 27
     for row in build.norms.rows:
         ti, td = _reference_norms(build.operator, row.power)
-        assert row.norm_ti.lo <= ti <= row.norm_ti.hi, row
-        assert row.norm_td.lo <= td <= row.norm_td.hi, row
+        assert ti <= row.norm_ti.hi and td <= row.norm_td.hi, row
+        res = power_norm(build.operator, row.power, bits=96)
+        assert res.norm_ti.lo <= ti <= res.norm_ti.hi, row
+        assert res.norm_td.lo <= td <= res.norm_td.hi, row
 
 
 def test_rescale_encloses_every_point_of_the_disks():
@@ -368,7 +371,7 @@ def test_rescaled_power_contains_true_norms():
         small = DiagShiftOperator(N, diag, [w / 2 ** h for w in weights])
         P, chords = linsys._power_disks(op, n, bits)
         P = linsys._radius_checked(linsys._rescale(P, h), n, bits)
-        res = linsys._power_bounds(P, chords, n, bits, linsys._td_upper(P, bits))
+        res = linsys._power_bounds(P, chords, n, bits)
         ti, td = _reference_norms(small, n)
         assert res.norm_ti.lo <= ti <= res.norm_ti.hi, (small, n, bits)
         assert res.norm_td.lo <= td <= res.norm_td.hi, (small, n, bits)
@@ -483,7 +486,7 @@ def test_triangle_products_match_full_matrix_products():
                            build_shift_weights(4, F(1, 8)))
     for bits in (53, 256):
         with working_bits(bits + 32):
-            T = linsys._operator_disks(op, bits)
+            T, _ = linsys._operator_disks(op, bits)
         P, old = T, T
         for _ in range(6):
             P, old = linsys._mm(P, T, bits), _old_mm(old, T, bits)
@@ -527,6 +530,55 @@ def test_build_operator_rescales_only_rows_it_reads(monkeypatch, N, K, delta, bi
     assert build.norms.passed
     assert 0 < len(shifts) <= build.halvings + K + 1
     assert 0 not in shifts
+
+
+def test_td_floor_is_below_every_rescaled_td_upper():
+    # build_operator fails a halving without assembling its norm_TD when
+    # the largest superdiagonal centre component, shifted by h d, already
+    # reaches delta/2: a rescaled centre keeps at least that, and the
+    # assembled upper end is at least the largest entry of its matrix
+    rng = random.Random(20261026)
+    for _ in range(400):
+        N, h, bits = rng.randrange(2, 9), rng.randrange(0, 41), rng.choice((53, 96))
+        re, im, rad = (np.zeros((N, N), dtype=object) for _ in range(3))
+        for i in range(N):
+            for j in range(i, N):
+                size = rng.randrange(1, 90)
+                # odd centres: nonzero low bits, which the floor rounds
+                re[i, j] = rng.randrange(-2 ** size, 2 ** size) | 1
+                im[i, j] = rng.randrange(-2 ** size, 2 ** size) | 1
+                rad[i, j] = rng.choice([0, 1, rng.randrange(2 ** size)])
+        P = (re, im, rad)
+        peaks = linsys._superdiagonal_peaks(P)
+        assert peaks == [max(abs(M[i, i + d]) for M in (re, im) for i in range(N - d))
+                         for d in range(1, N)]
+        floor = linsys._td_floor(peaks, h)
+        assert floor <= linsys._td_upper(linsys._rescale(P, h), bits)[0] * 2 ** bits
+        assert floor == max(m >> (h * d) for d, m in enumerate(peaks, 1))
+
+
+def test_build_operator_assembles_only_the_upper_ends(monkeypatch):
+    # the certificates read upper ends alone, so the build makes no
+    # Rayleigh lower end; the halvings that certainly fail assemble no
+    # norm_TD, which leaves the passing one (K + 1 rows) and at most one
+    # failing halving whose deepest row the shortcut cannot rule out
+    calls = {"_td_upper": 0, "_rayleigh_lower": 0}
+    for name in calls:
+        def counted(*args, _f=getattr(linsys, name), _name=name):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(linsys, name, counted)
+    K = 4
+    build = build_operator(SEQ, N=16, K=K, delta=F(1, 2), bits=53)
+    assert build.norms.passed
+    assert calls["_td_upper"] <= K + 2
+    assert all(r.norm_ti.lo == r.norm_td.lo == 0 for r in build.norms.rows)
+    assert calls["_rayleigh_lower"] == 0
+    # a lower end is power_norm's, for the same operator and power
+    row = build.norms.rows[-1]
+    res = power_norm(build.operator, row.power, bits=53)
+    assert calls["_rayleigh_lower"] == 2
+    assert 0 < res.norm_ti.lo <= res.norm_ti.hi and res.norm_td.lo <= res.norm_td.hi
 
 
 # sha256 of report.json without its "out" key, and of norms.csv, for

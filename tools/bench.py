@@ -9,8 +9,9 @@ stdout line and its machine notes are copied into the file.  ``src.lines``
 is perfbench's own count of ``src/recurlab/*.py``.  Each depth
 probe runs one config at the deepest size that certifies in seconds, in a
 fresh interpreter per repeat: ``run_s`` times ``cli.run`` alone and
-``process_s`` the whole process, from start to exit; both are medians over
-the repeats, and every repeat's values are kept.  The exit code is 1 when
+``process_s`` the whole process, from start to exit, and ``peak_rss_mb`` is
+the child's own ``ru_maxrss`` at the end of the run; all three are medians
+over the repeats, and every repeat's values are kept.  The exit code is 1 when
 perfbench reports a failed check or a probe fails, else 0.
 """
 
@@ -44,16 +45,27 @@ PROBES = {
         "schema": "recurlab/1", "kind": "linsys", "bits": 256,
         "params": {"seq": {"name": "triangular-pow2", "count": 21},
                    "dimension": 16, "horizon": 20, "delta": "1/2"}},
+    "linsys-dim32-K20-256bits": {
+        "schema": "recurlab/1", "kind": "linsys", "bits": 256,
+        "params": {"seq": {"name": "triangular-pow2", "count": 21},
+                   "dimension": 32, "horizon": 20, "delta": "1/2"}},
+    "linsys-dim64-K9-128bits": {
+        "schema": "recurlab/1", "kind": "linsys", "bits": 128,
+        "params": {"seq": {"name": "triangular-pow2", "count": 14},
+                   "dimension": 64, "horizon": 9, "delta": "1/2"}},
 }
 
-# the probe's child: validate, then time one cli.run
+# the probe's child: validate, then time one cli.run (ru_maxrss is in KiB
+# on Linux)
 _PROBE = """
-import json, sys, time
+import json, resource, sys, time
 from recurlab import cli
 cfg = cli.ExperimentConfig.from_dict(json.loads(sys.argv[1]))
 t = time.perf_counter()
 report = cli.run(cfg, sys.argv[2])
-print(json.dumps({"run_s": time.perf_counter() - t, "passed": report["passed"]}))
+run_s = time.perf_counter() - t
+rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+print(json.dumps({"run_s": run_s, "peak_rss_mb": rss, "passed": report["passed"]}))
 """
 
 
@@ -90,6 +102,7 @@ def probe(config: dict) -> dict:
             "passed": all(r["passed"] for r in runs),
             "run_s": median(r["run_s"] for r in runs),
             "process_s": median(r["process_s"] for r in runs),
+            "peak_rss_mb": median(r["peak_rss_mb"] for r in runs),
             "repeats": runs}
 
 
