@@ -84,7 +84,6 @@ class DistanceCertificate:
     seq_label: str
     horizon: int
     bound: Bound
-    tail_exact: bool
 
 
 @dataclass
@@ -108,7 +107,7 @@ def perturb_divisibility(theta, seq: IntegerSequence, m: int) -> PerturbResult:
     moved = AngleTurns(AngleTurns.of(theta).exact + Fraction(1, n_m))
     # sup_k |mu^{n_k} - lambda^{n_k}| = max_{k<m} chord(n_k / n_m), tail = 0
     bound, _ = chord_extreme(Fraction(1, n_m), seq.prefix(m))
-    cert = DistanceCertificate(seq_label=seq.label, horizon=m - 1, bound=bound, tail_exact=True)
+    cert = DistanceCertificate(seq_label=seq.label, horizon=m - 1, bound=bound)
     return PerturbResult(theta=moved, certificate=cert)
 
 

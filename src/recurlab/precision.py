@@ -11,7 +11,10 @@ Conventions used throughout the package:
   transcendental entry points (sin, cos, sqrt, pi) call mpmath's libmp
   interval functions on raw mpf tuples at a configurable working
   precision, and their dyadic endpoints are pulled back into Fractions
-  exactly.  :func:`cis_ends` hands the raw ends of cos and sin to callers
+  exactly.  The installed ``mpmath/libmp`` package is loaded by itself,
+  under the private name ``_recurlab_libmp``, so the rest of mpmath (its
+  contexts, function library, calculus, matrices and plotting) is never
+  imported.  :func:`cis_ends` hands the raw ends of cos and sin to callers
   that work on integers (the 2^-bits units of ``linsys``, the Fourier
   rectangles of ``specmeasure``), which take them by a shift and build no
   Fraction.
@@ -21,15 +24,16 @@ Conventions used throughout the package:
   finite residue sets on the integer numerators of
   :func:`distance_numerators`, evaluating only the extremal residue.
 
-The working precision defaults to 128 bits and is held by mpmath's
-interval context (``iv.prec``) alone; :func:`working_bits` sets it for a
-block and restores it on exit.  The transcendental enclosures are
-memoised in two bounded caches keyed by the reduced turn value and the
-working bits, so a repeated argument costs one lookup and a coarse
-enclosure is never served to a finer precision: the chord Bounds of
-:func:`chord`, and the raw mpf ends of :func:`cis_ends`, of which
-:func:`cos_turns` and :func:`sin_turns` are the Bounds.  Cosine and sine
-of a turn come from one libmp evaluation and share one cache entry.
+The working precision defaults to 128 bits and is one value held by this
+module alone: :func:`set_bits` sets it, :func:`get_bits` reads it, and
+:func:`working_bits` sets it for a block and restores it on exit.  The
+transcendental enclosures are memoised in two bounded caches keyed by the
+reduced turn value and the working bits, so a repeated argument costs one
+lookup and a coarse enclosure is never served to a finer precision: the
+chord Bounds of :func:`chord`, and the raw mpf ends of :func:`cis_ends`,
+of which :func:`cos_turns` and :func:`sin_turns` are the Bounds.  Cosine
+and sine of a turn come from one libmp evaluation and share one cache
+entry.
 
 Exact arithmetic stays exact without a gcd at every step: dyadic
 endpoints become integers or Fractions by a shift, and a certified
@@ -44,22 +48,42 @@ layout.
 
 from __future__ import annotations
 
+import importlib.util
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
 from decimal import Decimal, localcontext
 from math import lcm
+from pathlib import Path
 from typing import Iterable, Union
-
-from mpmath import iv
-from mpmath.libmp import (fhalf, fnone, fone, fzero, from_int, mpf_neg, mpf_pi,
-                          mpf_sqrt, round_ceiling, round_floor)
-from mpmath.libmp.libmpi import mpi_cos_sin, mpi_div, mpi_mul, mpi_sin
 
 from .certificates import frac_str
 
-iv.prec = 128
+
+def _load_libmp() -> None:
+    """Register the installed ``mpmath/libmp`` package as the top-level
+    ``_recurlab_libmp`` without running ``mpmath/__init__.py``: libmp
+    imports only its own modules, relatively, so they load under that name.
+    ``find_spec`` of a top-level name locates mpmath without importing it."""
+    libmp = Path(importlib.util.find_spec("mpmath").origin).parent / "libmp"
+    spec = importlib.util.spec_from_file_location(
+        "_recurlab_libmp", libmp / "__init__.py",
+        submodule_search_locations=[str(libmp)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+
+
+_load_libmp()
+
+from _recurlab_libmp import (fhalf, fnone, fone, fzero, from_int,  # noqa: E402
+                             mpf_neg, mpf_pi, mpf_sqrt, round_ceiling,
+                             round_floor)
+from _recurlab_libmp.libmpi import mpi_cos_sin, mpi_div, mpi_mul, mpi_sin  # noqa: E402
+
+_bits = 128     # the working precision of the transcendental enclosures
 
 RationalLike = Union[int, Fraction]
 
@@ -84,11 +108,12 @@ def set_bits(bits: int) -> None:
     """Set the working precision for transcendental enclosures."""
     if bits < 8:
         raise ValueError("working precision below 8 bits is meaningless")
-    iv.prec = int(bits)
+    global _bits
+    _bits = int(bits)
 
 
 def get_bits() -> int:
-    return iv.prec
+    return _bits
 
 
 @contextmanager
@@ -99,7 +124,7 @@ def working_bits(bits: int):
     try:
         yield
     finally:
-        iv.prec = old
+        set_bits(old)
 
 
 def bits_for_power(n: int) -> int:
@@ -196,9 +221,6 @@ class Bound:
 
     def certainly_gt(self, x: RationalLike) -> bool:
         return self.lo > Fraction(x)
-
-    def contains(self, x: RationalLike) -> bool:
-        return self.lo <= Fraction(x) <= self.hi
 
     def intersects(self, other: "Bound") -> bool:
         return self.lo <= other.hi and other.lo <= self.hi

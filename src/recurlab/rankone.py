@@ -49,7 +49,6 @@ class StackingSchedule:
     steps: tuple[tuple[int, int], ...]
     tail: tuple[int, int] | None = None     # constant continuation, if any
     label: str = "custom"
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.start_height < 1:
@@ -65,7 +64,7 @@ class StackingSchedule:
     @staticmethod
     def chacon(rounds: int) -> "StackingSchedule":
         return StackingSchedule(1, tuple([(3, 1)] * rounds), tail=(3, 1),
-                                label="chacon", meta={"bootstrap": True})
+                                label="chacon")
 
     @staticmethod
     def constant(p: int, r: int, start_height: int, rounds: int) -> "StackingSchedule":
@@ -162,9 +161,6 @@ class TowerStage:
     def level_set(self, indices) -> IntervalSet:
         return _scaled(self.cell_set(indices), self.unit)
 
-    def full_set(self) -> IntervalSet:
-        return self.level_set(range(self.height))
-
     def red_set(self) -> IntervalSet:
         return self.level_set(self.red)
 
@@ -235,7 +231,7 @@ def build_tower_schedule(schedule, stages: int | None = None) -> TowerBuild:
         schedule = StackingSchedule(
             schedule.start_height,
             schedule.steps + tuple([schedule.tail] * (rounds - len(schedule.steps))),
-            tail=schedule.tail, label=schedule.label, meta=schedule.meta)
+            tail=schedule.tail, label=schedule.label)
     l1, _ = schedule.base_length()
     cell = math.prod(p for p, _ in schedule.steps[:rounds])
     h = schedule.start_height
@@ -556,5 +552,4 @@ def shifted_schedule(seq: IntegerSequence, p: int, rounds: int | None = None) ->
         raise ValueError("no usable steps after the shift cutoff")
     tail = steps[-1] if len(set(steps)) == 1 else None
     return StackingSchedule(seq.term(k0) - shift, tuple(steps), tail=tail,
-                            label=f"{seq.label} shifted by {shift}",
-                            meta={"shift": shift, "k0": k0})
+                            label=f"{seq.label} shifted by {shift}")

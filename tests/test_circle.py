@@ -40,7 +40,10 @@ def test_perturbation_has_exact_tail():
     res = perturb_divisibility(F(1, 3), triangular_pow2(6), m=4)
     assert res.theta.exact == F(1, 3) + F(1, 1024)
     cert = res.certificate
-    assert cert.tail_exact
+    # the move 1/n_4 is a whole number of turns at every n_k, k >= 4
+    seq = triangular_pow2(6)
+    assert cert.horizon == 3
+    assert all(seq.term(k) % seq.term(4) == 0 for k in range(4, len(seq)))
     assert abs(float(cert.bound.mid) - TWO_SIN_PI_16) < 1e-15
     assert cert.bound.width < F(1, 10**20)
 

@@ -1,10 +1,17 @@
 """The working-precision context, the exact residue helper, the libmp
 enclosure kernel against mpmath's interval context, and the
-integer-numerator kernels against the Fraction code they replaced."""
+integer-numerator kernels against the Fraction code they replaced.
+
+``precision`` loads mpmath's libmp package by itself, under a private
+name; the references here import mpmath whole, so each comparison
+cross-checks the private libmp against mpmath's own."""
 
 import random
+import sys
+from contextlib import contextmanager
 from fractions import Fraction as F
 
+import mpmath.libmp
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import iv, mpf
@@ -101,6 +108,24 @@ def test_dyadic_conversion_cases():
 # the libmp kernel against mpmath's interval context
 # ---------------------------------------------------------------------------
 
+def test_private_libmp_is_a_separate_load_of_mpmaths_own():
+    private = sys.modules["_recurlab_libmp"]
+    assert private is not mpmath.libmp
+    assert private.__file__ == mpmath.libmp.__file__
+    assert precision.mpi_cos_sin.__module__ == "_recurlab_libmp.libmpi"
+
+
+@contextmanager
+def _iv_at(bits):
+    """Reference: run the block with mpmath's interval context at ``bits``."""
+    old = iv.prec
+    iv.prec = bits
+    try:
+        yield
+    finally:
+        iv.prec = old
+
+
 def _to_iv(x):
     """Reference: exact rational -> interval scalar (endpoints correctly rounded)."""
     fr = F(x)
@@ -115,14 +140,14 @@ def _from_iv(x) -> Bound:
 def _iv_enclose(kind, t, bits):
     """Reference: the enclosure through iv-context objects that the libmp
     kernel replaced."""
-    with working_bits(bits):
+    with _iv_at(bits):
         if kind == "chord":
             b = _from_iv(2 * iv.sin(iv.pi * _to_iv(t)))
             return Bound(max(F(0), b.lo), min(F(2), b.hi))
         x = 2 * iv.pi * _to_iv(t)
         cos, sin = (Bound(max(F(-1), _mpf_tuple_to_fraction(lo)),
                           min(F(1), _mpf_tuple_to_fraction(hi)))
-                    for lo, hi in mpi_cos_sin(x._mpi_, iv.prec))
+                    for lo, hi in mpi_cos_sin(x._mpi_, bits))
         return CBound(cos, sin)
 
 
@@ -163,7 +188,7 @@ def test_enclose_matches_the_interval_context():
 def test_sqrt_and_pi_match_the_interval_context():
     rng = random.Random(20261020)
     for bits in KERNEL_BITS:
-        with working_bits(bits):
+        with working_bits(bits), _iv_at(bits):
             assert pi_bound() == _from_iv(iv.pi)
             for _ in range(40):
                 lo = F(rng.randrange(0, 2 ** 80), rng.randrange(1, 2 ** 60))
@@ -195,7 +220,7 @@ def _fraction_trig(kind, t) -> Bound:
 @given(st.fractions(min_value=0, max_value=1, max_denominator=10 ** 9)
        .filter(lambda t: t < 1), st.sampled_from([53, 128, 300]))
 def test_fused_cos_sin_matches_separate_calls(t, bits):
-    with working_bits(bits):
+    with _iv_at(bits):
         z = _cis_kernel(t, bits)
         assert z.re == _fraction_trig("cos", t)
         assert z.im == _fraction_trig("sin", t)

@@ -106,7 +106,7 @@ def test_power_image_identity_and_climb():
 def test_power_image_escape_ledger():
     s = build_tower_schedule(StackingSchedule.chacon(2), stages=1).stage(1)
     pm = partial_map(s)
-    full = s.full_set()
+    full = s.level_set(range(s.height))
     img, esc = power_image(pm, full, 2)
     # two steps push the top two levels out of the domain; the bucket names
     # them in source coordinates, so nothing collides or vanishes
@@ -128,7 +128,7 @@ def test_stage_invariants_random_schedules(start, steps):
         assert cur.height == p * prev.height + r
         assert cur.width == prev.width / p
         # levels pairwise disjoint: union measure equals the level count
-        assert cur.full_set().measure() == cur.height * cur.width
+        assert cur.level_set(range(cur.height)).measure() == cur.height * cur.width
         expected_red = len(prev.red) * p + (1 if (r >= 1 and not prev.red) else 0)
         assert len(cur.red) == expected_red
     assert build.stages[-1].mass() <= 1
@@ -222,7 +222,9 @@ def test_shifted_schedule_identity_and_tail():
     assert unchanged.start_height == 1
     assert unchanged.steps[:3] == ((4, 0), (3, 1), (3, 1))
     sh = shifted_schedule(CHACON_SEQ, 2)
-    assert sh.start_height == 3 and sh.meta == {"shift": 1, "k0": 1}
+    # shift 1, from k0 = 1, the first index with n_k > 1
+    assert CHACON_SEQ.term(0) == 1
+    assert sh.start_height == CHACON_SEQ.term(1) - 1 == 3
     assert set(sh.steps) == {(3, 3)}
     assert sh.heights()[:4] == [3, 12, 39, 120]
 
@@ -290,12 +292,12 @@ def test_tower_power_matches_step_by_step_reference(case):
 def test_tower_power_rejects_bad_input():
     s = build_tower_schedule(StackingSchedule.chacon(2), stages=1).stage(1)
     with pytest.raises(ValueError, match="negative"):
-        tower_power(s, s.full_set(), -1)
+        tower_power(s, s.level_set(range(s.height)), -1)
     off_grid = TowerStage(index=0, height=2, width=F(1, 4),
                           levels=[F(0), F(3, 8)], red=frozenset(),
                           column_tracks=[(1, 0), (1, 1)], allocated=F(1, 2))
     with pytest.raises(ValueError, match="multiple of the width"):
-        tower_power(off_grid, off_grid.full_set(), 1)
+        tower_power(off_grid, off_grid.level_set(range(2)), 1)
 
 
 def test_nonrecurrence_chacon_deep_stages_exact_zero():
