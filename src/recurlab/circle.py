@@ -156,7 +156,6 @@ def verify_witness(theta, seq: IntegerSequence, K: int,
 class WitnessSearch:
     found: bool
     certificate: WitnessCertificate | None
-    requested_delta: Fraction
     trials: list[tuple[Fraction, Fraction]]   # (search delta, surviving measure)
 
 
@@ -244,10 +243,8 @@ def witness_nested_intervals(seq: IntegerSequence, K: int,
         if best is None or cert.delta.lo > best.delta.lo:
             best = cert
         if cert.meets_target:
-            return WitnessSearch(found=True, certificate=cert,
-                                 requested_delta=delta_target, trials=trials)
-    return WitnessSearch(found=False, certificate=best,
-                         requested_delta=delta_target, trials=trials)
+            return WitnessSearch(found=True, certificate=cert, trials=trials)
+    return WitnessSearch(found=False, certificate=best, trials=trials)
 
 
 # ---------------------------------------------------------------------------

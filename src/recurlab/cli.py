@@ -45,8 +45,10 @@ from .seqcore import (IntegerSequence, fact42_split, gen_divisibility,
 KINDS = ("jamison", "witness", "kahane", "rankone", "linsys", "bohr", "gauss")
 
 # the modules each kind's handler runs, package layers written relative;
-# numpy.random is there because numpy loads it on first use, which the
-# seeded samplers of linsys (the ``mc`` ball check) and gauss make.
+# numpy.random is there for gauss alone, because numpy loads it on first
+# use, which gauss's seeded sampler makes (the linsys ``mc`` ball check
+# draws from the standard library's ``random``, so a linsys run loads
+# neither numpy.random nor the OpenSSL bindings it pulls in).
 # ``from_dict`` imports them, so their cost falls in set-up and ``run``
 # loads nothing; ``run`` enters the working precision only for the kinds
 # that load ``precision``
@@ -54,7 +56,7 @@ KIND_MODULES = {"jamison": (".precision", ".circle"),
                 "witness": (".precision", ".circle"),
                 "kahane": (".precision", ".specmeasure"),
                 "rankone": (".rankone",),
-                "linsys": (".precision", ".circle", ".linsys", "numpy.random"),
+                "linsys": (".precision", ".circle", ".linsys"),
                 "bohr": (".precision", ".bohrgen"),
                 "gauss": (".precision", ".specmeasure", "numpy.random")}
 

@@ -53,6 +53,7 @@ certifies through horizon 9 (n = 2^45).
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -653,7 +654,6 @@ def norm_table_csv(cert: NormCertificate) -> str:
 @dataclass
 class OperatorBuild:
     operator: DiagShiftOperator
-    chain: DiagChain
     norms: NormCertificate
     rho: Fraction
     halvings: int
@@ -739,7 +739,7 @@ def build_operator(seq: IntegerSequence, N: int, K: int, delta,
                         res = power_norm(op, p, bits=bits)
                         rows.append(NormRow(k, p, res.norm_ti, res.norm_td, bits))
                 norms = NormCertificate(seq.label, delta, rows, N)
-                return OperatorBuild(op, chain, norms, rho, halvings, delta)
+                return OperatorBuild(op, norms, rho, halvings, delta)
         rho /= 2
     raise ValueError(f"weight tuning failed after {MAX_HALVINGS} halvings")
 
@@ -773,10 +773,6 @@ class BallCertificate:
     gamma_max: Fraction
     seq_label: str
     k_range: tuple[int, int]
-
-    def margin(self, gamma) -> Fraction:
-        g = Fraction(gamma)
-        return self.delta.lo * (1 - g) - self.c * (1 + g) - 2 * g
 
     def to_certificate(self) -> Certificate:
         return Certificate(
@@ -814,6 +810,21 @@ class BallSampleReport:
     passed: bool
 
 
+def _ball_points(seed: int, samples: int, N: int, g: float) -> np.ndarray:
+    """``samples`` points uniform in the g-ball of C^N, drawn from
+    ``random.Random(seed)``: one ``randbytes`` call gives 2N + 1 uniforms
+    in (0, 1] per point, Box-Muller turns 2N of them into a standard
+    complex normal direction, and the last sets the radius g * u^(1/(2N)).
+    The points depend on (seed, samples, N, g) alone."""
+    raw = random.Random(seed).randbytes(8 * samples * (2 * N + 1))
+    # the top 53 bits of each word, plus one, in units of 2^-53
+    uni = ((np.frombuffer(raw, dtype="<u8") >> 11) + 1) * 2.0 ** -53
+    uni = uni.reshape(samples, 2 * N + 1)
+    z = np.sqrt(-2 * np.log(uni[:, :N])) * np.exp(2j * np.pi * uni[:, N:2 * N])
+    z /= np.linalg.norm(z, axis=1, keepdims=True)
+    return z * (g * uni[:, 2 * N] ** (1.0 / (2 * N)))[:, None]
+
+
 def ball_mc_check(op: DiagShiftOperator, theta0, seq: IntegerSequence,
                   K: int, gamma, samples: int = 1000,
                   seed: int = 0) -> BallSampleReport:
@@ -823,6 +834,8 @@ def ball_mc_check(op: DiagShiftOperator, theta0, seq: IntegerSequence,
     ``matrix_power``, whose error grows with n: on a dimension-6 operator
     its diagonal is off from the exact lambda^n by about 3e-6 at n = 2^36
     and by more than 1 at n = 2^55.  Large n_k make the check meaningless.
+
+    The points are drawn by ``_ball_points`` from ``random.Random(seed)``.
     """
     t0 = AngleTurns.of(theta0)
     g = float(gamma)
@@ -830,11 +843,7 @@ def ball_mc_check(op: DiagShiftOperator, theta0, seq: IntegerSequence,
         raise ValueError("gamma must be in (0, 1)")
     N = op.dimension
     T = op.dense_float()
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((samples, N)) + 1j * rng.standard_normal((samples, N))
-    z /= np.linalg.norm(z, axis=1, keepdims=True)
-    radii = g * rng.random(samples) ** (1.0 / (2 * N))
-    u = z * radii[:, None]
+    u = _ball_points(seed, samples, N, g)
     u[:, 0] += 1.0
     min_margin = math.inf
     for k in range(K + 1):
@@ -858,9 +867,7 @@ def ball_mc_check(op: DiagShiftOperator, theta0, seq: IntegerSequence,
 class KalishResult:
     theta: Fraction
     grid: int
-    jump: int
     max_residual: float
-    tol: float
     passed: bool
     method: str
 
@@ -880,7 +887,7 @@ def kalish_eigencheck(lam, grid: int) -> KalishResult:
     theta = AngleTurns.of(lam).exact
     tol = 10.0 * 2.0 * math.pi / grid
     if theta == 0:
-        return KalishResult(theta, grid, 0, 0.0, tol, True, "closed-form")
+        return KalishResult(theta, grid, 0.0, True, "closed-form")
     s = np.arange(grid)
     zeta = np.exp(2j * np.pi * s / grid)
     jump = math.ceil(theta * grid)
@@ -897,5 +904,4 @@ def kalish_eigencheck(lam, grid: int) -> KalishResult:
     J = np.concatenate([[0.0], np.cumsum(steps)[:-1]])
     residual = np.abs(zeta * chi - J - lamc * chi)
     worst = float(np.max(residual))
-    return KalishResult(theta, grid, jump, worst, tol, worst <= tol,
-                        "quadrature")
+    return KalishResult(theta, grid, worst, worst <= tol, "quadrature")

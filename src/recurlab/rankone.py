@@ -129,8 +129,8 @@ class TowerStage:
     """Levels of width ``cell`` at ``starts`` (bottom to top) and the spacer
     cursor (== total tower mass), counted in cells of the exact ``unit``:
     integer cells of the finest width in a built stage, exact values with
-    the default unit 1.  ``width``, ``levels`` and ``allocated`` give the
-    exact values in [0, 1), made on access.
+    the default unit 1.  ``width`` and ``levels`` give the exact values in
+    [0, 1), made on access.
     """
 
     def __init__(self, index: int, height: int, width, levels: list, red: frozenset[int],
@@ -141,7 +141,6 @@ class TowerStage:
 
     width = property(lambda self: self.cell * self.unit)
     levels = property(lambda self: [x * self.unit for x in self.starts])
-    allocated = property(lambda self: self.cursor * self.unit)
 
     @cached_property
     def level_of(self) -> array:
@@ -160,12 +159,6 @@ class TowerStage:
 
     def level_set(self, indices) -> IntervalSet:
         return _scaled(self.cell_set(indices), self.unit)
-
-    def red_set(self) -> IntervalSet:
-        return self.level_set(self.red)
-
-    def mass(self) -> Fraction:
-        return self.height * self.width
 
 
 def _scaled(s: IntervalSet, factor) -> IntervalSet:
@@ -390,11 +383,10 @@ def red_index_oracle(schedule: StackingSchedule, rounds: int) -> list[frozenset[
 @dataclass
 class OverlapResult:
     total: Fraction
-    witnesses: list[tuple[Fraction, Fraction]]
 
     @staticmethod
     def of(s: IntervalSet) -> "OverlapResult":
-        return OverlapResult(total=s.measure(), witnesses=list(s.parts))
+        return OverlapResult(total=s.measure())
 
 
 @dataclass
@@ -405,12 +397,10 @@ class NonrecurrenceReport:
     overlap: OverlapResult            # m(T^{n_k-1}(A \ I_{k,p_k}) /\ A)
     overlap_c: OverlapResult          # same with C_kappa on both sides
     escaped: Fraction
-    escaped_c: Fraction
     mass_A: Fraction
     mass_checked: Fraction            # m(A \ I_{k,p_k})
     mass_C: Fraction
-    removed_per_stage: list[tuple[int, Fraction, Fraction]]  # (j, exact removed, printed bound 1/(p_j n_j))
-    c_lower_bound: Fraction           # mass_A - sum of printed bounds (can be <= 0)
+    c_lower_bound: Fraction           # mass_A - sum of printed bounds 1/(p_j n_j) (can be <= 0)
     build: TowerBuild | None = field(default=None, repr=False, compare=False)  # the stages checked
 
     def passed(self) -> bool:
@@ -474,7 +464,7 @@ def nonrecurrence_check(schedule, k: int, kappa: int | None = None) -> Nonrecurr
     """Exact overlap of T^{n_k - 1} images of the marked set with itself.
 
     Works at stage k+1, where the power n_k - 1 is fully defined on the
-    marked set minus the last column; the escaped-mass fields prove it.
+    marked set minus the last column; the escaped-mass field proves it.
     """
     if isinstance(schedule, IntegerSequence):
         schedule = StackingSchedule.from_sequence(schedule, len(schedule) - 1)
@@ -501,23 +491,22 @@ def nonrecurrence_check(schedule, k: int, kappa: int | None = None) -> Nonrecurr
         raise ValueError(f"kappa must be in [1, {k}]")
     removed = [_removed_column_set(build, j) for j in range(kappa, k)] + [removed_k]
     c_set = a_full.subtract(union_all(removed))
-    image_c, escaped_c = _cell_power(stage_next, c_set, n_k - 1)
+    # C lies in the checked set, so none of it escapes when nothing there does
+    image_c, _ = _cell_power(stage_next, c_set, n_k - 1)
     overlap_c = image_c.intersect(c_set)
 
     u = stage_next.unit
-    removed_rows = [(j, r.measure() * u,
-                     Fraction(1, build.schedule.steps[j][0] * heights[j]))
-                    for j, r in zip(range(kappa, k + 1), removed)]
+    printed = sum((Fraction(1, build.schedule.steps[j][0] * heights[j])
+                   for j in range(kappa, k + 1)), Fraction(0))
     mass_a = a_full.measure() * u
     return NonrecurrenceReport(
         k=k, power=n_k - 1, kappa=kappa,
         overlap=OverlapResult.of(_scaled(overlap, u)),
         overlap_c=OverlapResult.of(_scaled(overlap_c, u)),
-        escaped=escaped.measure() * u, escaped_c=escaped_c.measure() * u,
+        escaped=escaped.measure() * u,
         mass_A=mass_a, mass_checked=checked.measure() * u,
         mass_C=c_set.measure() * u,
-        removed_per_stage=removed_rows,
-        c_lower_bound=mass_a - sum((row[2] for row in removed_rows), Fraction(0)),
+        c_lower_bound=mass_a - printed,
         build=build,
     )
 

@@ -94,9 +94,6 @@ class IntegerSequence:
         self.extend_to(count)
         return list(self._terms[:count])
 
-    def materialized(self) -> list[int]:
-        return list(self._terms)
-
     def __repr__(self) -> str:
         head = ", ".join(str(t) for t in self._terms[:6])
         more = ", ..." if len(self._terms) > 6 else ""
@@ -193,17 +190,14 @@ class PkRkDecomposition:
     """``n_{k+1} = p n_k + r`` with the Euclidean choice ``0 <= r < n_k``."""
 
     k: int
-    n_k: int
-    n_next: int
     p: int
     r: int
 
 
 def decompose_pk_rk(seq: IntegerSequence, k: int) -> PkRkDecomposition:
     """The Euclidean decomposition of ``n_{k+1}`` by ``n_k``."""
-    n_k, n_next = seq.term(k), seq.term(k + 1)
-    p, r = divmod(n_next, n_k)
-    return PkRkDecomposition(k=k, n_k=n_k, n_next=n_next, p=p, r=r)
+    p, r = divmod(seq.term(k + 1), seq.term(k))
+    return PkRkDecomposition(k=k, p=p, r=r)
 
 
 # ---------------------------------------------------------------------------

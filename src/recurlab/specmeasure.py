@@ -232,7 +232,8 @@ def kahane_build(seq: IntegerSequence, a, N: int) -> KahaneFactorization:
     the arc chain is only strengthened.  The certificate records, all by
     exact rational arithmetic:
 
-    * factors below stage k see an integer frequency and equal 1 exactly;
+    * factors below stage k see an integer frequency and equal 1 exactly,
+      because consecutive terms divide each other (``seq.divisibility``);
     * the arc chain ``sum_{j >= k} 2 pi t_j n_k / n_{j+1} <= a_k`` for
       every ``k < N`` (uses consecutive ratios >= 2);
     * the continuity proxy: the largest atom mass is the product of the
@@ -265,14 +266,16 @@ def kahane_build(seq: IntegerSequence, a, N: int) -> KahaneFactorization:
                                 (Fraction(1, terms[j + 1]), t[j])])
                for j in range(N)]
 
-    chains: dict[str, str] = {}
-    ok = True
-    for k in range(N):
-        exact_below = all(terms[k] % terms[j + 1] == 0 for j in range(k))
-        arc = sum((two_pi_hi * t[j] * Fraction(terms[k], terms[j + 1])
-                   for j in range(k, N)), Fraction(0))
-        ok = ok and exact_below and arc <= targets[k]
-        chains[f"k={k}"] = frac_str(arc)
+    # arc_k = n_k S_k with S_k = S_{k+1} + 2 pi t_k / n_{k+1}, in one
+    # backward pass; below stage k, n_{j+1} divides n_k by the
+    # seq.divisibility check above, so those factors equal 1 exactly
+    arcs, tail = [], Fraction(0)
+    for k in reversed(range(N)):
+        tail += two_pi_hi * t[k] / terms[k + 1]
+        arcs.append(terms[k] * tail)
+    arcs.reverse()
+    ok = all(arc <= target for arc, target in zip(arcs, targets))
+    chains = {f"k={k}": frac_str(arc) for k, arc in enumerate(arcs)}
     max_mass = math.prod(1 - tj for tj in t)
     cert = Certificate(
         kind="rigid-measure-build",
@@ -345,8 +348,6 @@ class GaussOverlapEstimate:
     samples: int
     p_in: float
     p_in_se: float
-    p_exit: float                 # P(f in R, f_n not in R)
-    p_exit_se: float
     sym_diff: float
     sym_diff_se: float
     second_moment: float          # mean |f|^2
@@ -431,14 +432,12 @@ def gauss_rectangle_overlap_mc(model: GaussianRectangleModel, n: int,
         return float(x.mean()), float(x.std()) / math.sqrt(samples)
 
     p_in, p_in_se = prop(inside)
-    p_exit, p_exit_se = prop(inside & ~inside_n)
     sym, sym_se = prop(inside ^ inside_n)
     m2, m2_se = mean_se(np.abs(f) ** 2)
     shm, shm_se = mean_se(np.abs(f_n - f) ** 2)
     return GaussOverlapEstimate(
         n=n, samples=samples,
         p_in=p_in, p_in_se=p_in_se,
-        p_exit=p_exit, p_exit_se=p_exit_se,
         sym_diff=sym, sym_diff_se=sym_se,
         second_moment=m2, second_moment_se=m2_se,
         second_moment_closed=s,

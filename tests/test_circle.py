@@ -115,7 +115,7 @@ nested_seqs = st.one_of(
 @example(seq=gen_divisibility(1, [3] * 8, 8), factor=F(1), target=F(1, 2))
 @example(seq=naturals(1), factor=F(4), target=F(7, 4))   # r/n above 1/2
 def test_integer_sweep_matches_fraction_sets(seq, factor, target):
-    terms = seq.materialized()
+    terms = seq.prefix(len(seq))
     r = target * factor / (4 * pi_bound().lo)
     parts, D = _survivors(terms, r)
     ref = _survivors_reference(terms, r)

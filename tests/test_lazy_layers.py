@@ -86,6 +86,24 @@ def test_rankone_run_loads_no_mpmath_or_numpy(tmp_path):
     assert "recurlab.precision" not in got["loaded"]
 
 
+def test_linsys_run_loads_no_numpy_random_or_openssl(tmp_path):
+    # the ball spot check draws from the standard library's random, so a
+    # linsys run with ``mc`` loads neither numpy.random nor, through its
+    # secrets -> hmac -> hashlib chain, the OpenSSL bindings
+    data = {"schema": "recurlab/1", "kind": "linsys", "params": SMALL["linsys"]}
+    (tmp_path / "linsys.json").write_text(json.dumps(data))
+    code = ("import json, sys; from recurlab import cli; "
+            "rc = cli.main(['linsys', '--config', sys.argv[1], '--out', sys.argv[2]]); "
+            "print(json.dumps([rc, sorted(sys.modules)]))")
+    out = _fresh(code, str(tmp_path / "linsys.json"), str(tmp_path / "out"))
+    rc, loaded = json.loads(out.splitlines()[-1])
+    assert rc == 0
+    assert not {"numpy.random", "_hashlib"} & set(loaded)
+    kinds = [c["kind"] for c in json.loads(
+        (tmp_path / "out" / "report.json").read_text())["certificates"]]
+    assert kinds == ["power-norms", "ball-disjoint", "ball-sample"]
+
+
 _INEXACT = {"lo": "1/3", "hi": "1/2",
             "dec": "0.4166666666666666666666666666666666666667", "exact": False}
 _EXACT = {"lo": "-3/4", "hi": "-3/4", "dec": "-0.75", "exact": True}

@@ -60,7 +60,7 @@ def test_recursive_q_constant_three():
 def test_lazy_extension_and_roundtrip():
     seq = triangular_pow2(3)
     assert seq.term(12) == 2 ** 78
-    assert seq.prefix(14) == triangular_pow2(14).materialized()
+    assert seq.prefix(14) == triangular_pow2(14).prefix(14)
     assert seq.term(13) == 2 ** 91
     assert seq.divisibility
 
@@ -80,7 +80,7 @@ def test_decompose_chacon_schedule():
     assert (d0.p, d0.r) == (4, 0)
     # from k=1 on the affine structure n_{k+1} = 3 n_k + 1 is Euclidean
     d1 = decompose_pk_rk(seq, 1)
-    assert (d1.k, d1.n_k, d1.n_next, d1.p, d1.r) == (1, 4, 13, 3, 1)
+    assert (d1.k, d1.p, d1.r) == (1, 3, 1)     # 13 = 3 * 4 + 1
     d2 = decompose_pk_rk(seq, 2)
     assert (d2.p, d2.r) == (3, 1)
 
@@ -94,8 +94,8 @@ def test_decompose_identity_random(steps):
     seq = IntegerSequence(terms)
     for k in range(len(terms) - 1):
         d = decompose_pk_rk(seq, k)
-        assert d.p * d.n_k + d.r == d.n_next
-        assert 0 <= d.r < d.n_k
+        assert d.p * terms[k] + d.r == terms[k + 1]
+        assert 0 <= d.r < terms[k]
 
 
 # ---------------------------------------------------------------------------

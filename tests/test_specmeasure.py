@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from recurlab.precision import (Bound, CBound, cos_turns, residue, sin_turns,
-                                working_bits)
+from recurlab.certificates import frac_str
+from recurlab.precision import (Bound, CBound, cos_turns, pi_bound, residue,
+                                sin_turns, working_bits)
 from recurlab.seqcore import gen_divisibility, gen_recursive_q, triangular_pow2
 from recurlab.specmeasure import (ConvolutionFactorization, DiscreteMeasure,
                                   GaussianRectangleModel, convolve,
@@ -178,7 +179,6 @@ def _bound_route_estimate(model, n, samples):
     inside = (a < f.real) & (f.real < b) & (c < f.imag) & (f.imag < d)
     inside_n = (a < f_n.real) & (f_n.real < b) & (c < f_n.imag) & (f_n.imag < d)
     return {"p_in": np.count_nonzero(inside) / samples,
-            "p_exit": np.count_nonzero(inside & ~inside_n) / samples,
             "sym_diff": np.count_nonzero(inside ^ inside_n) / samples,
             "second_moment": float((np.abs(f) ** 2).mean()),
             "shift_moment": float((np.abs(f_n - f) ** 2).mean()),
@@ -282,6 +282,24 @@ def test_kahane_stage12_rigidity_and_exact_tail():
         assert dev.is_exact and dev.lo == 0    # all factors see integer frequencies
 
 
+def _quadratic_arc_chain(kah, terms, N):
+    # the chain as the certificate states it, one sum per k
+    two_pi_hi = 2 * pi_bound().hi
+    assert all(terms[k] % terms[j + 1] == 0 for k in range(N) for j in range(k))
+    return {f"k={k}": sum((two_pi_hi * kah.t[j] * F(terms[k], terms[j + 1])
+                           for j in range(k, N)), F(0)) for k in range(N)}
+
+
+@pytest.mark.parametrize("seq, N", [
+    (triangular_pow2(2), 1), (triangular_pow2(3), 2), (triangular_pow2(9), 8),
+    (triangular_pow2(41), 40), (gen_divisibility(3, [2, 5, 3, 7, 2, 11, 4], 8), 7)])
+def test_kahane_arc_chain_matches_the_quadratic_sum(seq, N):
+    kah = kahane_build(seq, harmonic, N)
+    arcs = _quadratic_arc_chain(kah, seq.prefix(N + 1), N)
+    assert kah.certificate.values["arc_chain"] == {k: frac_str(a) for k, a in arcs.items()}
+    assert kah.certificate.passed == all(arcs[f"k={k}"] <= harmonic(k) for k in range(N))
+
+
 def test_kahane_chain_terms_certified():
     tri = triangular_pow2(10)
     kah = kahane_build(tri, harmonic, 8)
@@ -371,8 +389,7 @@ def test_gauss_factorization_route_matches_materialized_atoms():
               for m in (fact, fact.materialize())]
     for n in (1, 3, seq.term(2), seq.term(4), seq.term(7), seq.term(12)):
         prod, atoms = (gauss_rectangle_overlap_mc(m, n, 20_000) for m in routes)
-        assert (prod.p_in, prod.p_exit, prod.sym_diff) == \
-            (atoms.p_in, atoms.p_exit, atoms.sym_diff), n
+        assert (prod.p_in, prod.sym_diff) == (atoms.p_in, atoms.sym_diff), n
         for key in ("second_moment", "second_moment_closed", "shift_moment",
                     "shift_moment_closed"):
             assert getattr(prod, key) == pytest.approx(getattr(atoms, key),
@@ -404,8 +421,7 @@ def _brute_force_overlap(model, n, samples, seed):
     a, b, c, d = model.rectangle
     inside = (a < f.real) & (f.real < b) & (c < f.imag) & (f.imag < d)
     inside_n = (a < f_n.real) & (f_n.real < b) & (c < f_n.imag) & (f_n.imag < d)
-    return {"p_in": inside.mean(), "p_exit": (inside & ~inside_n).mean(),
-            "sym_diff": (inside ^ inside_n).mean()}
+    return {"p_in": inside.mean(), "sym_diff": (inside ^ inside_n).mean()}
 
 
 def test_gauss_pair_sampler_matches_per_atom_reference():
