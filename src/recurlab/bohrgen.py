@@ -21,8 +21,9 @@ the block itself).  The recurrence probe is a diagnostic scan, not a
 proof: it searches the built set for an element that nearly fixes a
 given tuple of rotations.
 
-Parameter derivations beyond the growth rule are injected as seeds with
-documented defaults; certificates bind to the concrete schedule used.
+The level parameters beyond the growth rule are fixed small formulas
+(``schedule_build``), and H_1 is the one seed; certificates bind to the
+concrete schedule used.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable
 
 from .certificates import Certificate, frac_str
 from .circle import AngleTurns, WitnessCertificate, chord_extreme, unimod_dist
@@ -52,17 +52,6 @@ def _subsets(r: int) -> list[tuple[int, ...]]:
     for size in range(r):
         out.extend(combinations(ground, size))
     return out
-
-
-@dataclass
-class BohrSeeds:
-    """Level parameters; defaults keep every block formula small and 3 | L_N."""
-
-    h1: int = 6
-    q_of: Callable[[int], int] = lambda N: N + 1
-    theta_of: Callable[[int], int] = lambda N: N + 1
-    l_of: Callable[[int], int] = lambda N: 3 * N
-    delta_of: Callable[[tuple[int, ...]], int] = lambda A: 1 + sum(A)
 
 
 @dataclass
@@ -104,24 +93,27 @@ class BohrSchedule:
 
 
 
-def schedule_build(r: int, n_max: int, seeds: BohrSeeds | None = None) -> BohrSchedule:
-    """Fill the H-chain minimally: H_{N+1} is the least multiple of 3 H_N
-    strictly above 2^N * 2pi * H_N * max(Q_N, D_A L_N Theta_N).  The 2pi
-    is its rational upper enclosure, so the true growth bound holds too.
+def schedule_build(r: int, n_max: int, h1: int = 6) -> BohrSchedule:
+    """Fill the H-chain minimally from H_1 = h1: H_{N+1} is the least
+    multiple of 3 H_N strictly above 2^N * 2pi * H_N * max(Q_N, D_A L_N
+    Theta_N).  The 2pi is its rational upper enclosure, so the true growth
+    bound holds too.  The level parameters Q_N = Theta_N = N + 1,
+    L_N = 3 N and D_A = 1 + sum(A) keep every block formula small and
+    3 | L_N.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    seeds = seeds or BohrSeeds()
-    if seeds.h1 < 3 or seeds.h1 % 3:
+    if h1 < 3 or h1 % 3:
         raise ValueError("the seed H_1 must be a positive multiple of 3")
     subsets = _subsets(r)
-    L = [seeds.l_of(N) for N in range(1, n_max + 1)]
-    Q = [seeds.q_of(N) for N in range(1, n_max + 1)]
-    Theta = [seeds.theta_of(N) for N in range(1, n_max + 1)]
-    deltas = {A: [seeds.delta_of(A)] * n_max for A in subsets}
-    H = [seeds.h1]
+    levels = range(1, n_max + 1)
+    L = [3 * N for N in levels]
+    Q = [N + 1 for N in levels]
+    Theta = list(Q)
+    deltas = {A: [1 + sum(A)] * n_max for A in subsets}
+    H = [h1]
     two_pi = two_pi_upper()
     for i in range(n_max - 1):
         spread = max(deltas[A][i] for A in subsets) * L[i] * Theta[i]

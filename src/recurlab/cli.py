@@ -153,13 +153,11 @@ PARAMS_SCHEMAS = {
         "properties": {"seq": _SEQ_SCHEMA,
                        "dimension": {"type": "integer", "minimum": 2},
                        "horizon": {"type": "integer", "minimum": 0},
-                       "delta": _FRAC, "rho0": _FRAC,
-                       "witness_theta": _FRAC,
+                       "delta": _FRAC, "witness_theta": _FRAC,
                        "mc": {"type": "object",
                               "required": ["samples"],
                               "properties": {"samples": {"type": "integer",
-                                                         "minimum": 1},
-                                             "gamma_scale": {"type": "number"}},
+                                                         "minimum": 1}},
                               "additionalProperties": False}},
         "additionalProperties": False,
     },
@@ -507,8 +505,7 @@ def _run_linsys(params, *, bits, seed):
     seq = _seq_of(params["seq"])
     N, K = params["dimension"], params["horizon"]
     try:
-        build = build_operator(seq, N, K, _frac(params["delta"]),
-                               rho0=_frac(params.get("rho0", "1/4")), bits=bits)
+        build = build_operator(seq, N, K, _frac(params["delta"]), bits=bits)
     except PrecisionError as e:
         return [Certificate(kind="power-norms", passed=False, horizon=K,
                             claim=f"sup of ||T^(n_k) - I|| over {seq.label}, "
@@ -532,7 +529,7 @@ def _run_linsys(params, *, bits, seed):
         values["gamma_max"] = ball.gamma_max
         mc = params.get("mc")
         if mc is not None:
-            gamma = float(ball.gamma_max) * mc.get("gamma_scale", 0.9)
+            gamma = float(ball.gamma_max) * 0.9     # inside the certified ball
             samp = ball_mc_check(build.operator, theta0, seq, K, gamma,
                                  samples=mc["samples"], seed=seed)
             certs.append(Certificate(
@@ -551,11 +548,10 @@ def _run_linsys(params, *, bits, seed):
 
 
 def _run_bohr(params, *, bits, seed):
-    from .bohrgen import (BohrSeeds, BohrSet, all_rotation_witnesses,
+    from .bohrgen import (BohrSet, all_rotation_witnesses,
                           block_jamison_witness, bohr_recurrence_probe,
                           family_label, probe_csv, schedule_build)
-    seeds = BohrSeeds(h1=params["h1"]) if "h1" in params else None
-    bset = BohrSet(schedule_build(params["r"], params["n_max"], seeds))
+    bset = BohrSet(schedule_build(params["r"], params["n_max"], params.get("h1", 6)))
     eps = _frac(params["eps"])
     K = params.get("horizon")
     certs, wit_rows = [], []

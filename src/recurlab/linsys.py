@@ -19,8 +19,8 @@ What is certified and what is sampled:
   unit-circle value, read in those units from the dyadic ends of
   ``precision.cis_ends`` by a shift, and the ``.hi`` ends are assembled
   in integers from an elementwise upper matrix, so they are true upper
-  bounds.  The ``.lo`` ends come from a residual Rayleigh quotient on a
-  floating singular vector scaled to integers, evaluated exactly.  The
+  bounds.  The ``.lo`` ends are the largest column 2-norm of the lower
+  moduli max(|centre| - radius, 0) of the same disks, in integers.  The
   rows of ``build_operator`` carry the upper ends alone, as [0, hi]: its
   certificates read nothing else, and ``power_norm`` gives a row's lower
   ends when they are wanted.
@@ -442,20 +442,10 @@ def _tri_norm_upper(U, bits: int) -> Fraction:
     return Fraction(min(_ceil_sqrt(norm1 * norminf), _ceil_sqrt(frob2)), 1 << bits)
 
 
-def _rayleigh_lower(re, im, rad, bits: int) -> Fraction:
-    """Certified sigma_max lower bound (||M v|| - ||R |v|||) / ||v||, exact in
-    integers, on the float singular vector of the midpoints scaled to
-    integers; the floats only choose the vector."""
-    gauge = max(bits - 64, 0)       # keeps the float copy in range
-    mid = (re >> gauge).astype(float) + 1j * (im >> gauge).astype(float)
-    v = np.linalg.svd(mid)[2][0].conj() * 2.0 ** 52
-    vr = np.array([round(x) for x in v.real], dtype=object)
-    vi = np.array([round(x) for x in v.imag], dtype=object)
-    wr, wi = re @ vr - im @ vi, re @ vi + im @ vr
-    err = rad @ _abs_upper(vr, vi)
-    num = math.isqrt((wr * wr + wi * wi).sum()) - _ceil_sqrt((err * err).sum())
-    den = _ceil_sqrt((vr * vr + vi * vi).sum())
-    return Fraction(max(num, 0), den << bits)
+def _column_lower(L, bits: int) -> Fraction:
+    """Lower end of ||M|| >= ||M e_j|| from an elementwise lower matrix L of
+    |M| in 2^-bits units: its largest column 2-norm."""
+    return Fraction(math.isqrt(max((L * L).sum(axis=0))), 1 << bits)
 
 
 @dataclass
@@ -556,20 +546,16 @@ def _ti_upper(U, chords: list[int], bits: int) -> Fraction:
 
 
 def _power_bounds(P, chords: list[int], n: int, bits: int) -> PowerNormResult:
-    """Both ends of both norm enclosures from ``_power_disks``."""
+    """Both ends of both norm enclosures from ``_power_disks``, whose
+    diagonal it shifts by -1 to the disks of T^n - I."""
     upper_td, U = _td_upper(P, bits)
     upper_ti = _ti_upper(U, chords, bits)
     re, im, rad = P
-    ti_re = re.copy()
-    for j in range(len(chords)):
-        ti_re[j, j] -= 1 << bits
-    lower_ti = _rayleigh_lower(ti_re, im, rad, bits)
-
-    td_re, td_im, td_rad = (M.copy() for M in P)
-    for M in (td_re, td_im, td_rad):
-        np.fill_diagonal(M, 0)
-    lower_td = _rayleigh_lower(td_re, td_im, td_rad, bits)
-
+    re.flat[::len(re) + 1] -= 1 << bits
+    L = np.maximum(_isqrt(re * re + im * im) - rad, 0)    # lower moduli
+    lower_ti = _column_lower(L, bits)
+    np.fill_diagonal(L, 0)
+    lower_td = _column_lower(L, bits)
     assert lower_ti <= upper_ti and lower_td <= upper_td
     return PowerNormResult(n, Bound(lower_ti, upper_ti),
                            Bound(lower_td, upper_td), bits, "midpoint-radius")
@@ -664,23 +650,23 @@ MAX_HALVINGS = 60     # weight-scale halvings before build_operator gives up
 
 
 def build_operator(seq: IntegerSequence, N: int, K: int, delta,
-                   rho0: Fraction = Fraction(1, 4), bits: int = 53) -> OperatorBuild:
+                   bits: int = 53) -> OperatorBuild:
     """Assemble D + B: chain the diagonal within sum(eps) <= delta/4,
-    then halve the weight scale rho until sup_k ||T^{n_k} - D^{n_k}||
-    is certified below delta/2 for k <= K.  A weight scale whose powers
-    raise PrecisionError is halved too; the error escapes only at the
-    last allowed halving.  Each power is computed at the first halving
-    that reaches its row, not all at rho0, where the integers grow without
-    bound at deep horizons, and rescaled (``_rescale``) from there only for
-    a halving that reads it.  The rows are reached in ascending k, so each
-    is computed at the same halving whichever rows are read, and a
-    halving's operator is built only if it computes a row or passes.
-    A halving where some row's norm_TD certainly reaches delta/2
-    (``_td_floor``) fails without assembling any norm.  The rows of the
-    passing halving carry [0, upper end] enclosures: the certificates read
-    upper ends alone, and ``power_norm`` gives both ends of one row.
-    Deterministic; the final rho and the number of halvings land in the
-    build record.
+    then halve the weight scale rho, starting at rho = 1/4, until
+    sup_k ||T^{n_k} - D^{n_k}|| is certified below delta/2 for k <= K.  A
+    weight scale whose powers raise PrecisionError is halved too; the error
+    escapes only at the last allowed halving.  Each power is computed at
+    the first halving that reaches its row, not all at rho = 1/4, where the
+    integers grow without bound at deep horizons, and rescaled
+    (``_rescale``) from there only for a halving that reads it.  The rows
+    are reached in ascending k, so each is computed at the same halving
+    whichever rows are read, and a halving's operator is built only if it
+    computes a row or passes.  A halving where some row's norm_TD certainly
+    reaches delta/2 (``_td_floor``) fails without assembling any norm.  The
+    rows of the passing halving carry [0, upper end] enclosures: the
+    certificates read upper ends alone, and ``power_norm`` gives both ends
+    of one row.  Deterministic; the final rho and the number of halvings
+    land in the build record.
     """
     delta = Fraction(delta)
     if delta <= 0:
@@ -688,7 +674,7 @@ def build_operator(seq: IntegerSequence, N: int, K: int, delta,
     eps = [delta * Fraction(1, 2 ** (n + 1)) for n in range(2, N + 1)]
     chain = build_diag_chain(seq, N, eps)
     powers = [seq.term(k) for k in range(K + 1)]
-    rho = Fraction(rho0)
+    rho = Fraction(1, 4)
     computed: dict[int, tuple] = {}     # k -> (halving, disks, chords, peaks)
     # rows whose radii passed at some halving: a later rescale maps a
     # radius <= 2^(bits-8) to at most 2^(bits-9) + 2 off the diagonal and
@@ -707,18 +693,16 @@ def build_operator(seq: IntegerSequence, N: int, K: int, delta,
         try:
             # the radii are checked in ascending rows before any norm is
             # assembled, so a weight scale that runs out of precision costs
-            # only the rescales of rows not yet checked; rho = 0 is the
-            # diagonal operator, whose rows need no disks
+            # only the rescales of rows not yet checked
             for k, p in enumerate(powers):
-                if p and rho:
-                    if k not in computed:
-                        if op is None:
-                            op = chain.to_operator(build_shift_weights(N, rho))
-                        P, chords = _power_disks(op, p, bits)
-                        computed[k] = (halvings, P, chords, _superdiagonal_peaks(P))
-                    if k not in radius_ok:
-                        _radius_checked(at_scale(k), p, bits)
-                        radius_ok.add(k)
+                if k not in computed:
+                    if op is None:
+                        op = chain.to_operator(build_shift_weights(N, rho))
+                    P, chords = _power_disks(op, p, bits)
+                    computed[k] = (halvings, P, chords, _superdiagonal_peaks(P))
+                if k not in radius_ok:
+                    _radius_checked(at_scale(k), p, bits)
+                    radius_ok.add(k)
         except PrecisionError:
             # the weights feed the radii, so a smaller rho may certify
             if halvings == MAX_HALVINGS:
@@ -730,14 +714,10 @@ def build_operator(seq: IntegerSequence, N: int, K: int, delta,
                     op = chain.to_operator(build_shift_weights(N, rho))
                 rows = []
                 for k, p in enumerate(powers):
-                    if k in uppers:
-                        td, U = uppers[k]
-                        ti = _ti_upper(U, computed[k][2], bits)
-                        rows.append(NormRow(k, p, Bound(Fraction(0), ti),
-                                            Bound(Fraction(0), td), bits))
-                    else:
-                        res = power_norm(op, p, bits=bits)
-                        rows.append(NormRow(k, p, res.norm_ti, res.norm_td, bits))
+                    td, U = uppers[k]
+                    ti = _ti_upper(U, computed[k][2], bits)
+                    rows.append(NormRow(k, p, Bound(Fraction(0), ti),
+                                        Bound(Fraction(0), td), bits))
                 norms = NormCertificate(seq.label, delta, rows, N)
                 return OperatorBuild(op, norms, rho, halvings, delta)
         rho /= 2
@@ -746,12 +726,11 @@ def build_operator(seq: IntegerSequence, N: int, K: int, delta,
 
 def _passing_td_uppers(computed: dict, at_scale, halvings: int,
                        limit: Fraction, bits: int) -> dict | None:
-    """k -> ``_td_upper`` of each computed row at this halving when every
-    norm_TD upper end is below ``limit``, else None.  Only these ends
-    decide a halving (a row without disks is the identity or diagonal,
-    norm_TD = 0).  A row whose ``_td_floor`` reaches the limit fails the
-    halving before any assembly; otherwise the ends are assembled from the
-    deepest row, which fails first, up to the first failing one."""
+    """k -> ``_td_upper`` of each row at weight scale rho = 1/4 / 2^halvings
+    (the search starts at rho = 1/4) when every norm_TD upper end is below
+    ``limit``, else None.  A row whose ``_td_floor`` reaches the limit
+    fails the halving before any assembly; otherwise the ends are assembled
+    from the deepest row, which fails first, up to the first failing one."""
     units = limit * (1 << bits)
     if any(_td_floor(peaks, halvings - h) >= units
            for h, _, _, peaks in computed.values()):

@@ -63,10 +63,6 @@ class DiscreteMeasure:
             raise ValueError("weights must sum to exactly 1")
         self.atoms: list[tuple[Fraction, Fraction]] = sorted(merged.items())
 
-    @staticmethod
-    def delta(angle) -> "DiscreteMeasure":
-        return DiscreteMeasure([(angle, Fraction(1))])
-
     def __len__(self) -> int:
         return len(self.atoms)
 
@@ -200,12 +196,11 @@ class KahaneFactorization(ConvolutionFactorization):
     """Finite stage of the rigid-measure convolution, with its build certificate."""
 
     def __init__(self, factors, seq: IntegerSequence, targets: list[Fraction],
-                 t: list[Fraction], inv4pi: Fraction, certificate: Certificate):
+                 t: list[Fraction], certificate: Certificate):
         super().__init__(factors)
         self.seq = seq
         self.targets = targets
         self.t = t
-        self.inv4pi = inv4pi
         self.certificate = certificate
 
     def chain_term(self, j: int, k: int) -> tuple[Bound, Bound]:
@@ -288,7 +283,7 @@ def kahane_build(seq: IntegerSequence, a, N: int) -> KahaneFactorization:
                 "t": [frac_str(x) for x in t]},
         values={"arc_chain": chains, "max_atom_mass": frac_str(max_mass)},
     )
-    return KahaneFactorization(factors, seq, targets, t, inv4pi, cert)
+    return KahaneFactorization(factors, seq, targets, t, cert)
 
 
 def rigidity_check(factored: ConvolutionFactorization, seq: IntegerSequence,

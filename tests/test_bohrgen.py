@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from recurlab.bohrgen import (
-    BohrSchedule, BohrSeeds, BohrSet, all_rotation_witnesses,
+    BohrSchedule, BohrSet, all_rotation_witnesses,
     block_jamison_witness, block_rotation_witness, bohr_recurrence_probe,
     family_label, probe_csv, schedule_build,
 )
@@ -14,8 +14,8 @@ from recurlab.circle import unimod_dist
 from recurlab.precision import Bound, chord, two_pi_upper
 
 
-def set_of(r, n_max, seeds=None):
-    return BohrSet(schedule_build(r, n_max, seeds))
+def set_of(r, n_max, h1=6):
+    return BohrSet(schedule_build(r, n_max, h1))
 
 
 # --- schedule construction -------------------------------------------------
@@ -44,9 +44,9 @@ def test_h_chain_divisibility():
 
 
 def test_custom_seeds():
-    b = set_of(2, 2, BohrSeeds(h1=12, q_of=lambda N: 1))
+    b = set_of(2, 2, h1=12)
     assert b.schedule.H == [12, 1836]
-    assert b.family_elements(0) == [13, 1837]
+    assert b.family_elements(0) == [13, 25, 1837, 3673, 5509]
 
 
 def test_seed_validation():
@@ -55,7 +55,7 @@ def test_seed_validation():
     with pytest.raises(ValueError, match="n_max must be"):
         schedule_build(1, 0)
     with pytest.raises(ValueError, match="multiple of 3"):
-        schedule_build(1, 2, BohrSeeds(h1=5))
+        schedule_build(1, 2, h1=5)
 
 
 def test_schedule_validation():
@@ -258,7 +258,7 @@ def test_probe_csv():
        st.integers(min_value=2, max_value=4),
        st.integers(min_value=2, max_value=8))
 def test_schedule_invariants(r, n_max, h1_third):
-    b = set_of(r, n_max, BohrSeeds(h1=3 * h1_third))
+    b = set_of(r, n_max, 3 * h1_third)
     s = b.schedule
     two_pi = two_pi_upper()
     for i in range(n_max - 1):

@@ -203,7 +203,7 @@ def test_linsys_run(tmp_path):
     cfg = ExperimentConfig.from_dict(config(
         "linsys", {"seq": TRI13, "dimension": 8, "horizon": 3,
                    "delta": "1/8", "witness_theta": "1/3",
-                   "mc": {"samples": 200, "gamma_scale": 0.9}}, seed=7))
+                   "mc": {"samples": 200}}, seed=7))
     report = run(cfg, out_dir=tmp_path)
     assert report["passed"]
     kinds = [c["kind"] for c in report["certificates"]]
@@ -341,6 +341,24 @@ def test_flag_overrides_are_validated_by_the_schema(tmp_path, capsys):
                      *flags]) == 2, flags
         assert "config schema violation" in capsys.readouterr().err, flags
         assert not out.exists(), flags
+
+
+def test_linsys_rho0_and_gamma_scale_exit_2_naming_the_key(tmp_path, capsys):
+    # the first weight scale is 1/4 and the spot check samples at 0.9 of the
+    # certified radius: neither is a config key
+    params = {"seq": TRI13, "dimension": 4, "horizon": 2, "delta": "1/2",
+              "witness_theta": "1/3", "mc": {"samples": 20}}
+    out = tmp_path / "out"
+    for key, path, data in [
+            ("rho0", "params", {**params, "rho0": "1/4"}),
+            ("gamma_scale", "params.mc",
+             {**params, "mc": {"samples": 20, "gamma_scale": 0.9}})]:
+        p = write_config(tmp_path, config("linsys", data))
+        assert main(["linsys", "--config", str(p), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: config schema violation at {path}: "
+            f"{key!r} is not an allowed property"]
+        assert not out.exists()
 
 
 def test_schema_closes_handler_key_and_type_errors(tmp_path, capsys):

@@ -195,7 +195,7 @@ def test_precision_error_then_retry():
 def test_build_operator_halves_rho_past_precision_errors():
     # at rho = 1/4 the power 2^15 raises PrecisionError at 53 bits; the
     # build halves rho past it instead of giving up
-    build = build_operator(SEQ, N=16, K=5, delta=F(1, 2), rho0=F(1, 4), bits=53)
+    build = build_operator(SEQ, N=16, K=5, delta=F(1, 2), bits=53)
     assert build.norms.passed and build.norms.sup_td() < F(1, 4)
     assert build.rho == F(1, 4) / 2 ** build.halvings
     assert [r.power for r in build.norms.rows][-1] == 2 ** 15
@@ -213,7 +213,7 @@ def test_build_operator_computes_each_power_once_and_reaches_horizon_9(monkeypat
         return power_disks(op, n, bits)
 
     monkeypatch.setattr(linsys, "_power_disks", counted)
-    build = build_operator(SEQ, N=16, K=9, delta=F(1, 2), rho0=F(1, 4), bits=53)
+    build = build_operator(SEQ, N=16, K=9, delta=F(1, 2), bits=53)
     assert build.norms.passed and build.norms.sup_td() < F(1, 4)
     assert build.rho == F(1, 4) / 2 ** build.halvings
     assert [r.power for r in build.norms.rows][-1] == 2 ** 45
@@ -288,7 +288,11 @@ def test_power_norm_contains_true_norms_at_96_bits(angles, weights, n):
 
 def test_power_norm_random_operators_contain_true_norms():
     # random bidiagonal operators against the 300-bit reference, at the
-    # minimum precision and above it
+    # minimum precision and above it.  The lower end, the largest column
+    # 2-norm of the lower moduli L, is at least ||L||_F / sqrt(N) less one
+    # unit; the upper end is at most ||U||_F plus one unit, and each entry
+    # of U - L is at most 2 R + 3 units for the largest radius R, so
+    # lo sqrt(N) >= hi - N (2 R + 4) units - sqrt(N) units: not vacuous
     rng = random.Random(20261018)
     for _ in range(40):
         N = rng.randrange(2, 6)
@@ -302,10 +306,15 @@ def test_power_norm_random_operators_contain_true_norms():
                                weights)
         n = rng.randrange(1, 2 ** 12 + 2)
         ti, td = _reference_norms(op, n)
+        root = math.isqrt(N - 1) + 1          # >= sqrt(N)
         for bits in (53, 96):
             res = power_norm(op, n, bits=bits)
             assert res.norm_ti.lo <= ti <= res.norm_ti.hi, (op, n, bits)
             assert res.norm_td.lo <= td <= res.norm_td.hi, (op, n, bits)
+            (_, _, rad), _ = linsys._power_disks(op, n, bits)
+            slack = F(N * (2 * max(rad.flat) + 4) + root, 1 << bits)
+            for b in (res.norm_ti, res.norm_td):
+                assert b.hi > slack and root * b.lo >= b.hi - slack, (op, n, bits)
 
 
 @pytest.mark.parametrize("N", [3, 4])
@@ -314,7 +323,7 @@ def test_build_rows_contain_true_norms_at_horizon_9(N):
     # halvings, against the reference at the final rho; the rows carry
     # upper ends only, so the lower ends are power_norm's for the same
     # operator and powers, at 96 bits (53 run out of precision at 2^45)
-    build = build_operator(SEQ, N=N, K=9, delta=F(1, 2), rho0=F(1, 4), bits=53)
+    build = build_operator(SEQ, N=N, K=9, delta=F(1, 2), bits=53)
     assert build.norms.passed and build.halvings >= 27
     for row in build.norms.rows:
         ti, td = _reference_norms(build.operator, row.power)
@@ -561,10 +570,10 @@ def test_td_floor_is_below_every_rescaled_td_upper():
 
 def test_build_operator_assembles_only_the_upper_ends(monkeypatch):
     # the certificates read upper ends alone, so the build makes no
-    # Rayleigh lower end; the halvings that certainly fail assemble no
+    # lower end; the halvings that certainly fail assemble no
     # norm_TD, which leaves the passing one (K + 1 rows) and at most one
     # failing halving whose deepest row the shortcut cannot rule out
-    calls = {"_td_upper": 0, "_rayleigh_lower": 0}
+    calls = {"_td_upper": 0, "_column_lower": 0}
     for name in calls:
         def counted(*args, _f=getattr(linsys, name), _name=name):
             calls[_name] += 1
@@ -575,11 +584,11 @@ def test_build_operator_assembles_only_the_upper_ends(monkeypatch):
     assert build.norms.passed
     assert calls["_td_upper"] <= K + 2
     assert all(r.norm_ti.lo == r.norm_td.lo == 0 for r in build.norms.rows)
-    assert calls["_rayleigh_lower"] == 0
+    assert calls["_column_lower"] == 0
     # a lower end is power_norm's, for the same operator and power
     row = build.norms.rows[-1]
     res = power_norm(build.operator, row.power, bits=53)
-    assert calls["_rayleigh_lower"] == 2
+    assert calls["_column_lower"] == 2
     assert 0 < res.norm_ti.lo <= res.norm_ti.hi and res.norm_td.lo <= res.norm_td.hi
 
 

@@ -14,7 +14,7 @@ from recurlab.specmeasure import (ConvolutionFactorization, DiscreteMeasure,
                                   fourier_direct, gauss_rectangle_overlap_mc,
                                   kahane_build, rigidity_check)
 
-DELTA0 = DiscreteMeasure.delta(0)
+DELTA0 = DiscreteMeasure([(0, 1)])
 HALF = DiscreteMeasure([(0, F(1, 2)), (F(1, 2), F(1, 2))])
 
 

@@ -29,6 +29,9 @@ ALLOWED = {
     # a stage's levels as an exact Fraction set: the step-by-step
     # power_image reference and the tower_power tests start from it
     ("rankone", "TowerStage.level_set"),
+    # each level's source (column and level, or spacer): the Fraction
+    # reference of test_rankone_cells builds the next stage's red set from it
+    ("rankone", "TowerStage.column_tracks"),
     # the chain's per-edge certificates: the picked index m, the edge's
     # perturbation certificate and the telescoped bound, which ROADMAP
     # item 8's perturbation interface will report
@@ -80,22 +83,40 @@ def _reads(path: Path) -> Counter:
     return reads
 
 
+def _self_attributes(target):
+    """The names x of the ``self.x`` in an assignment target, tuples and
+    lists unpacked."""
+    if isinstance(target, (ast.Tuple, ast.List)):
+        for t in target.elts:
+            yield from _self_attributes(t)
+    elif isinstance(target, ast.Starred):
+        yield from _self_attributes(target.value)
+    elif (isinstance(target, ast.Attribute) and isinstance(target.value, ast.Name)
+          and target.value.id == "self"):
+        yield target.attr
+
+
 def _public_members(path: Path):
     """``Class.member`` for the methods, properties and fields of each
-    top-level class."""
+    top-level class, and the attributes its methods assign on ``self``."""
     for cls in ast.parse(path.read_text()).body:
         if not isinstance(cls, ast.ClassDef):
             continue
+        names = set()
         for node in cls.body:
             if isinstance(node, ast.FunctionDef):
-                names = [node.name]
+                names.add(node.name)
+                for sub in ast.walk(node):
+                    if isinstance(sub, ast.Assign):
+                        for t in sub.targets:
+                            names.update(_self_attributes(t))
+                    elif isinstance(sub, ast.AnnAssign):
+                        names.update(_self_attributes(sub.target))
             elif isinstance(node, ast.Assign):
-                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+                names.update(t.id for t in node.targets if isinstance(t, ast.Name))
             elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-                names = [node.target.id]
-            else:
-                continue
-            yield from (f"{cls.name}.{n}" for n in names if not n.startswith("_"))
+                names.add(node.target.id)
+        yield from (f"{cls.name}.{n}" for n in sorted(names) if not n.startswith("_"))
 
 
 def test_every_public_name_has_a_caller():
