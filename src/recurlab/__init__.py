@@ -12,7 +12,8 @@ reports through the certificate schema in ``certificates``.
 ``import recurlab`` alone stays cheap, and ``recurlab.cli`` imports only
 ``certificates`` and ``seqcore``: a kind's layer modules load when its
 config validates (``cli.KIND_MODULES``), so a ``rankone`` run loads
-neither numpy nor mpmath.
+neither numpy nor mpmath, and ``witness``, ``kahane`` and ``bohr`` runs
+load no numpy.
 """
 
 __version__ = "0.1.0"

@@ -32,8 +32,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-import numpy as np
-
 from .certificates import Certificate, frac_str
 from .precision import Bound, chord, distance_numerators, pi_bound, residue
 from .seqcore import IntegerSequence
@@ -270,6 +268,7 @@ class JamisonReport:
 
 def _row_max(rows: np.ndarray, cols: np.ndarray, grid: int) -> np.ndarray:
     """``max min(r, grid - r)`` over cols of ``r = i n mod grid``, per row i."""
+    import numpy as np
     r = rows[:, None] * cols[None, :]
     np.fmod(r, grid, out=r)          # r >= 0, so fmod is the residue
     return np.minimum(r, grid - r).max(axis=1)
@@ -296,7 +295,9 @@ def _grid_scan(terms: list[int], grid: int) -> tuple[int, int]:
     strictly smaller value.  With at most ``2 * _PROBES`` columns the bound
     takes every column and is the value itself.  When the columns are every
     residue ``1..grid // 2`` the rows have a closed form (``_complete_scan``)
-    and none is evaluated."""
+    and none is evaluated.  numpy loads here, on the first scan: the
+    exact routes of this module need none."""
+    import numpy as np
     half = grid // 2
     folded = set(distance_numerators(Fraction(1, grid), terms))
     if len(folded - {0}) == half:      # column 0 is 0 in every row
@@ -361,6 +362,7 @@ def _max_chord(n_arr: np.ndarray, t: float) -> float:
     near 1/2, where the window is ``2**-20``), far beyond the 2e-15 float
     error: the same max.  The window narrows as ``top`` falls, so a t near
     0, where every term is near the top, costs few sines."""
+    import numpy as np
     x = n_arr * t
     x -= np.floor(x)
     dist = np.minimum(x, 1.0 - x)
@@ -374,6 +376,7 @@ def _refine_float(theta0: float, terms: list[int], halfwidth: float,
     """Golden-section polish of ``_max_chord`` near theta0: the residues
     are one numpy array (the same IEEE products and fractional parts as a
     term loop), and few terms reach ``math.sin``."""
+    import numpy as np
     n_arr = np.array(terms, dtype=np.float64)
     inv_phi = (5 ** 0.5 - 1) / 2
     a, b = theta0 - halfwidth, theta0 + halfwidth

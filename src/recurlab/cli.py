@@ -14,7 +14,8 @@ Configs are checked against ``CONFIG_SCHEMA`` and ``PARAMS_SCHEMAS`` by
 ``SCHEMA_KEYWORDS``; an error names the key path.  The module itself
 imports only ``certificates`` and ``seqcore``: a config that validates
 loads the layer modules of its kind (``KIND_MODULES``), so a ``rankone``
-run never loads mpmath or numpy.
+run never loads mpmath or numpy, and only ``jamison``, ``gauss`` and
+``linsys`` runs load numpy.
 
 Exit codes: 0 when every certificate passes, 1 when some fail, 2 for
 configuration or usage errors.  CSV numeric columns carry decimal
@@ -45,20 +46,23 @@ from .seqcore import (IntegerSequence, fact42_split, gen_divisibility,
 KINDS = ("jamison", "witness", "kahane", "rankone", "linsys", "bohr", "gauss")
 
 # the modules each kind's handler runs, package layers written relative;
-# numpy.random is there for gauss alone, because numpy loads it on first
-# use, which gauss's seeded sampler makes (the linsys ``mc`` ball check
-# draws from the standard library's ``random``, so a linsys run loads
-# neither numpy.random nor the OpenSSL bindings it pulls in).
-# ``from_dict`` imports them, so their cost falls in set-up and ``run``
-# loads nothing; ``run`` enters the working precision only for the kinds
-# that load ``precision``
-KIND_MODULES = {"jamison": (".precision", ".circle"),
+# numpy is there for the two kinds whose floats are the point: the jamison
+# grid scan and polish, and the gauss sampler, which also loads
+# numpy.random on first use (circle and specmeasure import numpy inside
+# those functions, so witness, kahane and bohr runs load none; linsys
+# imports it for its float spot checks, and its ``mc`` ball check draws
+# from the standard library's ``random``, so a linsys run loads neither
+# numpy.random nor the OpenSSL bindings it pulls in).  ``from_dict``
+# imports them, so their cost falls in set-up and ``run`` loads nothing;
+# ``run`` enters the working precision only for the kinds that load
+# ``precision``
+KIND_MODULES = {"jamison": (".precision", ".circle", "numpy"),
                 "witness": (".precision", ".circle"),
                 "kahane": (".precision", ".specmeasure"),
                 "rankone": (".rankone",),
                 "linsys": (".precision", ".circle", ".linsys"),
                 "bohr": (".precision", ".bohrgen"),
-                "gauss": (".precision", ".specmeasure", "numpy.random")}
+                "gauss": (".precision", ".specmeasure", "numpy", "numpy.random")}
 
 _FRAC = {"type": ["string", "number"]}
 MIN_BITS = 53
@@ -500,16 +504,11 @@ def _run_rankone(params, *, bits, seed):
 
 def _run_linsys(params, *, bits, seed):
     from .circle import verify_witness
-    from .linsys import (PrecisionError, ball_certificate, ball_mc_check,
-                         build_operator, norm_table_csv)
+    from .linsys import (ball_certificate, ball_mc_check, build_operator,
+                         norm_table_csv)
     seq = _seq_of(params["seq"])
     N, K = params["dimension"], params["horizon"]
-    try:
-        build = build_operator(seq, N, K, _frac(params["delta"]), bits=bits)
-    except PrecisionError as e:
-        return [Certificate(kind="power-norms", passed=False, horizon=K,
-                            claim=f"sup of ||T^(n_k) - I|| over {seq.label}, "
-                                  f"dimension {N}", values={"error": str(e)})], {}, {}
+    build = build_operator(seq, N, K, _frac(params["delta"]), bits=bits)
     certs = [build.norms.to_certificate()]
     values = {"rho": build.rho, "halvings": build.halvings,
               "operator": build.operator.to_json_dict()}

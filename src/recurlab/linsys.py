@@ -10,18 +10,24 @@ powers T^{n_k} provably hug D^{n_k}.
 What is certified and what is sampled:
 
 * ``power_norm`` encloses the largest singular value of T^n - I and of
-  T^n - D^n.  Matrix powers run by binary exponentiation in
-  midpoint-radius arithmetic on exact integers in units of 2^-bits:
-  products are exact, and the floor shift back to 2^-bits units is
-  charged to the radius, so no rounding model is involved.  Every power
-  of T is upper triangular, so products run on the upper triangle alone.
-  The diagonal of T^n is replaced by its enclosure of the exact
-  unit-circle value, read in those units from the dyadic ends of
-  ``precision.cis_ends`` by a shift, and the ``.hi`` ends are assembled
-  in integers from an elementwise upper matrix, so they are true upper
-  bounds.  The ``.lo`` ends are the largest column 2-norm of the lower
-  moduli max(|centre| - radius, 0) of the same disks, in integers.  The
-  rows of ``build_operator`` carry the upper ends alone, as [0, hi]: its
+  T^n - D^n.  The lambda_m are pairwise distinct, so the entries of T^n
+  are divided differences of z^n at the lambda_m, times products of the
+  weights (Opitz's formula), and a table of them runs in midpoint-radius
+  arithmetic on exact integers in units of 2^-P (``precision.ball_*``):
+  products are exact, and each floor back to 2^-P units is charged to the
+  radius, so no rounding model is involved.  The working precision P is
+  derived before the run from exact lower bounds of the gaps |lambda_j -
+  lambda_i| and the largest power, and raised again should a radius still
+  reach 2^-8 of a 2^-bits unit, so a power never runs out of precision.
+  Each lambda_m is enclosed once, by ``precision.cis_ends`` at P bits, and
+  its powers are ball powers, exact 1 where the residue n theta_m is 0: a
+  row whose residues all vanish is exactly I, with norms exactly 0.  A row
+  keeps its entries in units of 2^-(bits + 32), each reaches 2^-bits units
+  by one more shift, and the ``.hi`` ends are assembled in integers from
+  an elementwise upper matrix, so they are true upper bounds.  The ``.lo``
+  ends are the largest column 2-norm of the lower moduli max(|centre| -
+  radius, 0) of the same balls.  The rows of
+  ``build_operator`` carry the upper ends alone, as [0, hi]: its
   certificates read nothing else, and ``power_norm`` gives a row's lower
   ends when they are wanted.
 * ``ball_certificate`` turns a rotation-witness delta and a norm table
@@ -30,46 +36,37 @@ What is certified and what is sampled:
 * ``ball_mc_check`` and ``kalish_eigencheck`` are floating-point
   spot checks, not certificates, and say so in their reports.
 
-``power_norm`` raises the precision in a ``working_bits`` block, which
-restores it on exit.  The one state matrix powers share is kept on the
-operator: its integer disks and the top square of the ladder T, T^2, T^4,
-..., per bits and working precision, so the powers n_k = 2^(k(k+1)/2) of
-one operator square once between them.
-
 Halving the weight scale rho is an exact diagonal similarity,
-T(rho / 2^h) = S T(rho) S^-1 with S = diag(2^(h i)), so ``build_operator``
-computes each power T^{n_k} once, at the first halving that reaches row k,
-and rescales its disks only for a later halving that reads them: for its
-radius check, until that first passes, and for its norm_TD, which a
-halving reads from the deepest row up to the first failing one.  A
-halving where the largest centre on some superdiagonal of some row,
-shifted by the rescale, already reaches delta/2 certainly fails, and it
-assembles no norm; a halving that computes no row builds no operator.  The
-rounding made at the larger scale shrinks with the entries, so in
-practice no bound is looser than powering afresh; at 53 bits dimension 16
-certifies through horizon 9 (n = 2^45).
+T(rho / 2^h) = S T(rho) S^-1 with S = diag(2^(h i)), which scales entry
+(i, j) by 2^(-h (j - i)).  So ``build_operator`` computes the table of each
+power T^{n_k} once, at rho = 1/4, and a halving only shifts it.  A halving
+where the largest centre on some superdiagonal of some row, so shifted,
+already reaches delta/2 certainly fails, and it assembles no norm.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
 
 from .certificates import Certificate, frac_str
 from .circle import AngleTurns, PerturbResult, chord_extreme, perturb_divisibility
-from .precision import (Bound, bound_max, chord, cis_ends, dyadic, get_bits,
+from .precision import (Bound, ball_lower, ball_mul, ball_of_cis, ball_pow,
+                        ball_recip, ball_scale, ball_shift, ball_sub,
+                        ball_upper, bound_max, ceil_sqrt, chord, cis_ends,
                         residue, working_bits)
 from .seqcore import IntegerSequence
 
 
 class PrecisionError(RuntimeError):
-    """Raised when the tracked radii swamp the requested certification."""
+    """Radii that swamp a certification.  ``power_norm`` and
+    ``build_operator`` raise their working precision until the radii fit,
+    so neither raises it; the benchmark's reach probe still catches it."""
 
 
 # ---------------------------------------------------------------------------
@@ -195,10 +192,6 @@ class DiagShiftOperator:
     diag: list[AngleTurns]
     weights: list[Fraction]
     j_map: dict[int, int] | None = None
-    # (bits, working precision) -> (disks of T, top of its squaring ladder),
-    # filled by _operator_disks; an operator is not changed once built
-    _disks: dict = field(default_factory=dict, init=False, repr=False,
-                         compare=False)
 
     def __post_init__(self):
         N = self.dimension
@@ -269,183 +262,184 @@ def telescope_gap(weight_sup, n: int) -> Fraction | None:
 
 
 # ---------------------------------------------------------------------------
-# midpoint-radius matrix powers in exact integers
+# powers of T from divided differences
 # ---------------------------------------------------------------------------
 #
-# A matrix is a triple (re, im, rad) of numpy object arrays of Python ints
-# in units of 2^-bits: entry (i, j) is the disk with centre
-# (re + i im) 2^-bits and radius rad 2^-bits (midpoint-radius arithmetic,
-# Rump, BIT 1999).  Products of centres are exact; the one rounding is the
-# floor shift back to 2^-bits units, and the radius absorbs it, so the
-# enclosure needs no rounding model.
+# T is upper bidiagonal with pairwise distinct lambda_m on its diagonal, so
+# (T^n)_ij = alpha_i ... alpha_{j-1} d_ij, where d_ij is the divided
+# difference of z^n at lambda_i, ..., lambda_j (Opitz's formula):
+# d_ii = lambda_i^n and d_ij = (d_{i+1,j} - d_{i,j-1}) / (lambda_j - lambda_i).
+# The table runs on complex balls in units of 2^-P (``precision.ball_*``),
+# and a row keeps the superdiagonals row[d][i], the entry (i, i + d) of T^n,
+# in units of 2^-(bits + _GUARD); the norms read them in 2^-bits units,
+# each entry by one more shift.
 
-def _ceil_sqrt(x: int) -> int:
-    r = math.isqrt(x)
-    return r if r * r == x else r + 1
-
-
-_isqrt = np.frompyfunc(math.isqrt, 1, 1)
+_GUARD = 32     # bits the working precision and the table rows keep below 2^-bits
 
 
-def _abs_upper(re, im):
-    """Elementwise upper bound of |re + i im| for object arrays of ints."""
-    sq = re * re + im * im
-    r = _isqrt(sq)
-    return r + (r * r != sq).astype(object)
+def _scales(weights: list[Fraction]) -> list[list[Fraction]]:
+    """s[d][i] = alpha_i ... alpha_{i+d-1}, the scale of entry (i, i + d)."""
+    out = [[Fraction(1)] * (len(weights) + 1)]
+    for d in range(1, len(weights) + 1):
+        out.append([a * w for a, w in zip(out[-1], weights[d - 1:])])
+    return out
 
 
-def _floor_shift(v: int, s: int) -> int:
-    """floor(v 2^s)."""
-    return v << s if s >= 0 else v >> -s
+def _log2_gaps(angles: list[Fraction]) -> list[list[float]]:
+    """g[d][i], below log2 |lambda_{i+d} - lambda_i| (d >= 1): over the
+    common denominator Q of the angles, dist(theta_j - theta_i, Z) is an
+    integer over Q, and |lambda_j - lambda_i| = 2 sin(pi dist) >= 4 dist."""
+    Q = math.lcm(*(t.denominator for t in angles))
+    a = [t.numerator * (Q // t.denominator) for t in angles]
+    base = math.log2(Q) - 2
+    return [[]] + [[math.log2(min(r, Q - r)) - base
+                    for r in ((a[i + d] - a[i]) % Q for i in range(len(a) - d))]
+                   for d in range(1, len(a))]
 
 
-def _disk(lo: int, hi: int) -> tuple[int, int]:
-    """Midpoint and radius of a disk around [lo, hi]."""
-    mid = (lo + hi) >> 1
-    return mid, hi - mid
+def _lse(a: float, b: float) -> float:
+    """log2(2^a + 2^b)."""
+    return max(a, b) + math.log2(1 + 2.0 ** -abs(a - b))
 
 
-def _fixed(w: Fraction, bits: int) -> tuple[int, int]:
-    """Midpoint and radius in 2^-bits units of a disk around ``w``."""
-    p, q = w.numerator << bits, w.denominator
-    return _disk(p // q, -(-p // q))
+def _working_bits(gaps, scales, n: int, bits: int) -> int:
+    """The working precision P of the table of T^n: _GUARD bits above bits
+    plus the largest log2 of a radius, in 2^-P units, times its scale.
+    A float recursion bounds them.  log2 |d_ij| is at most m_ij, the
+    smaller of lse(m_{i+1,j}, m_{i,j-1}) - g_ij (from m_ii = 0) and log2
+    binomial(n, j - i) (see ``_power_tables``).  The radius, r_ii =
+    bit_length(n) + 2 at the diagonal (a power of a ball of radius 3 units
+    grows its radius about n times), gains lse(r_{i+1,j}, r_{i,j-1}) - g_ij
+    from the two it subtracts and m_ij + 2 - g_ij from the reciprocal of
+    the gap, a ball of radius 4 units.  The soundness of no bound depends
+    on P."""
+    mag = [0.0] * len(gaps)
+    rad = [float(n.bit_length() + 2)] * len(gaps)
+    worst = rad[0]
+    for d in range(1, len(gaps)):
+        binom = math.log2(max(math.comb(n, d), 1))
+        for i, (g, s) in enumerate(zip(gaps[d], scales[d])):
+            mag[i] = min(_lse(mag[i], mag[i + 1]) - g, binom)
+            rad[i] = _lse(_lse(rad[i], rad[i + 1]), mag[i] + 2) - g
+            if s:
+                worst = max(worst, rad[i] + math.log2(s.numerator)
+                            - math.log2(s.denominator))
+        mag.pop()
+        rad.pop()
+    return bits + math.ceil(worst) + _GUARD
 
 
-def _unit_entry(cis, bits: int) -> tuple[int, int, int]:
-    """The unit-circle point with the ``precision.cis_ends`` enclosures cis
-    as (re, im, rad) in 2^-bits units: each end is one shift of its
-    mantissa, floored or ceiled outward, clamped to [-1, 1]."""
-    one = 1 << bits
-    disks = []
-    for lo, hi in cis:
-        (a, ea), (b, eb) = dyadic(lo), dyadic(hi)
-        disks.append(_disk(max(_floor_shift(a, ea + bits), -one),
-                           min(-_floor_shift(-b, eb + bits), one)))
-    (re, re_rad), (im, im_rad) = disks
-    return re, im, re_rad + im_rad
+def _power_tables(angles: list[Fraction], scales, powers: list[int], P: int,
+                  bits: int):
+    """The rows of T^n, in 2^-(bits + _GUARD) units, for each n of
+    ``powers``, from its table in 2^-P units.  Each lambda_i is enclosed
+    once, by ``cis_ends`` at P bits, and so is each reciprocal gap; a row
+    raises the previous row's diagonal to the power n / n_prev when n_prev
+    divides n, and a zero residue n theta_i gives the exact 1, so a row
+    whose residues are all zero is exactly I.  On the unit
+    disk, which holds the convex hull of the lambda_i, the (j - i)-th
+    derivative of z^n is at most (j - i)! binomial(n, j - i) in modulus, so
+    |d_ij| <= binomial(n, j - i) (Hermite-Genocchi).  The superdiagonals
+    past the last one where that cap, times the largest scale on it,
+    reaches 2^-(bits + 8) take the ball of that radius about 0: the exact 0
+    past the n superdiagonals of T^n."""
+    g = P - bits - _GUARD       # from 2^-P units to the rows' units
+    N = len(angles)
+    with working_bits(P):
+        lam = [ball_of_cis(cis_ends(t), P) for t in angles]
+    inv = [None] + [[ball_recip(ball_sub(lam[i + d], lam[i]), P)
+                     for i in range(N - d)] for d in range(1, N)]
+    one = 1 << P, 0, 0
+    top, tiny = [max(sd) for sd in scales], Fraction(1, 1 << (bits + 8))
+    rows, diag, prev = [], lam, 1
+    for n in powers:
+        e, base = (n // prev, diag) if n % prev == 0 else (n, lam)
+        diag = [one if n * t.numerator % t.denominator == 0 else ball_pow(b, e, P)
+                for t, b in zip(angles, base)]
+        caps = [math.comb(n, d) * s for d, s in enumerate(top)]
+        last = max((d for d, c in enumerate(caps) if c >= tiny), default=0)
+        prev, t, row = n, diag, [[ball_shift(b, g) for b in diag]]
+        for d in range(1, N):
+            if d > last:
+                c = caps[d]
+                rad = -(-(c.numerator << (bits + _GUARD)) // c.denominator)
+                row.append([(0, 0, rad)] * (N - d))
+                continue
+            t = [_divided(x, y, r, P) for x, y, r in zip(t[1:], t, inv[d])]
+            row.append([ball_shift(ball_scale(b, s), g) for b, s in zip(t, scales[d])])
+        rows.append(row)
+    return rows
 
 
-def _chord_upper(cis, bits: int) -> int:
-    """Upper end in 2^-bits units of the chord |lambda - 1| of the
-    unit-circle point lambda with the enclosures cis:
-    |lambda - 1|^2 = (1 - cos)^2 + sin^2, and 1 - cos >= 0 is largest at
-    the low end of cos.  The ends are integers over one power of two 2^-e,
-    so the square is exact until the one ceiling to 4^-bits units."""
-    (c, _), (s_lo, s_hi) = cis
-    ends = [dyadic(x) for x in (c, s_lo, s_hi)]
-    e = min(0, *(x for _, x in ends))
-    one = 1 << -e
-    c, s_lo, s_hi = (v << (x - e) for v, x in ends)
-    sq = (one - max(c, -one)) ** 2 + max(max(s_lo, -one) ** 2, min(s_hi, one) ** 2)
-    return _ceil_sqrt(-_floor_shift(-sq, 2 * (bits + e)))
+def _divided(x, y, r, P: int):
+    """(x - y) r, the exact 0 when x and y are the same exact value."""
+    diff = ball_sub(x, y)
+    return diff if diff == (0, 0, 0) else ball_mul(diff, r, P)
 
 
-def _operator_disks(op: DiagShiftOperator, bits: int):
-    """The disks of T in 2^-bits units and the top [i, T^(2^i)] of its
-    squaring ladder, as far as ``_mat_power`` has climbed.  Both are made
-    once per operator, bits and working precision, on which the diagonal's
-    enclosures depend, so the powers of one operator share them."""
-    key = bits, get_bits()
-    if key not in op._disks:
-        N = op.dimension
-        re, im, rad = (np.zeros((N, N), dtype=object) for _ in range(3))
-        for j, a in enumerate(op.diag):
-            re[j, j], im[j, j], rad[j, j] = _unit_entry(cis_ends(a.exact), bits)
-        for i, w in enumerate(op.weights):
-            re[i, i + 1], rad[i, i + 1] = _fixed(w, bits)
-        op._disks[key] = (re, im, rad), []
-    return op._disks[key]
+def _tables(angles: list[Fraction], weights: list[Fraction],
+            powers: list[int], bits: int):
+    """(P, the ``_power_tables`` of T with these weights) at the working
+    precision of ``_working_bits`` for the largest power, or higher: a
+    radius above 2^-8 of a 2^-bits unit retries at a precision that covers
+    it with _GUARD bits to spare."""
+    scales = _scales(weights)
+    P = _working_bits(_log2_gaps(angles), scales, max(powers), bits)
+    while True:
+        rows = _power_tables(angles, scales, powers, P, bits)
+        worst = max(b[2] for row in rows for sd in row for b in sd)
+        if worst <= 1 << (_GUARD - 8):
+            return P, rows
+        P += worst.bit_length() - (_GUARD - 8) + _GUARD
 
 
-@lru_cache(maxsize=None)
-def _triangle(N: int):
-    """Index arrays for products of upper-triangular N x N matrices.  The
-    upper triangle's positions (i, j), i <= j, in row order, are ``flat``
-    (as indices into the flattened matrix); ``a`` and ``b`` list, for each
-    position in turn, the positions (i, k) and (k, j), i <= k <= j, of the
-    terms of C[i, j] = sum_k A[i, k] B[k, j], as indices into the
-    triangle; ``starts`` is the first term of each position."""
-    at = {}
-    for i in range(N):
-        for j in range(i, N):
-            at[i, j] = len(at)
-    a, b, starts = [], [], []
-    for i, j in at:
-        starts.append(len(a))
-        a += [at[i, k] for k in range(i, j + 1)]
-        b += [at[k, j] for k in range(i, j + 1)]
-    flat = [i * N + j for i, j in at]
-    return tuple(np.array(x, dtype=np.intp) for x in (flat, a, b, starts))
+def _uppers(row, h: int) -> list[list[int]]:
+    """Upper ends of the moduli of the entries of T^n - D^n in 2^-bits
+    units, at weight scale rho / 2^h of the row's: halving rho is the exact
+    diagonal similarity S T S^-1 with S = diag(2^i), which scales entry
+    (i, i + d) by 2^-d.  The diagonal is 0."""
+    return [[0] * len(row)] + [[ball_upper(ball_shift(b, _GUARD + h * d)) for b in sd]
+                               for d, sd in enumerate(row[1:], 1)]
 
 
-def _mm(A, B, bits: int):
-    """The disks of A B for disks A and B of upper-triangular matrices, on
-    the upper triangle alone (the lower one is exactly zero).  The complex
-    centre takes three real products, im = (ar + ai)(br + bi) - ar br -
-    ai bi, exact on integers, and |A| is taken once when squaring."""
-    N = len(A[0])
-    flat, ka, kb, starts = _triangle(N)
-    ar, ai, arad = (M.take(flat) for M in A)
-    abs_a = _abs_upper(ar, ai)
-    if B is A:
-        br, bi, brad, abs_b = ar, ai, arad, abs_a
-    else:
-        br, bi, brad = (M.take(flat) for M in B)
-        abs_b = _abs_upper(br, bi)
-
-    def dot(x, y):
-        return np.add.reduceat(x[ka] * y[kb], starts)
-
-    rr, ii = dot(ar, br), dot(ai, bi)
-    re, im = rr - ii, dot(ar + ai, br + bi) - rr - ii
-    rad = dot(abs_a, brad) + dot(arad, abs_b + brad)
-    low = (1 << bits) - 1
-    lost = ((re & low) != 0).astype(object) + ((im & low) != 0).astype(object)
-    out = []
-    for v in (re >> bits, im >> bits, -(-rad >> bits) + lost):
-        M = np.zeros((N, N), dtype=object)
-        M.flat[flat] = v
-        out.append(M)
-    return tuple(out)
+def _minus_one(row, bits: int):
+    """The diagonal of T^n - I, the balls lambda_i^n - 1, in 2^-bits units."""
+    one = 1 << (bits + _GUARD), 0, 0
+    return [ball_shift(ball_sub(b, one), _GUARD) for b in row[0]]
 
 
-def _mat_power(T, n: int, bits: int, top: list):
-    """T^n by binary powering.  The powers of one T share its squaring
-    ladder, of which only the top square ``top`` = [i, T^(2^i)] is kept
-    (empty before the first square): a power with no set bit below the top
-    starts there, any other starts from T, so increasing powers of two
-    square once between them in the memory of plain binary powering.  The
-    result never aliases T or a square, because power_norm writes into it."""
-    i = top[0] if top and n >> top[0] << top[0] == n else 0
-    if i:
-        T = top[1]
-    n >>= i
-    P = None
-    while n:
-        if n & 1:
-            P = tuple(M.copy() for M in T) if P is None else _mm(P, T, bits)
-        n >>= 1
-        if n:
-            T = _mm(T, T, bits)
-            i += 1
-    if not top or i > top[0]:
-        top[:] = i, T
-    return P
+def _peaks(row) -> list[int]:
+    """M_d, the largest |re| or |im| of a centre on superdiagonal d = 1, 2,
+    ... of a row, in 2^-bits units."""
+    return [max(max(abs(b[0]), abs(b[1])) for b in sd) >> _GUARD for sd in row[1:]]
 
 
-def _tri_norm_upper(U, bits: int) -> Fraction:
-    """min(sqrt(norm1 * norminf), Frobenius) from an elementwise upper
-    matrix in 2^-bits units."""
-    norm1 = max(U.sum(axis=0))
-    norminf = max(U.sum(axis=1))
-    frob2 = (U * U).sum()
-    return Fraction(min(_ceil_sqrt(norm1 * norminf), _ceil_sqrt(frob2)), 1 << bits)
+def _td_floor(peaks: list[int], h: int) -> int:
+    """A lower bound for the norm_TD upper end of ``_uppers`` at halving h
+    of the row with the superdiagonal peaks ``peaks``: a shifted centre
+    keeps |c| >> (h d) or more in each part (the floor rounds away from
+    zero below 0), so every entry of the upper matrix U is at least that,
+    and both terms of min(sqrt(||U||_1 ||U||_inf), ||U||_F) are at least
+    the largest entry of U."""
+    return max((m >> h * d for d, m in enumerate(peaks, 1)), default=0)
 
 
-def _column_lower(L, bits: int) -> Fraction:
-    """Lower end of ||M|| >= ||M e_j|| from an elementwise lower matrix L of
-    |M| in 2^-bits units: its largest column 2-norm."""
-    return Fraction(math.isqrt(max((L * L).sum(axis=0))), 1 << bits)
+def _norm_upper(U: list[list[int]]) -> int:
+    """min(sqrt(||U||_1 ||U||_inf), ||U||_F), rounded up, of the
+    nonnegative upper-triangular matrix with superdiagonals U."""
+    N = len(U)
+    rows = [sum(U[d][i] for d in range(N - i)) for i in range(N)]
+    cols = [sum(U[d][j - d] for d in range(j + 1)) for j in range(N)]
+    frob2 = sum(x * x for sd in U for x in sd)
+    return min(ceil_sqrt(max(rows) * max(cols)), ceil_sqrt(frob2))
+
+
+def _column_lower(L: list[list[int]]) -> int:
+    """Lower end of ||M|| >= ||M e_j|| from the lower moduli of the entries
+    of M, as superdiagonals: its largest column 2-norm, rounded down."""
+    N = len(L)
+    return math.isqrt(max(sum(L[d][j - d] ** 2 for d in range(j + 1))
+                          for j in range(N)))
 
 
 @dataclass
@@ -461,11 +455,11 @@ def power_norm(op: DiagShiftOperator, n: int, bits: int = 53,
                method: str = "auto") -> PowerNormResult:
     """Certified enclosures for ||T^n - I|| and ||T^n - D^n||.
 
-    Diagonal operators take the exact chord formula; otherwise binary
-    exponentiation in midpoint-radius arithmetic, with the diagonal of
-    T^n overridden by its exact value lambda_j^n (the matrix is upper
-    triangular, so that diagonal is analytic).  Raises PrecisionError
-    when the accumulated radii pass 2^-8: retry with more bits.
+    Diagonal operators take the exact chord formula; otherwise the table of
+    divided differences in midpoint-radius arithmetic, whose entries reach
+    2^-bits units by one shift each.  The upper ends are assembled from
+    elementwise upper moduli, the lower ends are the largest column 2-norm
+    of the lower moduli.
     """
     if n < 0:
         raise ValueError("powers are nonnegative")
@@ -477,106 +471,18 @@ def power_norm(op: DiagShiftOperator, n: int, bits: int = 53,
     if op.is_diagonal and method == "auto":
         ti = bound_max([chord(residue(a.exact, n)) for a in op.diag])
         return PowerNormResult(n, ti, Bound.exact(0), bits, "diagonal-exact")
-    P, chords = _power_disks(op, n, bits)
-    return _power_bounds(_radius_checked(P, n, bits), chords, n, bits)
-
-
-def _power_disks(op: DiagShiftOperator, n: int, bits: int):
-    """The disks (re, im, rad) of T^n in 2^-bits units with the diagonal
-    overridden by its exact value lambda_j^n, and the upper ends of the
-    chords |lambda_j^n - 1| in the same units.  Every trig enclosure,
-    those of T and those of the residues n theta_j, is made at one
-    precision 32 bits above ``bits``, because the powers run on integers
-    in 2^-bits units and read nothing finer; each residue is enclosed
-    once, for its diagonal entry and its chord."""
-    with working_bits(max(get_bits(), bits + 32)):
-        T, top = _operator_disks(op, bits)
-        re, im, rad = _mat_power(T, n, bits, top)
-        # exact diagonal of the triangular power
-        chords = []
-        for j, a in enumerate(op.diag):
-            cis = cis_ends(residue(a.exact, n))
-            re[j, j], im[j, j], rad[j, j] = _unit_entry(cis, bits)
-            chords.append(_chord_upper(cis, bits))
-    return (re, im, rad), chords
-
-
-def _rescale(P, h: int):
-    """The disks of T^n at weight scale rho / 2^h from those at rho.
-
-    With S = diag(2^(h i)), T(rho / 2^h) = S T(rho) S^-1, so entry (i, j)
-    of every power gains the exact factor 2^(-h (j - i)) and the diagonal
-    stays.  The centres are floored and the radius ceiled, with one unit
-    for each component whose shifted-out bits are nonzero, as in ``_mm``.
-    """
-    re, im, rad = P
-    i, j = np.indices(re.shape)
-    shift = (h * np.maximum(j - i, 0)).astype(object)
-    low = (1 << shift) - 1
-    lost = ((re & low) != 0).astype(object) + ((im & low) != 0).astype(object)
-    return re >> shift, im >> shift, -(-rad >> shift) + lost
-
-
-def _radius_checked(P, n: int, bits: int):
-    """The disks P of T^n; raises PrecisionError when a radius passes 2^-8."""
-    worst = max(P[2].flat)
-    if worst > 1 << (bits - 8):
-        raise PrecisionError(
-            f"radius above 2^{worst.bit_length() - 1 - bits} after power {n} with "
-            f"{bits} bits; retry with more bits")
-    return P
-
-
-def _td_upper(P, bits: int) -> tuple[Fraction, np.ndarray]:
-    """Upper end of ||T^n - D^n|| from the disks of T^n, whose diagonal
-    cancels exactly, and the elementwise upper matrix U it is assembled
-    from, with its diagonal zero for ``_ti_upper`` to fill."""
-    re, im, rad = P
-    U = _abs_upper(re, im) + rad
-    np.fill_diagonal(U, 0)
-    return _tri_norm_upper(U, bits), U
-
-
-def _ti_upper(U, chords: list[int], bits: int) -> Fraction:
-    """Upper end of ||T^n - I|| from the matrix U of ``_td_upper``, which
-    it changes: off the diagonal T^n - I is T^n, on it the chords."""
-    for j, c in enumerate(chords):
-        U[j, j] = c
-    return _tri_norm_upper(U, bits)
-
-
-def _power_bounds(P, chords: list[int], n: int, bits: int) -> PowerNormResult:
-    """Both ends of both norm enclosures from ``_power_disks``, whose
-    diagonal it shifts by -1 to the disks of T^n - I."""
-    upper_td, U = _td_upper(P, bits)
-    upper_ti = _ti_upper(U, chords, bits)
-    re, im, rad = P
-    re.flat[::len(re) + 1] -= 1 << bits
-    L = np.maximum(_isqrt(re * re + im * im) - rad, 0)    # lower moduli
-    lower_ti = _column_lower(L, bits)
-    np.fill_diagonal(L, 0)
-    lower_td = _column_lower(L, bits)
-    assert lower_ti <= upper_ti and lower_td <= upper_td
-    return PowerNormResult(n, Bound(lower_ti, upper_ti),
-                           Bound(lower_td, upper_td), bits, "midpoint-radius")
-
-
-def _superdiagonal_peaks(P) -> list[int]:
-    """M_d, the largest |re| or |im| centre on superdiagonal d = 1, 2, ...
-    of the disks P."""
-    re, im, _ = P
-    A = np.maximum(np.abs(re), np.abs(im))
-    return [np.diagonal(A, d).max() for d in range(1, len(A))]
-
-
-def _td_floor(peaks: list[int], s: int) -> int:
-    """A lower bound in 2^-bits units for ``_td_upper`` of the disks with
-    the superdiagonal peaks ``peaks`` after ``_rescale`` by s.  A rescaled
-    centre keeps |c| >> (s d) or more in each component (the floor rounds
-    away from zero below 0), so every entry of the upper matrix U is at
-    least that, and both terms of min(sqrt(||U||_1 ||U||_inf), ||U||_F)
-    are at least the largest entry of U."""
-    return max((m >> s * d for d, m in enumerate(peaks, 1)), default=0)
+    _, [row] = _tables([a.exact for a in op.diag], op.weights, [n], bits)
+    unit = Fraction(1, 1 << bits)
+    off = [[ball_shift(b, _GUARD) for b in sd] for sd in row[1:]]
+    ends = []
+    for diag in ([(0, 0, 0)] * len(row), _minus_one(row, bits)):
+        # T^n - D^n, whose diagonal cancels exactly, then T^n - I
+        balls = [diag] + off
+        hi = _norm_upper([[ball_upper(b) for b in sd] for sd in balls])
+        lo = _column_lower([[ball_lower(b) for b in sd] for sd in balls])
+        ends.append(Bound(lo * unit, hi * unit))
+    td, ti = ends
+    return PowerNormResult(n, ti, td, bits, "midpoint-radius")
 
 
 # ---------------------------------------------------------------------------
@@ -598,6 +504,7 @@ class NormCertificate:
     delta: Fraction
     rows: list[NormRow]
     dimension: int
+    working_bits: int | None = None     # the precision P of the table
 
     @property
     def k_range(self) -> tuple[int, int]:
@@ -621,9 +528,10 @@ class NormCertificate:
                   f"k in [{lo}, {hi}], dimension {self.dimension}",
             passed=self.passed,
             exact=False,
-            method="midpoint-radius powers, rational norm assembly",
+            method="midpoint-radius divided differences, integer norm assembly",
             horizon=hi,
-            params={"delta": frac_str(self.delta), "dimension": self.dimension},
+            params={"delta": frac_str(self.delta), "dimension": self.dimension,
+                    "working_bits": self.working_bits},
             bounds={"sup_TI": Bound(Fraction(0), self.sup_ti()),
                     "sup_TD": Bound(Fraction(0), self.sup_td())},
             values={"rows": len(self.rows)})
@@ -653,20 +561,17 @@ def build_operator(seq: IntegerSequence, N: int, K: int, delta,
                    bits: int = 53) -> OperatorBuild:
     """Assemble D + B: chain the diagonal within sum(eps) <= delta/4,
     then halve the weight scale rho, starting at rho = 1/4, until
-    sup_k ||T^{n_k} - D^{n_k}|| is certified below delta/2 for k <= K.  A
-    weight scale whose powers raise PrecisionError is halved too; the error
-    escapes only at the last allowed halving.  Each power is computed at
-    the first halving that reaches its row, not all at rho = 1/4, where the
-    integers grow without bound at deep horizons, and rescaled
-    (``_rescale``) from there only for a halving that reads it.  The rows
-    are reached in ascending k, so each is computed at the same halving
-    whichever rows are read, and a halving's operator is built only if it
-    computes a row or passes.  A halving where some row's norm_TD certainly
-    reaches delta/2 (``_td_floor``) fails without assembling any norm.  The
-    rows of the passing halving carry [0, upper end] enclosures: the
-    certificates read upper ends alone, and ``power_norm`` gives both ends
-    of one row.  Deterministic; the final rho and the number of halvings
-    land in the build record.
+    sup_k ||T^{n_k} - D^{n_k}|| is certified below delta/2 for k <= K.
+    The table of each power is computed once, at rho = 1/4: a halving
+    shifts it (``_uppers``).  The search starts at the first halving where
+    no row certainly fails: a shifted centre keeps |c| >> (h d) or more of
+    each part on superdiagonal d, and the upper end of the norm is at least
+    its largest entry.  A halving assembles the ends from the deepest row,
+    which fails first, up to the first failing one.  The rows of the
+    passing halving carry [0, upper end] enclosures: the certificates read
+    upper ends alone, and ``power_norm`` gives both ends of one row.
+    Deterministic; the final rho and the number of halvings land in the
+    build record.
     """
     delta = Fraction(delta)
     if delta <= 0:
@@ -675,72 +580,32 @@ def build_operator(seq: IntegerSequence, N: int, K: int, delta,
     chain = build_diag_chain(seq, N, eps)
     powers = [seq.term(k) for k in range(K + 1)]
     rho = Fraction(1, 4)
-    computed: dict[int, tuple] = {}     # k -> (halving, disks, chords, peaks)
-    # rows whose radii passed at some halving: a later rescale maps a
-    # radius <= 2^(bits-8) to at most 2^(bits-9) + 2 off the diagonal and
-    # keeps the diagonal, so for bits >= 10 such a row never fails again
-    radius_ok: set[int] = set()
+    P, tables = _tables(chain.angles, build_shift_weights(N, rho), powers, bits)
+    # an integer end in 2^-bits units is below delta/2 when below this one
+    units = -(-(delta.numerator << bits) // (2 * delta.denominator))
+    peaks = [_peaks(row) for row in tables]
     for halvings in range(MAX_HALVINGS + 1):
-        op = None
-        scaled = {}     # k -> disks at this halving, rescaled when read
-
-        def at_scale(k):
-            if k not in scaled:
-                h, P = computed[k][:2]
-                scaled[k] = _rescale(P, halvings - h) if h < halvings else P
-            return scaled[k]
-
-        try:
-            # the radii are checked in ascending rows before any norm is
-            # assembled, so a weight scale that runs out of precision costs
-            # only the rescales of rows not yet checked
-            for k, p in enumerate(powers):
-                if k not in computed:
-                    if op is None:
-                        op = chain.to_operator(build_shift_weights(N, rho))
-                    P, chords = _power_disks(op, p, bits)
-                    computed[k] = (halvings, P, chords, _superdiagonal_peaks(P))
-                if k not in radius_ok:
-                    _radius_checked(at_scale(k), p, bits)
-                    radius_ok.add(k)
-        except PrecisionError:
-            # the weights feed the radii, so a smaller rho may certify
-            if halvings == MAX_HALVINGS:
-                raise
+        if any(_td_floor(m, halvings) >= units for m in peaks):
+            continue
+        uppers = {}
+        for k in reversed(range(K + 1)):
+            U = _uppers(tables[k], halvings)
+            uppers[k] = _norm_upper(U), U
+            if uppers[k][0] >= units:
+                break
         else:
-            uppers = _passing_td_uppers(computed, at_scale, halvings, delta / 2, bits)
-            if uppers is not None:
-                if op is None:
-                    op = chain.to_operator(build_shift_weights(N, rho))
-                rows = []
-                for k, p in enumerate(powers):
-                    td, U = uppers[k]
-                    ti = _ti_upper(U, computed[k][2], bits)
-                    rows.append(NormRow(k, p, Bound(Fraction(0), ti),
-                                        Bound(Fraction(0), td), bits))
-                norms = NormCertificate(seq.label, delta, rows, N)
-                return OperatorBuild(op, norms, rho, halvings, delta)
-        rho /= 2
+            unit = Fraction(1, 1 << bits)
+            rows = []
+            for k, p in enumerate(powers):
+                td, U = uppers[k]
+                U[0] = [ball_upper(b) for b in _minus_one(tables[k], bits)]
+                rows.append(NormRow(k, p, Bound(Fraction(0), _norm_upper(U) * unit),
+                                    Bound(Fraction(0), td * unit), bits))
+            rho /= 2 ** halvings
+            op = chain.to_operator(build_shift_weights(N, rho))
+            norms = NormCertificate(seq.label, delta, rows, N, P)
+            return OperatorBuild(op, norms, rho, halvings, delta)
     raise ValueError(f"weight tuning failed after {MAX_HALVINGS} halvings")
-
-
-def _passing_td_uppers(computed: dict, at_scale, halvings: int,
-                       limit: Fraction, bits: int) -> dict | None:
-    """k -> ``_td_upper`` of each row at weight scale rho = 1/4 / 2^halvings
-    (the search starts at rho = 1/4) when every norm_TD upper end is below
-    ``limit``, else None.  A row whose ``_td_floor`` reaches the limit
-    fails the halving before any assembly; otherwise the ends are assembled
-    from the deepest row, which fails first, up to the first failing one."""
-    units = limit * (1 << bits)
-    if any(_td_floor(peaks, halvings - h) >= units
-           for h, _, _, peaks in computed.values()):
-        return None
-    uppers = {}
-    for k in sorted(computed, reverse=True):
-        uppers[k] = _td_upper(at_scale(k), bits)
-        if uppers[k][0] >= limit:
-            return None
-    return uppers
 
 
 @dataclass

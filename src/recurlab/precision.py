@@ -42,8 +42,11 @@ im_hi, den)`` from the atom sum of ``specmeasure`` (the ``cis_ends``
 weighted over one common denominator) through the products of
 :func:`rect_prod` to :func:`rect_dist_to_one`.  Fractions are reduced
 once, where a caller reads them; ``CBound.dist_to_one`` is the same
-kernel on a CBound.  :func:`dyadic` is the one reader of the mpf tuple
-layout.
+kernel on a CBound.  A complex ball ``(re, im, rad)`` of integers in units
+of ``2^-p`` is the midpoint-radius kernel (``ball_sub``, ``ball_mul``,
+``ball_recip``, ``ball_pow``, ``ball_scale`` and ``ball_shift`` to a coarser
+unit), on which ``linsys`` runs its powers of T.  :func:`dyadic` is the one
+reader of the mpf tuple layout.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
 from decimal import Decimal, localcontext
-from math import lcm
+from math import isqrt, lcm
 from pathlib import Path
 from typing import Iterable, Union
 
@@ -366,16 +369,10 @@ def _enclose(t: Fraction, bits: int) -> Bound:
     return Bound(max(Fraction(0), b.lo), min(Fraction(2), b.hi))
 
 
-# One linsys.build_operator at dimension N and horizon K computes each
-# power once and asks for at most N(K + 2) cos-sin keys, all at one working
-# precision: the N diagonal angles, and the N residues at each k (the
-# residues at k = 0 are the angles when n_0 = 1), each residue serving its
-# diagonal entry and its chord.  A repeated build asks again in the same
-# order, and an LRU cache smaller than such a cycle never hits, so the
-# bound holds the 1,408 keys of dimension 64, horizon 20.  The atom
-# residues of the product-formula factors (one key per Kahane factor and
-# frequency residue, and the exact 0) and cos_turns and sin_turns share
-# the cache.
+# One linsys.build_operator or power_norm asks for the N cos-sin keys of
+# its diagonal angles, at one working precision.  The atom residues of the product-formula factors (one
+# key per Kahane factor and frequency residue, and the exact 0) and
+# cos_turns and sin_turns share the cache.
 @lru_cache(maxsize=4096)
 def _cis_ends(t: Fraction, bits: int):
     key = t.numerator, t.denominator
@@ -437,6 +434,138 @@ class CBound:
     def dist_to_one(self) -> Bound:
         """``(self - 1).abs()``; see :func:`rect_dist_to_one`."""
         return rect_dist_to_one(rect_of(self))
+
+
+# ---------------------------------------------------------------------------
+# complex balls in integer units
+# ---------------------------------------------------------------------------
+# A ball (re, im, rad) of ints, rad >= 0, is the closed disk with centre
+# (re + i im) 2^-p and radius rad 2^-p, for a unit 2^-p that its caller
+# holds (midpoint-radius arithmetic, Rump, BIT 1999).  A difference is
+# exact; a product, a reciprocal, a rational scale or a shift to a coarser
+# unit is exact on integers until its one floor back to the unit, and the
+# radius absorbs that loss, so no rounding model is involved.  The powers
+# of ``linsys`` run on them.
+
+def ceil_sqrt(x: int) -> int:
+    r = isqrt(x)
+    return r if r * r == x else r + 1
+
+
+def _abs_hi(x: int, y: int) -> int:
+    """An upper bound of |x + i y|: exact below 2^30, and within a factor
+    1 + 2^-28 above, from the top 30 bits of the larger part."""
+    x, y = abs(x), abs(y)
+    s = (x if x > y else y).bit_length() - 30
+    if s <= 0:
+        return ceil_sqrt(x * x + y * y)
+    x, y = (x >> s) + 1, (y >> s) + 1
+    return (isqrt(x * x + y * y) + 1) << s
+
+
+def _abs_lo(x: int, y: int) -> int:
+    """A lower bound of |x + i y|, the counterpart of ``_abs_hi``."""
+    x, y = abs(x), abs(y)
+    s = max(0, (x if x > y else y).bit_length() - 30)
+    x, y = x >> s, y >> s
+    return isqrt(x * x + y * y) << s
+
+
+def ball_of_cis(cis, p: int) -> tuple[int, int, int]:
+    """The unit-circle point with the ``cis_ends`` enclosures cis as a ball
+    in 2^-p units: each end is one shift of its mantissa, floored or ceiled
+    outward, clamped to [-1, 1]."""
+    one = 1 << p
+    parts = []
+    for lo, hi in cis:
+        (a, ea), (b, eb) = dyadic(lo), dyadic(hi)
+        lo, hi = max(_shift(a, ea + p), -one), min(-_shift(-b, eb + p), one)
+        mid = (lo + hi) >> 1
+        parts.append((mid, hi - mid))
+    (re, re_rad), (im, im_rad) = parts
+    return re, im, re_rad + im_rad
+
+
+def _shift(v: int, s: int) -> int:
+    """floor(v 2^s)."""
+    return v << s if s >= 0 else v >> -s
+
+
+def ball_sub(a, b) -> tuple[int, int, int]:
+    return a[0] - b[0], a[1] - b[1], a[2] + b[2]
+
+
+def ball_shift(a, s: int) -> tuple[int, int, int]:
+    """The ball a in units 2^s times coarser, s >= 0: floored centre, ceiled
+    radius, and one more unit for each part that lost nonzero bits."""
+    re, im, rad = a
+    low = (1 << s) - 1
+    return (re >> s, im >> s,
+            -(-rad >> s) + (re & low != 0) + (im & low != 0))
+
+
+def ball_mul(a, b, p: int) -> tuple[int, int, int]:
+    """The product of two balls in 2^-p units: the centre product is exact
+    in 4^-p units, from three real products (the imaginary part is (ar +
+    ai)(br + bi) - ar br - ai bi), and |ca| rb + ra (|cb| + rb) bounds the
+    rest."""
+    ar, ai, arad = a
+    br, bi, brad = b
+    rr, ii = ar * br, ai * bi
+    re, im = rr - ii, (ar + ai) * (br + bi) - rr - ii
+    rad = _abs_hi(ar, ai) * brad + arad * (_abs_hi(br, bi) + brad)
+    low = (1 << p) - 1
+    return re >> p, im >> p, -(-rad >> p) + (re & low != 0) + (im & low != 0)
+
+
+def ball_pow(a, e: int, p: int) -> tuple[int, int, int]:
+    """a^e for e >= 1 by binary powering."""
+    out = None
+    while True:
+        if e & 1:
+            out = a if out is None else ball_mul(out, a, p)
+        e >>= 1
+        if not e:
+            return out
+        a = ball_mul(a, a, p)
+
+
+def ball_recip(a, p: int) -> tuple[int, int, int]:
+    """1/w for every w of the ball a in 2^-p units, which must not hold 0.
+    The centre 4^p conj(c) / |c|^2 takes one long division, t =
+    floor(2^(2p + g) / |c|^2) with 2^g > 2 max(|re|, |im|), so each part of
+    (re, -im) t 2^-g is within 1/2 of it and within 3/2 once floored; the
+    radius adds |1/w - 1/c| <= r / (|c| (|c| - r)), in units 4^p r / (lo
+    (lo - r)) for a lower bound lo of |c|."""
+    re, im, rad = a
+    lo = _abs_lo(re, im)
+    if lo <= rad:
+        raise ZeroDivisionError("the ball holds 0")
+    g = max(abs(re), abs(im)).bit_length() + 1
+    t = (1 << (2 * p + g)) // (re * re + im * im)
+    return ((re * t) >> g, (-im * t) >> g,
+            -(-(rad << 2 * p) // (lo * (lo - rad))) + 3)
+
+
+def ball_scale(a, w: Fraction) -> tuple[int, int, int]:
+    """The ball a times the exact rational w >= 0, in the same units: a
+    shift when w is 1 / 2^s."""
+    p, q = w.numerator, w.denominator
+    if p == 1 and not q & (q - 1):
+        return ball_shift(a, q.bit_length() - 1)
+    re, rx = divmod(a[0] * p, q)
+    im, ry = divmod(a[1] * p, q)
+    return re, im, -(-a[2] * p // q) + (rx != 0) + (ry != 0)
+
+
+def ball_upper(a) -> int:
+    """An upper bound of |w| over the ball, in its units."""
+    return ceil_sqrt(a[0] * a[0] + a[1] * a[1]) + a[2]
+
+
+def ball_lower(a) -> int:
+    """A lower bound of |w| over the ball, in its units."""
+    return max(isqrt(a[0] * a[0] + a[1] * a[1]) - a[2], 0)
 
 
 # ---------------------------------------------------------------------------

@@ -37,8 +37,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-import numpy as np
-
 from .certificates import Certificate, frac_str
 from .precision import (Bound, CBound, bits_for_power, cis_ends, dyadic,
                         get_bits, pi_bound, rect_abs2, rect_cbound,
@@ -357,7 +355,10 @@ class GaussOverlapEstimate:
 def _normals(seed: int, samples: int) -> np.ndarray:
     """The standard complex normals (g_1, g_2), one row each, of the
     generator seeded by ``seed``.  The draw does not depend on the shift, so
-    every shift index of a run shares one read-only array."""
+    every shift index of a run shares one read-only array.  numpy loads
+    here and in the sampler alone: the certified routes of this module need
+    none."""
+    import numpy as np
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((2, 2, samples)) / math.sqrt(2.0)
     g = z[0] + 1j * z[1]
@@ -387,6 +388,7 @@ def gauss_rectangle_overlap_mc(model: GaussianRectangleModel, n: int,
     O(samples + factors).  A ``DiscreteMeasure`` takes all three from the
     float atom sum, O(samples + atoms): the cross-check route.
     """
+    import numpy as np
     if samples < 1000:
         raise ValueError("need at least 1000 samples")
     if isinstance(model.measure, ConvolutionFactorization):

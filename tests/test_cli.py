@@ -213,16 +213,21 @@ def test_linsys_run(tmp_path):
     assert "gamma_max" in report["values"]
 
 
-def test_linsys_precision_failure_is_a_failing_certificate(tmp_path):
+def test_linsys_past_the_chain_horizon_certifies(tmp_path):
+    # horizon 10 reaches n = 2^55 at 53 bits: the table's working precision
+    # covers it, the certificate records that precision, and the rows past
+    # the chain's horizon, where T^(n_k) = I, print 0
     out = tmp_path / "out"
     p = write_config(tmp_path, config(
         "linsys", {"seq": TRI13, "dimension": 3, "horizon": 10, "delta": "1/2"},
         out=str(out)))
-    assert main(["linsys", "--config", str(p)]) == 1
+    assert main(["linsys", "--config", str(p)]) == 0
     report = json.loads((out / "report.json").read_text())
     [cert] = report["certificates"]
-    assert cert["kind"] == "power-norms" and not cert["passed"]
-    assert "retry with more bits" in cert["values"]["error"]
+    assert cert["kind"] == "power-norms" and cert["passed"]
+    assert cert["params"]["working_bits"] > 53 + 32
+    rows = (out / "norms.csv").read_text().splitlines()[1:]
+    assert rows[-1].split(",")[2:4] == ["0", "0"]
 
 
 def test_linsys_uncertifiable_ball_is_a_failing_certificate(tmp_path):

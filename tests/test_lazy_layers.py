@@ -86,6 +86,16 @@ def test_rankone_run_loads_no_mpmath_or_numpy(tmp_path):
     assert "recurlab.precision" not in got["loaded"]
 
 
+@pytest.mark.parametrize("kind", ["witness", "kahane", "bohr"])
+def test_exact_kinds_load_no_numpy(kind, tmp_path):
+    # circle imports numpy inside the jamison grid scan and polish, and
+    # specmeasure inside the gauss sampler, so these runs load none
+    data = {"schema": "recurlab/1", "kind": kind, "params": SMALL[kind]}
+    got = json.loads(_fresh(_RUN, json.dumps(data), str(tmp_path)))
+    assert got["passed"]
+    assert "numpy" not in _tops(got["loaded"])
+
+
 def test_linsys_run_loads_no_numpy_random_or_openssl(tmp_path):
     # the ball spot check draws from the standard library's random, so a
     # linsys run with ``mc`` loads neither numpy.random nor, through its

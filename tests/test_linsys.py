@@ -10,7 +10,7 @@ from mpmath import mp, mpc
 from recurlab import linsys, precision
 from recurlab.circle import AngleTurns, chord_extreme, verify_witness
 from recurlab.linsys import (BallCertificate, DiagShiftOperator, NormCertificate,
-                             NormRow, PrecisionError, ball_certificate,
+                             NormRow, ball_certificate,
                              ball_mc_check, build_diag_chain, build_j_function,
                              build_operator, build_shift_weights,
                              kalish_eigencheck, norm_table_csv, power_norm,
@@ -175,26 +175,29 @@ def test_norm_table_csv(built):
 
 
 def test_precision_error_then_retry():
+    # the table takes its working precision from n and the gaps, so 53
+    # bits certify n = 2^60 + 3 as well as 200 do, and the caller's
+    # working precision is restored after each call
     op = DiagShiftOperator(4, _angles((1, 3), (1, 5), (1, 7), (1, 11)),
                            build_shift_weights(4, F(1, 2 ** 40)))
     n = 2 ** 60 + 3
     before = get_bits()
-    with pytest.raises(PrecisionError, match="more bits"):
-        power_norm(op, n, bits=53)
-    assert get_bits() == before
-    res = power_norm(op, n, bits=200)
     diag_max = max(chord(F((n * t.exact.numerator) % t.exact.denominator,
                            t.exact.denominator)).hi for t in op.diag)
-    # the full norm sits within norm_td of the diagonal-only value
-    assert diag_max <= res.norm_ti.hi + F(1, 2 ** 90)
-    assert res.norm_ti.lo <= diag_max + res.norm_td.hi
-    assert res.norm_ti.width < F(1, 10 ** 4)
-    assert res.norm_td.hi < F(1, 10 ** 5)
+    for bits in (53, 200):
+        res = power_norm(op, n, bits=bits)
+        assert get_bits() == before
+        # the full norm sits within norm_td of the diagonal-only value
+        assert diag_max <= res.norm_ti.hi + F(1, 2 ** 90)
+        assert res.norm_ti.lo <= diag_max + res.norm_td.hi
+        assert res.norm_ti.width < F(1, 10 ** 4)
+        assert res.norm_td.hi < F(1, 10 ** 5)
 
 
 def test_build_operator_halves_rho_past_precision_errors():
-    # at rho = 1/4 the power 2^15 raises PrecisionError at 53 bits; the
-    # build halves rho past it instead of giving up
+    # at rho = 1/4 the power 2^15 is far from I; the table runs at its own
+    # working precision, and the build halves rho until norm_TD is below
+    # delta/2
     build = build_operator(SEQ, N=16, K=5, delta=F(1, 2), bits=53)
     assert build.norms.passed and build.norms.sup_td() < F(1, 4)
     assert build.rho == F(1, 4) / 2 ** build.halvings
@@ -202,17 +205,17 @@ def test_build_operator_halves_rho_past_precision_errors():
 
 
 def test_build_operator_computes_each_power_once_and_reaches_horizon_9(monkeypatch):
-    # every halving of rho is an exact diagonal similarity, so a power is
-    # rescaled instead of computed again; the rounding made at the larger
-    # scale shrinks with it, which certifies n = 2^45 at 53 bits
+    # every halving of rho is an exact diagonal similarity, so the table of
+    # each power is computed once, at rho = 1/4, and shifted by a halving;
+    # the working precision covers n = 2^45 at 53 bits
     computed = []
-    power_disks = linsys._power_disks
+    power_tables = linsys._power_tables
 
-    def counted(op, n, bits):
-        computed.append(n)
-        return power_disks(op, n, bits)
+    def counted(angles, scales, powers, P, bits):
+        computed.extend(powers)
+        return power_tables(angles, scales, powers, P, bits)
 
-    monkeypatch.setattr(linsys, "_power_disks", counted)
+    monkeypatch.setattr(linsys, "_power_tables", counted)
     build = build_operator(SEQ, N=16, K=9, delta=F(1, 2), bits=53)
     assert build.norms.passed and build.norms.sup_td() < F(1, 4)
     assert build.rho == F(1, 4) / 2 ** build.halvings
@@ -221,15 +224,15 @@ def test_build_operator_computes_each_power_once_and_reaches_horizon_9(monkeypat
 
 
 def _cold_power_norm(op, n):
-    # a fresh operator starts with no disks and no squaring ladder
+    # a fresh operator and empty enclosure caches
     precision._enclose.cache_clear()
     precision._cis_ends.cache_clear()
     return power_norm(DiagShiftOperator(op.dimension, op.diag, op.weights), n)
 
 
 def test_power_norm_ladder_ignores_call_order_and_aliasing():
-    # power_norm writes the exact diagonal into the power it gets back, so
-    # a shared square handed out uncopied would corrupt later powers
+    # no state passes from one power_norm call to the next but the
+    # enclosure caches, so warm and cold calls agree
     diag = _angles((1, 3), (1, 5), (1, 7), (2, 11))
     a = DiagShiftOperator(4, diag, build_shift_weights(4, F(1, 64)))
     b = DiagShiftOperator(4, diag, build_shift_weights(4, F(1, 128)))
@@ -246,7 +249,12 @@ def _unit(theta: F):
 def _reference_norms(op: DiagShiftOperator, n: int, prec: int = 300):
     """||T^n - I|| and ||T^n - D^n|| from a plain mpmath computation at
     ``prec`` bits plus two per bit of n (powering loses about log2 n),
-    as rationals; D^n comes from the exact residues."""
+    as rationals; D^n comes from the exact residues.  When every residue
+    n theta_j is 0, T^n = I exactly (T has distinct eigenvalues, all n-th
+    roots of unity), and both norms are the exact 0 that the rounding of
+    the plain computation would miss."""
+    if all(precision.residue(a.exact, n) == 0 for a in op.diag):
+        return [F(0), F(0)]
     with mp.workprec(prec + 2 * n.bit_length()):
         N = op.dimension
         T = mp.matrix(N, N)
@@ -275,15 +283,22 @@ def test_power_norm_contains_true_norms_at_96_bits(angles, weights, n):
     ti, td = _reference_norms(op, n)
     assert res.norm_ti.lo <= ti <= res.norm_ti.hi
     assert res.norm_td.lo <= td <= res.norm_td.hi
-    # one diagonal entry in the precision context _power_disks encloses
-    # every entry in
-    from recurlab.linsys import _unit_entry
+    # one diagonal entry, as a ball in 2^-96 units
     theta = op.diag[0].exact
     with working_bits(max(get_bits(), 96 + 32)):
-        re, im, rad = _unit_entry(cis_ends(theta), 96)
+        re, im, rad = precision.ball_of_cis(cis_ends(theta), 96)
     with mp.workprec(300):
         true = mp.expjpi(2 * mp.mpf(theta.numerator) / theta.denominator)
         assert abs(mpc(re, im) / 2 ** 96 - true) <= mp.mpf(rad) / 2 ** 96
+
+
+def _bits_radius(op: DiagShiftOperator, n: int, bits: int) -> int:
+    """The largest radius, in 2^-bits units, of the balls of T^n - I that
+    power_norm assembles its ends from."""
+    _, [row] = linsys._tables([a.exact for a in op.diag], op.weights, [n], bits)
+    balls = linsys._minus_one(row, bits) + [
+        precision.ball_shift(b, linsys._GUARD) for sd in row[1:] for b in sd]
+    return max(b[2] for b in balls)
 
 
 def test_power_norm_random_operators_contain_true_norms():
@@ -311,20 +326,19 @@ def test_power_norm_random_operators_contain_true_norms():
             res = power_norm(op, n, bits=bits)
             assert res.norm_ti.lo <= ti <= res.norm_ti.hi, (op, n, bits)
             assert res.norm_td.lo <= td <= res.norm_td.hi, (op, n, bits)
-            (_, _, rad), _ = linsys._power_disks(op, n, bits)
-            slack = F(N * (2 * max(rad.flat) + 4) + root, 1 << bits)
+            slack = F(N * (2 * _bits_radius(op, n, bits) + 4) + root, 1 << bits)
             for b in (res.norm_ti, res.norm_td):
                 assert b.hi > slack and root * b.lo >= b.hi - slack, (op, n, bits)
 
 
 @pytest.mark.parametrize("N", [3, 4])
 def test_build_rows_contain_true_norms_at_horizon_9(N):
-    # rows computed at one weight scale and rescaled through up to 30
-    # halvings, against the reference at the final rho; the rows carry
-    # upper ends only, so the lower ends are power_norm's for the same
-    # operator and powers, at 96 bits (53 run out of precision at 2^45)
+    # rows computed at rho = 1/4 and shifted through 23 (N = 3) and 25
+    # (N = 4) halvings, against the reference at the final rho; the rows
+    # carry upper ends only, so the lower ends are power_norm's for the
+    # same operator and powers, at 96 bits
     build = build_operator(SEQ, N=N, K=9, delta=F(1, 2), bits=53)
-    assert build.norms.passed and build.halvings >= 27
+    assert build.norms.passed and build.halvings >= 23
     for row in build.norms.rows:
         ti, td = _reference_norms(build.operator, row.power)
         assert ti <= row.norm_ti.hi and td <= row.norm_td.hi, row
@@ -334,38 +348,39 @@ def test_build_rows_contain_true_norms_at_horizon_9(N):
 
 
 def test_rescale_encloses_every_point_of_the_disks():
-    # T(rho / 2^h) = S T(rho) S^-1 with S = diag(2^(h i)), so a point z of
-    # disk (i, j) of a power moves to z 2^(-h (j - i)).  Boundary points of
-    # disks whose centres have zero or nonzero low bits test the floor of
-    # the centre, the ceiling of the radius and the shift per diagonal.
+    # a halving shifts entry (i, i + d) of a table by d more bits, and
+    # power_norm shifts every entry to 2^-bits units: a point z of a ball
+    # moves to z 2^-s.  Boundary points of balls whose centres have zero or
+    # nonzero low bits test the floor of the centre, the ceiling of the
+    # radius and the unit added for each part that lost bits.
     rng = random.Random(20261019)
     directions = [(1, 0), (-1, 0), (0, 1), (0, -1), (F(3, 5), F(4, 5)),
                   (F(-4, 5), F(-3, 5))]
-    for _ in range(300):
-        N, h = rng.randrange(2, 6), rng.randrange(1, 12)
-        re, im, rad = (np.zeros((N, N), dtype=object) for _ in range(3))
-        points = {}
-        for i in range(N):
-            for j in range(i, N):
-                low = rng.choice([0, 48])
-                re[i, j] = rng.randrange(-2 ** 40, 2 ** 40) << low
-                im[i, j] = rng.randrange(-2 ** 40, 2 ** 40) << low
-                rad[i, j] = rng.choice([0, 1, rng.randrange(2 ** 50)])
-                cx, cy = rng.choice(directions)
-                points[i, j] = (re[i, j] + rad[i, j] * cx, im[i, j] + rad[i, j] * cy)
-        Re, Im, Rad = linsys._rescale((re, im, rad), h)
-        for (i, j), (x, y) in points.items():
-            scale = F(1, 2 ** (h * (j - i)))
-            dx, dy = x * scale - Re[i, j], y * scale - Im[i, j]
-            assert dx * dx + dy * dy <= Rad[i, j] ** 2, (i, j, h)
-        for M, S in ((re, Re), (im, Im), (rad, Rad)):
-            assert all(S[i, i] == M[i, i] for i in range(N))
-            assert not np.tril(S, -1).any()
+    for _ in range(3000):
+        s, low = rng.randrange(0, 60), rng.choice([0, 48])
+        re = rng.randrange(-2 ** 40, 2 ** 40) << low
+        im = rng.randrange(-2 ** 40, 2 ** 40) << low
+        rad = rng.choice([0, 1, rng.randrange(2 ** 50)])
+        cx, cy = rng.choice(directions)
+        Re, Im, Rad = precision.ball_shift((re, im, rad), s)
+        dx = (re + rad * cx) / F(2 ** s) - Re
+        dy = (im + rad * cy) / F(2 ** s) - Im
+        assert dx * dx + dy * dy <= Rad ** 2, (re, im, rad, s)
+
+
+def _build_uppers(op: DiagShiftOperator, n: int, bits: int, h: int):
+    """The norm_TI and norm_TD upper ends of T^n at the weights of op over
+    2^h, as build_operator assembles them: from op's table, shifted."""
+    _, [row] = linsys._tables([a.exact for a in op.diag], op.weights, [n], bits)
+    U = linsys._uppers(row, h)
+    td = linsys._norm_upper(U)
+    U[0] = [precision.ball_upper(b) for b in linsys._minus_one(row, bits)]
+    return F(linsys._norm_upper(U), 1 << bits), F(td, 1 << bits)
 
 
 def test_rescaled_power_contains_true_norms():
-    # a power computed at rho and rescaled to rho / 2^h against the
-    # reference at rho / 2^h, and no looser than computing it there
+    # a table computed at the weights w and shifted by h halvings, against
+    # the reference at w / 2^h, and no looser than computing it there
     rng = random.Random(20261020)
     for _ in range(40):
         N = rng.randrange(2, 6)
@@ -380,40 +395,41 @@ def test_rescaled_power_contains_true_norms():
         bits = rng.choice((53, 96))
         op = DiagShiftOperator(N, diag, weights)
         small = DiagShiftOperator(N, diag, [w / 2 ** h for w in weights])
-        P, chords = linsys._power_disks(op, n, bits)
-        P = linsys._radius_checked(linsys._rescale(P, h), n, bits)
-        res = linsys._power_bounds(P, chords, n, bits)
-        ti, td = _reference_norms(small, n)
-        assert res.norm_ti.lo <= ti <= res.norm_ti.hi, (small, n, bits)
-        assert res.norm_td.lo <= td <= res.norm_td.hi, (small, n, bits)
+        ti, td = _build_uppers(op, n, bits, h)
+        ti_ref, td_ref = _reference_norms(small, n)
+        assert ti_ref <= ti and td_ref <= td, (small, n, bits)
         direct = power_norm(small, n, bits=bits)
         unit = F(1, 2 ** bits)
-        assert res.norm_ti.hi <= direct.norm_ti.hi + unit
-        assert res.norm_td.hi <= direct.norm_td.hi + unit
+        assert ti <= direct.norm_ti.hi + N * unit
+        assert td <= direct.norm_td.hi + N * unit
 
 
 def test_chord_upper_from_cos_sin_encloses_the_chord():
-    # the chord end of a diagonal entry comes from its cos/sin enclosure:
-    # never below the true chord, at most one unit above the end taken
-    # from a chord enclosure at the same precision
+    # the chord end of a diagonal entry comes from its ball, made from the
+    # cos/sin enclosure 32 bits finer: never below the true chord, and at
+    # most six units above the end taken from a chord enclosure at the same
+    # precision (the floored centre, the units its parts lose, the ceiled
+    # radius and the ceiled modulus)
     rng = random.Random(20261021)
     specials = [F(0), F(1, 2), F(1, 3), F(1, 4), F(1, 6), F(5, 6), F(3, 4)]
     for bits in (53, 96, 256):
         residues = specials + [F(rng.randrange(1, q), q)
                                for q in (rng.randrange(2, 2 ** 40) for _ in range(200))]
-        with working_bits(max(get_bits(), bits + 32)):
-            ends = [(r, linsys._chord_upper(cis_ends(r), bits), chord(r).hi)
-                    for r in residues]
+        P = bits + linsys._GUARD
+        with working_bits(P):
+            balls = [precision.ball_of_cis(cis_ends(r), P) for r in residues]
+            his = [chord(r).hi for r in residues]
+        ends = [precision.ball_upper(b) for b in linsys._minus_one([balls], bits)]
         with mp.workprec(300):
-            for r, end, hi in ends:
+            for r, end, hi in zip(residues, ends, his):
                 true = abs(mp.expjpi(2 * mp.mpf(r.numerator) / r.denominator) - 1)
                 assert end >= true * 2 ** bits, (r, bits)
-                assert end <= math.ceil(hi * 2 ** bits) + 1, (r, bits)
+                assert end <= math.ceil(hi * 2 ** bits) + 6, (r, bits)
 
 
 # ---------------------------------------------------------------------------
-# integer units and triangle products against the Fraction and full-matrix
-# code they replaced
+# integer units against the Fraction route they replaced, and the squaring
+# ladder, kept as the independent cross-check of the table
 # ---------------------------------------------------------------------------
 
 def _old_fixed(b: Bound, bits: int) -> tuple[int, int]:
@@ -430,12 +446,6 @@ def _old_unit_entry(cos: Bound, sin: Bound, bits: int) -> tuple[int, int, int]:
     return re, im, re_rad + im_rad
 
 
-def _old_chord_upper(cos: Bound, sin: Bound, bits: int) -> int:
-    """Reference: the chord's upper end through Fractions."""
-    sq = (1 - cos.lo) ** 2 + max(sin.lo ** 2, sin.hi ** 2)
-    return linsys._ceil_sqrt(math.ceil(sq * 4 ** bits))
-
-
 def test_integer_units_match_the_fraction_route():
     rng = random.Random(20261022)
     specials = [F(p, q) for q in (1, 2, 3, 4, 6) for p in range(q)]
@@ -447,21 +457,19 @@ def test_integer_units_match_the_fraction_route():
             with working_bits(work):
                 for r in residues:
                     cos, sin = cos_turns(r), sin_turns(r)
-                    cis = cis_ends(r)
-                    assert linsys._unit_entry(cis, bits) == _old_unit_entry(cos, sin, bits)
-                    assert linsys._chord_upper(cis, bits) == _old_chord_upper(cos, sin, bits)
-        for w in [F(0), F(1, 4), F(1, 3), F(2, 7) / 2 ** 40, F(5, 2 ** 300)]:
-            assert linsys._fixed(w, bits) == _old_fixed(Bound.exact(w), bits)
+                    got = precision.ball_of_cis(cis_ends(r), bits)
+                    assert got == _old_unit_entry(cos, sin, bits)
 
 
 def _old_abs_upper(re, im):
-    """Reference: the per-entry lambda the isqrt ufunc replaced."""
-    f = np.frompyfunc(lambda a, b: linsys._ceil_sqrt(a * a + b * b), 2, 1)
+    """Reference: the elementwise ceiled modulus, one lambda per entry."""
+    f = np.frompyfunc(lambda a, b: precision.ceil_sqrt(a * a + b * b), 2, 1)
     return f(re, im)
 
 
-def _old_mm(A, B, bits: int):
-    """Reference: four full-matrix real products and |A|, |B| taken apart."""
+def _ladder_mm(A, B, bits: int):
+    """The disks of A B for disks A and B in 2^-bits units: four
+    full-matrix real products, |A| and |B| taken apart."""
     (ar, ai, arad), (br, bi, brad) = A, B
     re = ar @ br - ai @ bi
     im = ar @ bi + ai @ br
@@ -471,100 +479,170 @@ def _old_mm(A, B, bits: int):
     return re >> bits, im >> bits, -(-rad >> bits) + lost
 
 
-def _random_disks(rng, N, size):
+def _ladder_power(op: DiagShiftOperator, n: int, bits: int):
+    """The disks of T^n in 2^-bits units by the squaring ladder: binary
+    powering of midpoint-radius matrices, with the diagonal replaced by the
+    enclosure of the exact lambda_j^n."""
+    N = op.dimension
     re, im, rad = (np.zeros((N, N), dtype=object) for _ in range(3))
-    for i in range(N):
-        for j in range(i, N):
-            re[i, j] = rng.randrange(-2 ** size, 2 ** size)
-            im[i, j] = rng.choice([0, rng.randrange(-2 ** size, 2 ** size)])
-            rad[i, j] = rng.choice([0, 1, rng.randrange(2 ** (size // 2))])
-    return re, im, rad
+    with working_bits(bits + 32):
+        for j, a in enumerate(op.diag):
+            re[j, j], im[j, j], rad[j, j] = _old_unit_entry(
+                cos_turns(a.exact), sin_turns(a.exact), bits)
+        for i, w in enumerate(op.weights):
+            re[i, i + 1], rad[i, i + 1] = _old_fixed(Bound.exact(w), bits)
+        T, P, e = (re, im, rad), None, n
+        while e:
+            if e & 1:
+                P = T if P is None else _ladder_mm(P, T, bits)
+            e >>= 1
+            if e:
+                T = _ladder_mm(T, T, bits)
+        for j, a in enumerate(op.diag):
+            r = precision.residue(a.exact, n)
+            P[0][j, j], P[1][j, j], P[2][j, j] = _old_unit_entry(
+                cos_turns(r), sin_turns(r), bits)
+    return P
 
 
-def _same(P, Q):
-    return all(M.shape == R.shape and (M == R).all() for M, R in zip(P, Q))
-
-
-def test_triangle_products_match_full_matrix_products():
+def test_table_and_ladder_enclosures_intersect():
+    # both routes enclose the exact entries of T^n, so every ball of the
+    # table meets the ladder's disk of the same entry
     rng = random.Random(20261023)
-    for bits, size in ((53, 54), (256, 257), (256, 330)):
-        for N in (1, 2, 3, 5, 8, 16):
-            A, B = _random_disks(rng, N, size), _random_disks(rng, N, size)
-            assert _same(linsys._mm(A, A, bits), _old_mm(A, A, bits))
-            assert _same(linsys._mm(A, B, bits), _old_mm(A, B, bits))
-    # P T on an operator's own disks, and squares along its ladder
-    op = DiagShiftOperator(4, _angles((1, 3), (1, 5), (1, 7), (2, 11)),
-                           build_shift_weights(4, F(1, 8)))
-    for bits in (53, 256):
-        with working_bits(bits + 32):
-            T, _ = linsys._operator_disks(op, bits)
-        P, old = T, T
-        for _ in range(6):
-            P, old = linsys._mm(P, T, bits), _old_mm(old, T, bits)
-            assert _same(P, old)
-            P, old = linsys._mm(P, P, bits), _old_mm(old, old, bits)
-            assert _same(P, old)
+    for _ in range(40):
+        N = rng.randrange(2, 6)
+        thetas = set()
+        while len(thetas) < N:
+            q = rng.randrange(2, 2 ** 20 + 8)
+            thetas.add(F(rng.randrange(1, q), q))
+        thetas = sorted(thetas)
+        weights = [F(rng.randrange(1, 2 ** 8), 2 ** rng.randrange(0, 30))
+                   for _ in range(N - 1)]
+        n, bits = rng.randrange(1, 2 ** 10), rng.choice((53, 96))
+        op = DiagShiftOperator(N, [AngleTurns.of(t) for t in thetas], weights)
+        Re, Im, Rad = _ladder_power(op, n, bits)
+        _, [row] = linsys._tables(thetas, weights, [n], bits)
+        for d, sd in enumerate(row):
+            for i, b in enumerate(sd):
+                re, im, rad = precision.ball_shift(b, linsys._GUARD)
+                dx, dy = re - Re[i, i + d], im - Im[i, i + d]
+                assert dx * dx + dy * dy <= (rad + Rad[i, i + d]) ** 2, (op, n, i, d)
+
+
+@pytest.mark.parametrize("N", [2, 3, 5, 8, 16])
+def test_table_upper_ends_match_a_high_precision_reference(N):
+    # every upper end the norms are assembled from, entry (i, j) of T^n - I
+    # in 2^-bits units, against a plain mpmath power: never below the true
+    # modulus, and at most 6 units above it.  The chain operators have the
+    # close eigenvalues (gaps down to about 1/n_m) that the working
+    # precision must absorb.
+    seq = triangular_pow2(14)
+    chain = build_diag_chain(seq, N, [F(1, 2 ** (n + 2)) for n in range(2, N + 1)])
+    op = chain.to_operator(build_shift_weights(N, F(1, 4)))
+    for n, bits in ((1, 53), (8, 96), (1024, 53)):
+        _, [row] = linsys._tables(chain.angles, op.weights, [n], bits)
+        balls = [linsys._minus_one(row, bits)] + [
+            [precision.ball_shift(b, linsys._GUARD) for b in sd] for sd in row[1:]]
+        with mp.workprec(300 + 2 * n.bit_length()):
+            T = mp.matrix(N, N)
+            for j, a in enumerate(op.diag):
+                T[j, j] = _unit(a.exact)
+            for i, w in enumerate(op.weights):
+                T[i, i + 1] = mp.mpf(w.numerator) / w.denominator
+            M = T ** n - mp.eye(N)
+            for d, sd in enumerate(balls):
+                for i, b in enumerate(sd):
+                    true = abs(M[i, i + d]) * 2 ** bits
+                    up = precision.ball_upper(b)
+                    assert true <= up <= true + 6, (N, n, bits, i, d)
+
+
+def test_rows_past_the_chain_horizon_are_exactly_zero():
+    # every chain angle's denominator divides n_H for H = DiagChain.horizon,
+    # so D^(n_k) = I for k >= H, and T, whose eigenvalues are distinct, has
+    # T^(n_k) = I: every divided difference vanishes, and so do both norms
+    N = 4
+    chain = build_diag_chain(SEQ, N, [F(1, 2 ** (n + 2)) for n in range(2, N + 1)])
+    H = chain.horizon
+    op = chain.to_operator(build_shift_weights(N, F(1, 4)))
+    for k in range(H, H + 3):
+        res = power_norm(op, SEQ.term(k), bits=53)
+        assert res.norm_ti == res.norm_td == Bound.exact(0)
+    assert power_norm(op, SEQ.term(H - 1), bits=53).norm_ti.hi > 0
+    build = build_operator(SEQ, N=N, K=H + 1, delta=F(1, 2), bits=53)
+    assert build.norms.passed
+    for row in build.norms.rows[H:]:
+        assert row.norm_ti.hi == row.norm_td.hi == 0
 
 
 def test_abs_upper_matches_the_lambda():
+    # the upper end of a ball's modulus is the ceiled modulus of its centre
+    # plus the radius; _abs_hi and _abs_lo, which the products and
+    # reciprocals take from the top 30 bits, bracket the modulus within a
+    # factor 1 + 2^-27
     rng = random.Random(20261024)
-    for shape in ((7,), (4, 4)):
-        re = np.array([rng.randrange(-2 ** 300, 2 ** 300) for _ in range(math.prod(shape))],
-                      dtype=object).reshape(shape)
-        im = np.array([rng.randrange(-2 ** 300, 2 ** 300) for _ in range(math.prod(shape))],
-                      dtype=object).reshape(shape)
-        assert (linsys._abs_upper(re, im) == _old_abs_upper(re, im)).all()
+    for _ in range(300):
+        size = rng.choice((10, 40, 300))
+        re, im = rng.randrange(-2 ** size, 2 ** size), rng.randrange(-2 ** size, 2 ** size)
+        exact = _old_abs_upper(np.array([re], dtype=object), np.array([im], dtype=object))[0]
+        rad = rng.randrange(2 ** 20)
+        assert precision.ball_upper((re, im, rad)) == exact + rad
+        hi, lo = precision._abs_hi(re, im), precision._abs_lo(re, im)
+        assert lo * lo <= re * re + im * im <= hi * hi
+        assert hi <= exact + (exact >> 27) + 1 and lo >= exact - (exact >> 27) - 1
     # zero, perfect squares (3-4-5 triangles) and their neighbours
-    re = np.array([0, 3, -3 * 2 ** 200, 1, 0, 2 ** 100 + 1], dtype=object)
-    im = np.array([0, 4, 4 * 2 ** 200, 0, -7, 0], dtype=object)
-    got = linsys._abs_upper(re, im)
-    assert list(got) == [0, 5, 5 * 2 ** 200, 1, 7, 2 ** 100 + 1]
-    assert (got == _old_abs_upper(re, im)).all()
-    assert list(linsys._abs_upper(re + 1, im)) == list(_old_abs_upper(re + 1, im))
+    for re, im, want in [(0, 0, 0), (3, 4, 5), (-3 * 2 ** 200, 4 * 2 ** 200, 5 * 2 ** 200),
+                         (1, 0, 1), (0, -7, 7), (2 ** 100 + 1, 0, 2 ** 100 + 1),
+                         (4, 4, 6)]:
+        assert precision.ball_upper((re, im, 0)) == want
+        assert precision._abs_hi(re, im) >= want
 
 
 @pytest.mark.parametrize("N, K, delta, bits", [
     (8, 4, DELTA, 53), (16, 5, F(1, 2), 53), (16, 9, F(1, 2), 53),
     (6, 5, F(1, 2), 96)])
 def test_build_operator_rescales_only_rows_it_reads(monkeypatch, N, K, delta, bits):
-    # a row's radii are checked until they first pass, and a halving
-    # rescales only the rows whose norm_TD it reads
+    # a halving shifts only the rows whose norm_TD it assembles, none
+    # before the first halving that no row certainly fails, and each row
+    # once at the passing halving
     shifts = []
-    rescale = linsys._rescale
+    uppers = linsys._uppers
 
-    def counted(P, h):
+    def counted(row, h):
         shifts.append(h)
-        return rescale(P, h)
+        return uppers(row, h)
 
-    monkeypatch.setattr(linsys, "_rescale", counted)
+    monkeypatch.setattr(linsys, "_uppers", counted)
     build = build_operator(SEQ, N=N, K=K, delta=delta, bits=bits)
     assert build.norms.passed
     assert 0 < len(shifts) <= build.halvings + K + 1
     assert 0 not in shifts
+    assert shifts.count(build.halvings) == K + 1
 
 
 def test_td_floor_is_below_every_rescaled_td_upper():
     # build_operator fails a halving without assembling its norm_TD when
-    # the largest superdiagonal centre component, shifted by h d, already
-    # reaches delta/2: a rescaled centre keeps at least that, and the
+    # the largest superdiagonal centre part, shifted by h d, already
+    # reaches delta/2: a shifted centre keeps at least that, and the
     # assembled upper end is at least the largest entry of its matrix
     rng = random.Random(20261026)
     for _ in range(400):
-        N, h, bits = rng.randrange(2, 9), rng.randrange(0, 41), rng.choice((53, 96))
-        re, im, rad = (np.zeros((N, N), dtype=object) for _ in range(3))
-        for i in range(N):
-            for j in range(i, N):
+        N, h = rng.randrange(2, 9), rng.randrange(0, 41)
+        row = [[(1, 0, 0)] * N]
+        for d in range(1, N):
+            sd = []
+            for _ in range(N - d):
                 size = rng.randrange(1, 90)
                 # odd centres: nonzero low bits, which the floor rounds
-                re[i, j] = rng.randrange(-2 ** size, 2 ** size) | 1
-                im[i, j] = rng.randrange(-2 ** size, 2 ** size) | 1
-                rad[i, j] = rng.choice([0, 1, rng.randrange(2 ** size)])
-        P = (re, im, rad)
-        peaks = linsys._superdiagonal_peaks(P)
-        assert peaks == [max(abs(M[i, i + d]) for M in (re, im) for i in range(N - d))
-                         for d in range(1, N)]
+                sd.append((rng.randrange(-2 ** size, 2 ** size) | 1,
+                           rng.randrange(-2 ** size, 2 ** size) | 1,
+                           rng.choice([0, 1, rng.randrange(2 ** size)])))
+            row.append(sd)
+        peaks = linsys._peaks(row)
+        assert peaks == [max(abs(x) for b in sd for x in b[:2]) >> linsys._GUARD
+                         for sd in row[1:]]
         floor = linsys._td_floor(peaks, h)
-        assert floor <= linsys._td_upper(linsys._rescale(P, h), bits)[0] * 2 ** bits
+        assert floor <= linsys._norm_upper(linsys._uppers(row, h))
         assert floor == max(m >> (h * d) for d, m in enumerate(peaks, 1))
 
 
@@ -573,7 +651,7 @@ def test_build_operator_assembles_only_the_upper_ends(monkeypatch):
     # lower end; the halvings that certainly fail assemble no
     # norm_TD, which leaves the passing one (K + 1 rows) and at most one
     # failing halving whose deepest row the shortcut cannot rule out
-    calls = {"_td_upper": 0, "_column_lower": 0}
+    calls = {"_uppers": 0, "_column_lower": 0}
     for name in calls:
         def counted(*args, _f=getattr(linsys, name), _name=name):
             calls[_name] += 1
@@ -582,7 +660,7 @@ def test_build_operator_assembles_only_the_upper_ends(monkeypatch):
     K = 4
     build = build_operator(SEQ, N=16, K=K, delta=F(1, 2), bits=53)
     assert build.norms.passed
-    assert calls["_td_upper"] <= K + 2
+    assert calls["_uppers"] <= K + 2
     assert all(r.norm_ti.lo == r.norm_td.lo == 0 for r in build.norms.rows)
     assert calls["_column_lower"] == 0
     # a lower end is power_norm's, for the same operator and power
@@ -594,16 +672,16 @@ def test_build_operator_assembles_only_the_upper_ends(monkeypatch):
 
 # sha256 of report.json without its "out" key, and of norms.csv, for
 # triangular-pow2 linsys configs at delta 1/2, as the build wrote them
-# before it enclosed each residue once and rescaled rows lazily
+# once the table of divided differences replaced the squaring ladder
 LINSYS_GOLDEN = {
-    (16, 5, 53, 14): ("88f03a6b2035fc050d79633a0c506cd809b836928193b53ded1b0a68769d623f",
-                      "5ec2be5c5ec75eb5a819551b3761ba4c2531203f482e72e4bbdfa9183c0baa6c"),
-    (16, 9, 53, 14): ("63512064521b911be2490d26c7f468d6c50466dd6528317acc2a2afeb04897ae",
-                      "adc60e859a8c32373af019b10aa0b30a8dd76485dbf660f9391a01aef17495ba"),
-    (8, 6, 96, 14): ("96e6db816ccf0621f2cd8a20a610f7e4eb4df36f37ec26c8b149971ecb5a1b07",
+    (16, 5, 53, 14): ("1bc01fb0458b24323c2d0b4f330fac4a77ce2e8f70987eaf8cc4ce01beeb6eb3",
+                      "4cc24a6dbd7142ec172ae68bc9c54e2c0b0a8f5335740dfc3ef40eff6d91d9de"),
+    (16, 9, 53, 14): ("9c2d07ab0aa5090056a4b77f132269d3cf82f33559e9cbf63d5cd3da711f7cd2",
+                      "fd6d51dc51e208fd2a0222e794e94b8a6e32665b2db932e55dc2ff1027e87082"),
+    (8, 6, 96, 14): ("977ee6c4e177186837e18b0e1655eb950f5805419f386be6efad697084c9adb5",
                      "f5b0d21bfd0b4571e7235dfdee6aceee999ddb088694651d18169f4b12a1fe15"),
-    (16, 20, 256, 21): ("f6f6263e2eb8319c160c3a7147f405a596fd5591ac6d93b4aedf125c4e68f7c4",
-                        "f35fee281da9b9fe176fc375db1d3f7ba39a3a24ac557a36141b0e0a51679a9c"),
+    (16, 20, 256, 21): ("82591a68be182547bf87912957263f2d7d20c284622d061e3994281a548944dc",
+                        "126c1dbfcc5a876c8ba5a5c69021671bc67fb5ffd22496695a8ecf83de005d53"),
 }
 
 

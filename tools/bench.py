@@ -12,7 +12,9 @@ probe runs one config at the deepest size that certifies in seconds, in a
 fresh interpreter per repeat: ``run_s`` times ``cli.run`` alone and
 ``process_s`` the whole process, from start to exit, and ``peak_rss_mb`` is
 the child's own ``ru_maxrss`` at the end of the run; all three are medians
-over the repeats, and every repeat's values are kept.  Each start-up probe
+over the repeats, and every repeat's values are kept.  A repeat that runs
+past ``PROBE_TIMEOUT`` seconds ends the probe as failed, with the time
+limit as its error.  Each start-up probe
 validates one small config of one CLI kind in a fresh interpreter:
 ``setup_s`` runs from just before the interpreter starts to the validated
 config (the layers of the kind loaded), and ``peak_rss_mb`` is the child's
@@ -39,6 +41,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT))
 
 REPEATS = 9     # fresh-interpreter runs of each depth and start-up probe
+PROBE_TIMEOUT = 300     # seconds for one repeat of a depth probe
 
 # one config per probe, at today's reach
 PROBES = {
@@ -47,6 +50,10 @@ PROBES = {
         "params": {"seq": {"name": "naturals", "count": 92681},
                    "epsilon": "7/4", "horizon": 92680, "grid": 92681,
                    "expect": "scan"}},
+    "linsys-dim16-K20-192bits": {
+        "schema": "recurlab/1", "kind": "linsys", "bits": 192,
+        "params": {"seq": {"name": "triangular-pow2", "count": 21},
+                   "dimension": 16, "horizon": 20, "delta": "1/2"}},
     "linsys-dim16-K20-256bits": {
         "schema": "recurlab/1", "kind": "linsys", "bits": 256,
         "params": {"seq": {"name": "triangular-pow2", "count": 21},
@@ -59,6 +66,10 @@ PROBES = {
         "schema": "recurlab/1", "kind": "linsys", "bits": 128,
         "params": {"seq": {"name": "triangular-pow2", "count": 14},
                    "dimension": 64, "horizon": 9, "delta": "1/2"}},
+    "linsys-dim64-K20-256bits": {
+        "schema": "recurlab/1", "kind": "linsys", "bits": 256,
+        "params": {"seq": {"name": "triangular-pow2", "count": 21},
+                   "dimension": 64, "horizon": 20, "delta": "1/2"}},
 }
 
 # one small config per CLI kind, for the start-up probes
@@ -123,9 +134,13 @@ def probe(config: dict) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         for i in range(REPEATS):
             t = time.perf_counter()
-            proc = subprocess.run(
-                [sys.executable, "-c", _PROBE, json.dumps(config), f"{tmp}/{i}"],
-                env=env, capture_output=True, text=True)
+            try:
+                proc = subprocess.run(
+                    [sys.executable, "-c", _PROBE, json.dumps(config), f"{tmp}/{i}"],
+                    env=env, capture_output=True, text=True, timeout=PROBE_TIMEOUT)
+            except subprocess.TimeoutExpired:
+                return {"config": config, "passed": False,
+                        "error": f"a run took over {PROBE_TIMEOUT} s"}
             process_s = time.perf_counter() - t
             if proc.returncode:
                 return {"config": config, "error": proc.stderr.strip()[-2000:]}
