@@ -14,8 +14,8 @@ Configs are checked against ``CONFIG_SCHEMA`` and ``PARAMS_SCHEMAS`` by
 ``SCHEMA_KEYWORDS``; an error names the key path.  The module itself
 imports only ``certificates`` and ``seqcore``: a config that validates
 loads the layer modules of its kind (``KIND_MODULES``), so a ``rankone``
-run never loads mpmath or numpy, and only ``jamison``, ``gauss`` and
-``linsys`` runs load numpy.
+run never loads mpmath or numpy, and only ``jamison`` and ``gauss`` runs,
+and ``linsys`` runs with the ``mc`` spot check, load numpy.
 
 Exit codes: 0 when every certificate passes, 1 when some fail, 2 for
 configuration or usage errors.  CSV numeric columns carry decimal
@@ -46,21 +46,22 @@ from .seqcore import (IntegerSequence, fact42_split, gen_divisibility,
 KINDS = ("jamison", "witness", "kahane", "rankone", "linsys", "bohr", "gauss")
 
 # the modules each kind's handler runs, package layers written relative;
-# numpy is there for the two kinds whose floats are the point: the jamison
-# grid scan and polish, and the gauss sampler, which also loads
-# numpy.random on first use (circle and specmeasure import numpy inside
-# those functions, so witness, kahane and bohr runs load none; linsys
-# imports it for its float spot checks, and its ``mc`` ball check draws
-# from the standard library's ``random``, so a linsys run loads neither
-# numpy.random nor the OpenSSL bindings it pulls in).  ``from_dict``
-# imports them, so their cost falls in set-up and ``run`` loads nothing;
-# ``run`` enters the working precision only for the kinds that load
-# ``precision``
+# a pair (key, module) is loaded only when the params hold that key.
+# numpy is there where floats are the point: the jamison grid scan and
+# polish, the gauss sampler, which also loads numpy.random on first use,
+# and the float ball spot check of a linsys run with ``mc`` (circle,
+# specmeasure and linsys import numpy inside those functions, so witness,
+# kahane and bohr runs, and linsys runs without ``mc``, load none; the
+# ball check draws from the standard library's ``random``, so a linsys run
+# loads neither numpy.random nor the OpenSSL bindings it pulls in).
+# ``from_dict`` imports them, so their cost falls in set-up and ``run``
+# loads nothing; ``run`` enters the working precision only for the kinds
+# that load ``precision``
 KIND_MODULES = {"jamison": (".precision", ".circle", "numpy"),
                 "witness": (".precision", ".circle"),
                 "kahane": (".precision", ".specmeasure"),
                 "rankone": (".rankone",),
-                "linsys": (".precision", ".circle", ".linsys"),
+                "linsys": (".precision", ".circle", ".linsys", ("mc", "numpy")),
                 "bohr": (".precision", ".bohrgen"),
                 "gauss": (".precision", ".specmeasure", "numpy", "numpy.random")}
 
@@ -346,6 +347,10 @@ class ExperimentConfig:
                               + f": {message}")
         loaded = len(sys.modules)
         for name in KIND_MODULES[data["kind"]]:
+            if isinstance(name, tuple):
+                key, name = name
+                if key not in data["params"]:
+                    continue
             importlib.import_module(name, __package__)
         if len(sys.modules) > loaded:
             # the objects an import creates survive into the young
@@ -504,11 +509,20 @@ def _run_rankone(params, *, bits, seed):
 
 def _run_linsys(params, *, bits, seed):
     from .circle import verify_witness
-    from .linsys import (ball_certificate, ball_mc_check, build_operator,
-                         norm_table_csv)
+    from .linsys import (WeightTuningError, ball_certificate, ball_mc_check,
+                         build_operator, norm_table_csv)
     seq = _seq_of(params["seq"])
     N, K = params["dimension"], params["horizon"]
-    build = build_operator(seq, N, K, _frac(params["delta"]), bits=bits)
+    delta = _frac(params["delta"])
+    try:
+        build = build_operator(seq, N, K, delta, bits=bits)
+    except WeightTuningError as e:
+        return [Certificate(
+            kind="power-norms", passed=False, horizon=K,
+            claim=f"sup of ||T^(n_k) - I|| over {seq.label}, k in [0, {K}], "
+                  f"dimension {N}",
+            params={"delta": frac_str(delta), "dimension": N},
+            values={"error": str(e)})], {}, {}
     certs = [build.norms.to_certificate()]
     values = {"rho": build.rho, "halvings": build.halvings,
               "operator": build.operator.to_json_dict()}

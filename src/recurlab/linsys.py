@@ -15,10 +15,16 @@ What is certified and what is sampled:
   weights (Opitz's formula), and a table of them runs in midpoint-radius
   arithmetic on exact integers in units of 2^-P (``precision.ball_*``):
   products are exact, and each floor back to 2^-P units is charged to the
-  radius, so no rounding model is involved.  The working precision P is
-  derived before the run from exact lower bounds of the gaps |lambda_j -
-  lambda_i| and the largest power, and raised again should a radius still
-  reach 2^-8 of a 2^-bits unit, so a power never runs out of precision.
+  radius, so no rounding model is involved.  Entry (i, i + d) of T^n is
+  at most its Hermite-Genocchi cap binomial(n, d) s_d[i] in modulus, for
+  the product s_d[i] of the weights it spans, and the table computes only
+  the prefix of each superdiagonal that holds the entries whose cap
+  reaches 2^-(bits + 8) and the entries they are made from; every other
+  entry is the ball of its cap about 0.  The working precision P is
+  derived before the run, over the computed entries alone, from exact
+  lower bounds of the gaps |lambda_j - lambda_i| and the largest power,
+  and raised again should a radius still reach 2^-8 of a 2^-bits unit,
+  so a power never runs out of precision.
   Each lambda_m is enclosed once, by ``precision.cis_ends`` at P bits, and
   its powers are ball powers, exact 1 where the residue n theta_m is 0: a
   row whose residues all vanish is exactly I, with norms exactly 0.  A row
@@ -34,7 +40,8 @@ What is certified and what is sampled:
   into the exact largest radius gamma with
   delta*(1-gamma) - c*(1+gamma) > 2*gamma.
 * ``ball_mc_check`` and ``kalish_eigencheck`` are floating-point
-  spot checks, not certificates, and say so in their reports.
+  spot checks, not certificates, and say so in their reports.  numpy
+  loads inside them, so a run without them loads none.
 
 Halving the weight scale rho is an exact diagonal similarity,
 T(rho / 2^h) = S T(rho) S^-1 with S = diag(2^(h i)), which scales entry
@@ -50,17 +57,22 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable
 
-import numpy as np
-
 from .certificates import Certificate, frac_str
-from .circle import AngleTurns, PerturbResult, chord_extreme, perturb_divisibility
+from .circle import AngleTurns, DistanceCertificate, PerturbResult
 from .precision import (Bound, ball_lower, ball_mul, ball_of_cis, ball_pow,
                         ball_recip, ball_scale, ball_shift, ball_sub,
                         ball_upper, bound_max, ceil_sqrt, chord, cis_ends,
-                        residue, working_bits)
+                        distance_numerators, get_bits, residue, two_pi_upper,
+                        working_bits)
 from .seqcore import IntegerSequence
+
+
+class WeightTuningError(ValueError):
+    """No weight scale that ``build_operator`` may reach certifies the
+    power norms: a failed check, which the runner reports as such."""
 
 
 class PrecisionError(RuntimeError):
@@ -100,20 +112,43 @@ class DiagChain:
     angles[0] = 0 is the seed; angles[n-1] for n >= 2 equals the parent
     angle plus 1/n_{m_n}, where m_n is the least unused index whose
     certified move stays under the edge budget eps_n.  Freshness of the
-    m_n is what keeps the angles pairwise distinct.
+    m_n is what keeps the angles pairwise distinct.  The move of edge n is
+    the chord of distances[n-1], the exact largest distance of n_k / n_m
+    to Z over k < m; its enclosure, and the telescoped bounds, are made
+    when first read, at the working precision ``bits`` of the build.
     """
 
     seq_label: str
     angles: list[Fraction]
     m_indices: list[int | None]
-    edges: list[PerturbResult | None]
-    tele_bounds: list[Bound]
+    distances: list[Fraction | None]
     eps: list[Fraction]
     horizon: int                     # max m used; orbits are exact beyond it
+    bits: int
 
     @property
     def dimension(self) -> int:
         return len(self.angles)
+
+    @cached_property
+    def edges(self) -> list[PerturbResult | None]:
+        """Each edge's move certificate: sup_k of the move by 1/n_m, exact
+        beyond k = m - 1."""
+        with working_bits(self.bits):
+            return [None] + [
+                PerturbResult(AngleTurns(t), DistanceCertificate(
+                    self.seq_label, m - 1, chord(d)))
+                for t, m, d in zip(self.angles[1:], self.m_indices[1:],
+                                   self.distances[1:])]
+
+    @cached_property
+    def tele_bounds(self) -> list[Bound]:
+        """The moves summed along the j-chain from the seed to each angle."""
+        jm = build_j_function(self.dimension)
+        tele = [Bound.exact(0)]
+        for n, edge in enumerate(self.edges[1:], 2):
+            tele.append(tele[jm[n] - 1] + edge.certificate.bound)
+        return tele
 
     def diag_power_norm(self, power: int) -> Bound:
         """Exact ||D^power - I|| = max_n |lambda_n^power - 1|."""
@@ -133,9 +168,14 @@ def build_diag_chain(seq: IntegerSequence, N: int,
 
     Needs a chained-divisibility sequence: the perturbation by 1/n_m
     then moves nothing beyond index m-1 and every edge certificate has
-    an exact zero tail.  That move does not depend on the angle, so each
-    m's bound is selected once.  Raises when some budget is infeasible
-    for every m <= 4 N + 48, which happens for slow (constant-ratio) growth.
+    an exact zero tail.  That move does not depend on the angle: it is the
+    chord 2 sin(pi d_m) of the exact largest distance d_m of n_k / n_m to
+    Z over k < m, selected once per m on integer numerators.  A candidate
+    is rejected when 4 d_m reaches the budget (2 sin(pi x) >= 4 x on [0,
+    1/2]) and accepted when 2 pi d_m, with pi rounded up, stays below it
+    (sin x <= x); only between the two is the chord enclosed.  Raises
+    when some budget is infeasible for every m <= 4 N + 48, which happens
+    for slow (constant-ratio) growth.
     """
     budgets = [Fraction(e) for e in eps]
     if len(budgets) != N - 1:
@@ -146,38 +186,39 @@ def build_diag_chain(seq: IntegerSequence, N: int,
     jm = build_j_function(N)
     if not seq.divisibility:
         raise ValueError("perturbation tail is exact only for divisibility sequences")
-    moves: dict[int, Bound] = {}       # m -> sup_k of the move by 1/n_m
+    tp, tq = two_pi_upper().as_integer_ratio()
+    dists: dict[int, tuple[int, int]] = {}     # m -> d_m as (a, n_m)
     angles = [Fraction(0)]
     ms: list[int | None] = [None]
-    edges: list[PerturbResult | None] = [None]
-    tele = [Bound.exact(0)]
     for n in range(2, N + 1):
         budget = budgets[n - 2]
+        p, q = budget.as_integer_ratio()
         pick = None
         for m in range(1, cap + 1):
             if m in ms:
                 continue
-            if m not in moves:
+            if m not in dists:
                 try:
                     n_m = seq.term(m)
                 except IndexError:
                     break                  # finite ratio list exhausted
-                moves[m], _ = chord_extreme(Fraction(1, n_m), seq.prefix(m))
-            if moves[m].certainly_lt(budget):
+                dists[m] = max(distance_numerators(
+                    Fraction(1, n_m), seq.prefix(m))), n_m
+            a, n_m = dists[m]
+            # 4 d_m < p/q and (2 pi d_m < p/q or the chord's enclosure is)
+            if 4 * a * q < p * n_m and (
+                    tp * a * q < p * tq * n_m
+                    or chord(Fraction(a, n_m)).certainly_lt(budget)):
                 pick = m
                 break
         if pick is None:
             raise ValueError(f"edge budget {budget} infeasible at level {n} "
                              f"(searched m <= {cap}); the sequence grows too slowly")
-        parent = jm[n]
-        step = perturb_divisibility(angles[parent - 1], seq, pick)
-        angles.append(step.theta.exact)
+        angles.append((angles[jm[n] - 1] + Fraction(1, seq.term(pick))) % 1)
         ms.append(pick)
-        edges.append(step)
-        tele.append(tele[parent - 1] + step.certificate.bound)
     return DiagChain(seq_label=seq.label, angles=angles, m_indices=ms,
-                     edges=edges, tele_bounds=tele, eps=budgets,
-                     horizon=max(ms[1:]))
+                     distances=[None] + [Fraction(*dists[m]) for m in ms[1:]],
+                     eps=budgets, horizon=max(ms[1:]), bits=get_bits())
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +260,7 @@ class DiagShiftOperator:
         return all(w == 0 for w in self.weights)
 
     def dense_float(self) -> np.ndarray:
+        import numpy as np
         M = np.zeros((self.dimension, self.dimension), dtype=np.complex128)
         for j, a in enumerate(self.diag):
             t = float(a.exact)
@@ -302,30 +344,52 @@ def _lse(a: float, b: float) -> float:
     return max(a, b) + math.log2(1 + 2.0 ** -abs(a - b))
 
 
+def _spans(scales, n: int, bits: int) -> list[int]:
+    """L_d, the length of the prefix of superdiagonal d of T^n that the
+    table computes, d = 0, ..., N - 1.  Entry (i, i + d) is at most its
+    cap binomial(n, d) s_d[i] in modulus (see ``_power_tables``), and the
+    prefix reaches past the last entry whose cap reaches 2^-(bits + 8),
+    found by integer comparisons from the end of the superdiagonal.
+    Entry (i, i + d + 1) is made from entries i and i + 1 of superdiagonal
+    d, so L_d is raised to L_{d+1} + 1 where that is larger; L_0 = N."""
+    N = len(scales)
+    spans = [N]
+    for d in range(1, N):
+        c, i = math.comb(n, d) << (bits + 8), N - d
+        while i and c * scales[d][i - 1].numerator < scales[d][i - 1].denominator:
+            i -= 1
+        spans.append(i)
+    for d in reversed(range(1, N - 1)):
+        if spans[d + 1]:
+            spans[d] = max(spans[d], spans[d + 1] + 1)
+    return spans
+
+
 def _working_bits(gaps, scales, n: int, bits: int) -> int:
     """The working precision P of the table of T^n: _GUARD bits above bits
-    plus the largest log2 of a radius, in 2^-P units, times its scale.
-    A float recursion bounds them.  log2 |d_ij| is at most m_ij, the
-    smaller of lse(m_{i+1,j}, m_{i,j-1}) - g_ij (from m_ii = 0) and log2
-    binomial(n, j - i) (see ``_power_tables``).  The radius, r_ii =
-    bit_length(n) + 2 at the diagonal (a power of a ball of radius 3 units
-    grows its radius about n times), gains lse(r_{i+1,j}, r_{i,j-1}) - g_ij
-    from the two it subtracts and m_ij + 2 - g_ij from the reciprocal of
-    the gap, a ball of radius 4 units.  The soundness of no bound depends
-    on P."""
+    plus the largest log2 of a radius, in 2^-P units, times its scale,
+    over the entries that ``_spans`` computes.  A float recursion bounds
+    them.  log2 |d_ij| is at most m_ij, the smaller of lse(m_{i+1,j},
+    m_{i,j-1}) - g_ij (from m_ii = 0) and log2 binomial(n, j - i) (see
+    ``_power_tables``).  The radius, r_ii = bit_length(n) + 2 at the
+    diagonal (a power of a ball of radius 3 units grows its radius about n
+    times), gains lse(r_{i+1,j}, r_{i,j-1}) - g_ij from the two it
+    subtracts and m_ij + 2 - g_ij from the reciprocal of the gap, a ball of
+    radius 4 units.  The soundness of no bound depends on P."""
     mag = [0.0] * len(gaps)
     rad = [float(n.bit_length() + 2)] * len(gaps)
     worst = rad[0]
-    for d in range(1, len(gaps)):
-        binom = math.log2(max(math.comb(n, d), 1))
-        for i, (g, s) in enumerate(zip(gaps[d], scales[d])):
+    for d, span in enumerate(_spans(scales, n, bits)[1:], 1):
+        if not span:
+            break
+        binom = math.log2(math.comb(n, d))
+        for i, (g, s) in enumerate(zip(gaps[d][:span], scales[d])):
             mag[i] = min(_lse(mag[i], mag[i + 1]) - g, binom)
             rad[i] = _lse(_lse(rad[i], rad[i + 1]), mag[i] + 2) - g
             if s:
                 worst = max(worst, rad[i] + math.log2(s.numerator)
                             - math.log2(s.denominator))
-        mag.pop()
-        rad.pop()
+        del mag[span:], rad[span:]
     return bits + math.ceil(worst) + _GUARD
 
 
@@ -333,40 +397,38 @@ def _power_tables(angles: list[Fraction], scales, powers: list[int], P: int,
                   bits: int):
     """The rows of T^n, in 2^-(bits + _GUARD) units, for each n of
     ``powers``, from its table in 2^-P units.  Each lambda_i is enclosed
-    once, by ``cis_ends`` at P bits, and so is each reciprocal gap; a row
-    raises the previous row's diagonal to the power n / n_prev when n_prev
-    divides n, and a zero residue n theta_i gives the exact 1, so a row
-    whose residues are all zero is exactly I.  On the unit
-    disk, which holds the convex hull of the lambda_i, the (j - i)-th
-    derivative of z^n is at most (j - i)! binomial(n, j - i) in modulus, so
-    |d_ij| <= binomial(n, j - i) (Hermite-Genocchi).  The superdiagonals
-    past the last one where that cap, times the largest scale on it,
-    reaches 2^-(bits + 8) take the ball of that radius about 0: the exact 0
-    past the n superdiagonals of T^n."""
+    once, by ``cis_ends`` at P bits, and so is each reciprocal gap that a
+    computed entry divides by; a row raises the previous row's diagonal to
+    the power n / n_prev when n_prev divides n, and a zero residue n
+    theta_i gives the exact 1, so a row whose residues are all zero is
+    exactly I.  On the unit disk, which holds the convex hull of the
+    lambda_i, the (j - i)-th derivative of z^n is at most (j - i)!
+    binomial(n, j - i) in modulus, so |d_ij| <= binomial(n, j - i)
+    (Hermite-Genocchi), and entry (i, i + d) is at most its cap
+    binomial(n, d) s_d[i].  Superdiagonal d computes its prefix of
+    ``_spans`` alone, and each entry past it takes the ball of its cap
+    about 0, below 2^-(bits + 8): the exact 0 past the n superdiagonals of
+    T^n."""
     g = P - bits - _GUARD       # from 2^-P units to the rows' units
     N = len(angles)
+    spans = [_spans(scales, n, bits) for n in powers]
     with working_bits(P):
         lam = [ball_of_cis(cis_ends(t), P) for t in angles]
     inv = [None] + [[ball_recip(ball_sub(lam[i + d], lam[i]), P)
-                     for i in range(N - d)] for d in range(1, N)]
+                     for i in range(max(L[d] for L in spans))] for d in range(1, N)]
     one = 1 << P, 0, 0
-    top, tiny = [max(sd) for sd in scales], Fraction(1, 1 << (bits + 8))
     rows, diag, prev = [], lam, 1
-    for n in powers:
+    for n, L in zip(powers, spans):
         e, base = (n // prev, diag) if n % prev == 0 else (n, lam)
         diag = [one if n * t.numerator % t.denominator == 0 else ball_pow(b, e, P)
                 for t, b in zip(angles, base)]
-        caps = [math.comb(n, d) * s for d, s in enumerate(top)]
-        last = max((d for d, c in enumerate(caps) if c >= tiny), default=0)
         prev, t, row = n, diag, [[ball_shift(b, g) for b in diag]]
         for d in range(1, N):
-            if d > last:
-                c = caps[d]
-                rad = -(-(c.numerator << (bits + _GUARD)) // c.denominator)
-                row.append([(0, 0, rad)] * (N - d))
-                continue
-            t = [_divided(x, y, r, P) for x, y, r in zip(t[1:], t, inv[d])]
-            row.append([ball_shift(ball_scale(b, s), g) for b, s in zip(t, scales[d])])
+            t = [_divided(x, y, r, P) for x, y, r in zip(t[1:L[d] + 1], t, inv[d])]
+            c = math.comb(n, d) << (bits + _GUARD)
+            row.append([ball_shift(ball_scale(b, s), g) for b, s in zip(t, scales[d])]
+                       + [(0, 0, -(-c * s.numerator // s.denominator))
+                          for s in scales[d][L[d]:]])
         rows.append(row)
     return rows
 
@@ -571,7 +633,8 @@ def build_operator(seq: IntegerSequence, N: int, K: int, delta,
     passing halving carry [0, upper end] enclosures: the certificates read
     upper ends alone, and ``power_norm`` gives both ends of one row.
     Deterministic; the final rho and the number of halvings land in the
-    build record.
+    build record.  Raises ``WeightTuningError`` when no halving up to
+    ``MAX_HALVINGS`` certifies.
     """
     delta = Fraction(delta)
     if delta <= 0:
@@ -605,7 +668,10 @@ def build_operator(seq: IntegerSequence, N: int, K: int, delta,
             op = chain.to_operator(build_shift_weights(N, rho))
             norms = NormCertificate(seq.label, delta, rows, N, P)
             return OperatorBuild(op, norms, rho, halvings, delta)
-    raise ValueError(f"weight tuning failed after {MAX_HALVINGS} halvings")
+    raise WeightTuningError(
+        f"weight tuning failed after {MAX_HALVINGS} halvings: no weight scale "
+        f"rho = 1/4 / 2^h, h <= {MAX_HALVINGS}, certifies sup_k ||T^(n_k) - "
+        f"D^(n_k)|| below delta/2 = {frac_str(delta / 2)} at {bits} bits")
 
 
 @dataclass
@@ -660,6 +726,7 @@ def _ball_points(seed: int, samples: int, N: int, g: float) -> np.ndarray:
     in (0, 1] per point, Box-Muller turns 2N of them into a standard
     complex normal direction, and the last sets the radius g * u^(1/(2N)).
     The points depend on (seed, samples, N, g) alone."""
+    import numpy as np
     raw = random.Random(seed).randbytes(8 * samples * (2 * N + 1))
     # the top 53 bits of each word, plus one, in units of 2^-53
     uni = ((np.frombuffer(raw, dtype="<u8") >> 11) + 1) * 2.0 ** -53
@@ -681,6 +748,7 @@ def ball_mc_check(op: DiagShiftOperator, theta0, seq: IntegerSequence,
 
     The points are drawn by ``_ball_points`` from ``random.Random(seed)``.
     """
+    import numpy as np
     t0 = AngleTurns.of(theta0)
     g = float(gamma)
     if not 0 < g < 1:
@@ -732,6 +800,7 @@ def kalish_eigencheck(lam, grid: int) -> KalishResult:
     tol = 10.0 * 2.0 * math.pi / grid
     if theta == 0:
         return KalishResult(theta, grid, 0.0, True, "closed-form")
+    import numpy as np
     s = np.arange(grid)
     zeta = np.exp(2j * np.pi * s / grid)
     jump = math.ceil(theta * grid)

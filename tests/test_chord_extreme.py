@@ -130,6 +130,45 @@ def test_diag_chain_matches_reference_probe_loop(N):
         assert direct == ref
 
 
+# ratios that are not powers of two, so d_m = 1/r_m, and budgets for which
+# the picks run every branch: at 7/10, m = 1 (d = 1/3) fails 4 d < budget,
+# m = 3 (d = 1/7) passes it but neither 2 pi d < budget nor its chord
+# (0.868), and m = 5 (d = 1/11) is accepted on 2 pi d; at 22/25, m = 3 is
+# accepted on its chord
+_MIXED = gen_divisibility(1, [3, 5, 7, 2, 11, 13, 6, 17, 19, 9, 23, 29, 31,
+                              10, 37, 41, 43, 47, 53, 59, 61, 67], 23)
+_MIXED_EPS = [F(7, 10), F(22, 25), F(1, 2), F(3, 10), F(1, 4), F(1, 5),
+              F(1, 8), F(1, 10)]
+
+
+def test_diag_chain_picks_on_the_exact_distance(monkeypatch):
+    chords = []
+    evaluate = linsys.chord
+    monkeypatch.setattr(linsys, "chord",
+                        lambda d: chords.append(d) or evaluate(d))
+    chain = build_diag_chain(_MIXED, 9, _MIXED_EPS)
+    # the enclosures between the two tests alone; the edges make none yet
+    assert chords.count(F(1, 7)) == 2
+    assert F(1, 3) not in chords and F(1, 11) not in chords
+    assert chain.m_indices[1:3] == [5, 3]
+    assert chain.distances[1:3] == [F(1, 11), F(1, 7)]
+    angles, ms, tele = _reference_chain(_MIXED, 9, _MIXED_EPS)
+    assert (chain.angles, chain.m_indices, chain.tele_bounds) == (angles, ms, tele)
+    for edge, m, d in zip(chain.edges[1:], ms[1:], chain.distances[1:]):
+        assert edge.certificate.horizon == m - 1
+        assert edge.certificate.bound == chord_extreme(
+            F(1, _MIXED.term(m)), _MIXED.prefix(m))[0] == evaluate(d)
+
+
+def test_diag_chain_edges_use_the_precision_of_the_build():
+    with working_bits(256):
+        chain = build_diag_chain(_MIXED, 9, _MIXED_EPS)
+        angles, ms, tele = _reference_chain(_MIXED, 9, _MIXED_EPS)
+    assert get_bits() < 256
+    assert chain.tele_bounds == tele
+    assert chain.tele_bounds[-1].width < F(1, 2 ** 240)
+
+
 @pytest.mark.parametrize("seq, N", [
     (gen_divisibility(1, [3] * 40, 41), 4),      # the ratio-3 chain
     (gen_divisibility(2, [2, 2, 2], 4), 6),      # a short ratio list
@@ -144,7 +183,7 @@ def test_diag_chain_errors_match_reference(seq, N):
 
 
 def test_diag_chain_rejects_non_divisibility_before_probing(monkeypatch):
-    monkeypatch.setattr(linsys, "chord_extreme", None)    # no probe may run
+    monkeypatch.setattr(linsys, "distance_numerators", None)    # no probe may run
     with pytest.raises(ValueError, match="exact only for divisibility"):
         build_diag_chain(gen_recursive_q(3, 10), 3, _budgets(3))
 

@@ -243,6 +243,26 @@ def test_linsys_uncertifiable_ball_is_a_failing_certificate(tmp_path):
         ("power-norms", True), ("ball-disjoint", False)]
 
 
+def test_linsys_weight_tuning_failure_is_a_failing_certificate(tmp_path, capsys):
+    # delta/2 = 2^-57 is below one unit at 53 bits, so no allowed halving of
+    # the weight scale certifies the norms: the run writes its report with
+    # a failing power-norms certificate that names the reason, and exits 1
+    out = tmp_path / "out"
+    p = write_config(tmp_path, config(
+        "linsys", {"seq": {"name": "triangular-pow2", "count": 81},
+                   "dimension": 8, "horizon": 2,
+                   "delta": "1/72057594037927936"}, out=str(out)))
+    assert main(["linsys", "--config", str(p)]) == 1
+    assert "[FAIL] power-norms" in capsys.readouterr().out
+    report = json.loads((out / "report.json").read_text())
+    [cert] = report["certificates"]
+    assert cert["kind"] == "power-norms" and not cert["passed"]
+    assert cert["values"]["error"].startswith(
+        "weight tuning failed after 60 halvings: ")
+    assert cert["params"] == {"delta": "1/72057594037927936", "dimension": 8}
+    assert report["outputs"] == ["cert-00-power-norms.json"]
+
+
 def test_bohr_run(tmp_path):
     cfg = ExperimentConfig.from_dict(config(
         "bohr", {"r": 1, "n_max": 3, "eps": "1/8",

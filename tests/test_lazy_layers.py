@@ -114,6 +114,31 @@ def test_linsys_run_loads_no_numpy_random_or_openssl(tmp_path):
     assert kinds == ["power-norms", "ball-disjoint", "ball-sample"]
 
 
+def test_linsys_run_without_mc_loads_no_numpy(tmp_path):
+    # linsys imports numpy inside its float spot checks alone, and
+    # KIND_MODULES lists it for a linsys config with ``mc``
+    params = {k: v for k, v in SMALL["linsys"].items() if k != "mc"}
+    data = {"schema": "recurlab/1", "kind": "linsys", "params": params}
+    (tmp_path / "linsys.json").write_text(json.dumps(data))
+    code = ("import json, sys; from recurlab import cli; "
+            "rc = cli.main(['linsys', '--config', sys.argv[1], '--out', sys.argv[2]]); "
+            "print(json.dumps([rc, sorted(sys.modules)]))")
+    out = _fresh(code, str(tmp_path / "linsys.json"), str(tmp_path / "out"))
+    rc, loaded = json.loads(out.splitlines()[-1])
+    assert rc == 0
+    assert "numpy" not in _tops(loaded)
+    kinds = [c["kind"] for c in json.loads(
+        (tmp_path / "out" / "report.json").read_text())["certificates"]]
+    assert kinds == ["power-norms", "ball-disjoint"]
+
+
+def test_linsys_mc_run_loads_numpy_at_validation(tmp_path):
+    data = {"schema": "recurlab/1", "kind": "linsys", "params": SMALL["linsys"]}
+    got = json.loads(_fresh(_RUN, json.dumps(data), str(tmp_path)))
+    assert got["passed"]
+    assert "numpy" in got["from_dict"] and got["run"] == []
+
+
 _INEXACT = {"lo": "1/3", "hi": "1/2",
             "dec": "0.4166666666666666666666666666666666666667", "exact": False}
 _EXACT = {"lo": "-3/4", "hi": "-3/4", "dec": "-0.75", "exact": True}

@@ -670,11 +670,59 @@ def test_build_operator_assembles_only_the_upper_ends(monkeypatch):
     assert 0 < res.norm_ti.lo <= res.norm_ti.hi and res.norm_td.lo <= res.norm_td.hi
 
 
+def test_entries_left_out_hold_the_true_entries_in_their_cap_balls():
+    # on chain operators at small weight scales, superdiagonal d of
+    # T^(2^15) computes a prefix alone: every entry past it is the ball of
+    # its cap binomial(n, d) s_d[i] about 0, which holds the true entry
+    # and is below 2^-(bits + 8), and the norm upper ends still hold the
+    # true norms
+    rng = random.Random(20261027)
+    N, n, bits = 12, 2 ** 15, 53
+    for _ in range(3):
+        seq = gen_divisibility(1, [rng.randrange(2, 2 ** 20) for _ in range(40)], 41)
+        chain = build_diag_chain(seq, N, [F(1, 2 ** (m + 2)) for m in range(2, N + 1)])
+        op = chain.to_operator(
+            build_shift_weights(N, F(1, 4) / 2 ** rng.randrange(8, 17)))
+        spans = linsys._spans(linsys._scales(op.weights), n, bits)
+        assert any(0 < L < N - d for d, L in enumerate(spans))
+        _, [row] = linsys._tables(chain.angles, op.weights, [n], bits)
+        with mp.workprec(300 + 2 * n.bit_length()):
+            T = mp.matrix(N, N)
+            for j, a in enumerate(op.diag):
+                T[j, j] = _unit(a.exact)
+            for i, w in enumerate(op.weights):
+                T[i, i + 1] = mp.mpf(w.numerator) / w.denominator
+            M = T ** n
+            for d, sd in enumerate(row[1:], 1):
+                for i in range(spans[d], N - d):
+                    re, im, rad = sd[i]
+                    assert re == im == 0 and rad <= 1 << (linsys._GUARD - 8)
+                    assert abs(M[i, i + d]) * 2 ** (bits + linsys._GUARD) <= rad, (d, i)
+        ti, td = _reference_norms(op, n)
+        res = power_norm(op, n, bits=bits)
+        assert ti <= res.norm_ti.hi and td <= res.norm_td.hi
+
+
+def test_dimension_96_at_horizon_9_certifies(tmp_path):
+    # the working precision counts the computed entries alone: 2,987 bits
+    # here, against 15,184 when every entry of the band was computed
+    from recurlab import cli
+    config = {"schema": "recurlab/1", "kind": "linsys", "bits": 128,
+              "params": {"seq": {"name": "triangular-pow2", "count": 14},
+                         "dimension": 96, "horizon": 9, "delta": "1/2"}}
+    report = cli.run(cli.ExperimentConfig.from_dict(config), tmp_path)
+    [cert] = report["certificates"]
+    assert report["passed"] and cert["kind"] == "power-norms"
+    assert 128 + linsys._GUARD < cert["params"]["working_bits"] <= 3000
+
+
 # sha256 of report.json without its "out" key, and of norms.csv, for
 # triangular-pow2 linsys configs at delta 1/2, as the build wrote them
-# once the table of divided differences replaced the squaring ladder
+# once the table of divided differences replaced the squaring ladder; the
+# first report records working_bits 608 (655 before the table left out the
+# entries below their Hermite-Genocchi caps)
 LINSYS_GOLDEN = {
-    (16, 5, 53, 14): ("1bc01fb0458b24323c2d0b4f330fac4a77ce2e8f70987eaf8cc4ce01beeb6eb3",
+    (16, 5, 53, 14): ("1346497c324fc727569693fc677d7445e8ab66410f34a28ba87a77cb2bd9fd79",
                       "4cc24a6dbd7142ec172ae68bc9c54e2c0b0a8f5335740dfc3ef40eff6d91d9de"),
     (16, 9, 53, 14): ("9c2d07ab0aa5090056a4b77f132269d3cf82f33559e9cbf63d5cd3da711f7cd2",
                       "fd6d51dc51e208fd2a0222e794e94b8a6e32665b2db932e55dc2ff1027e87082"),

@@ -66,6 +66,10 @@ PROBES = {
         "schema": "recurlab/1", "kind": "linsys", "bits": 128,
         "params": {"seq": {"name": "triangular-pow2", "count": 14},
                    "dimension": 64, "horizon": 9, "delta": "1/2"}},
+    "linsys-dim96-K9-128bits": {
+        "schema": "recurlab/1", "kind": "linsys", "bits": 128,
+        "params": {"seq": {"name": "triangular-pow2", "count": 14},
+                   "dimension": 96, "horizon": 9, "delta": "1/2"}},
     "linsys-dim64-K20-256bits": {
         "schema": "recurlab/1", "kind": "linsys", "bits": 256,
         "params": {"seq": {"name": "triangular-pow2", "count": 21},
