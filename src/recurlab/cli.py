@@ -48,12 +48,12 @@ KINDS = ("jamison", "witness", "kahane", "rankone", "linsys", "bohr", "gauss")
 # the modules each kind's handler runs, package layers written relative;
 # a pair (key, module) is loaded only when the params hold that key.
 # numpy is there where floats are the point: the jamison grid scan and
-# polish, the gauss sampler, which also loads numpy.random on first use,
-# and the float ball spot check of a linsys run with ``mc`` (circle,
-# specmeasure and linsys import numpy inside those functions, so witness,
-# kahane and bohr runs, and linsys runs without ``mc``, load none; the
-# ball check draws from the standard library's ``random``, so a linsys run
-# loads neither numpy.random nor the OpenSSL bindings it pulls in).
+# polish, the gauss sampler, and the float ball spot check of a linsys run
+# with ``mc`` (circle, specmeasure and linsys import numpy inside those
+# functions, so witness, kahane and bohr runs, and linsys runs without
+# ``mc``, load none).  The two Monte-Carlo routes draw from the standard
+# library's ``random`` (``precision.seeded_uniforms``), so no kind loads
+# numpy.random nor the OpenSSL bindings it pulls in.
 # ``from_dict`` imports them, so their cost falls in set-up and ``run``
 # loads nothing; ``run`` enters the working precision only for the kinds
 # that load ``precision``
@@ -61,9 +61,10 @@ KIND_MODULES = {"jamison": (".precision", ".circle", "numpy"),
                 "witness": (".precision", ".circle"),
                 "kahane": (".precision", ".specmeasure"),
                 "rankone": (".rankone",),
-                "linsys": (".precision", ".circle", ".linsys", ("mc", "numpy")),
+                "linsys": (".precision", ".circle", ".linsys", ("mc", "numpy"),
+                           ("mc", "random")),
                 "bohr": (".precision", ".bohrgen"),
-                "gauss": (".precision", ".specmeasure", "numpy", "numpy.random")}
+                "gauss": (".precision", ".specmeasure", "numpy", "random")}
 
 _FRAC = {"type": ["string", "number"]}
 MIN_BITS = 53

@@ -54,7 +54,6 @@ already reaches delta/2 certainly fails, and it assembles no norm.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -65,8 +64,8 @@ from .circle import AngleTurns, DistanceCertificate, PerturbResult
 from .precision import (Bound, ball_lower, ball_mul, ball_of_cis, ball_pow,
                         ball_recip, ball_scale, ball_shift, ball_sub,
                         ball_upper, bound_max, ceil_sqrt, chord, cis_ends,
-                        distance_numerators, get_bits, residue, two_pi_upper,
-                        working_bits)
+                        distance_numerators, get_bits, residue,
+                        seeded_uniforms, two_pi_upper, working_bits)
 from .seqcore import IntegerSequence
 
 
@@ -722,15 +721,12 @@ class BallSampleReport:
 
 def _ball_points(seed: int, samples: int, N: int, g: float) -> np.ndarray:
     """``samples`` points uniform in the g-ball of C^N, drawn from
-    ``random.Random(seed)``: one ``randbytes`` call gives 2N + 1 uniforms
-    in (0, 1] per point, Box-Muller turns 2N of them into a standard
-    complex normal direction, and the last sets the radius g * u^(1/(2N)).
-    The points depend on (seed, samples, N, g) alone."""
+    ``precision.seeded_uniforms``: 2N + 1 uniforms in (0, 1] per point,
+    Box-Muller turns 2N of them into a standard complex normal direction,
+    and the last sets the radius g * u^(1/(2N)).  The points depend on
+    (seed, samples, N, g) alone."""
     import numpy as np
-    raw = random.Random(seed).randbytes(8 * samples * (2 * N + 1))
-    # the top 53 bits of each word, plus one, in units of 2^-53
-    uni = ((np.frombuffer(raw, dtype="<u8") >> 11) + 1) * 2.0 ** -53
-    uni = uni.reshape(samples, 2 * N + 1)
+    uni = seeded_uniforms(seed, samples * (2 * N + 1)).reshape(samples, 2 * N + 1)
     z = np.sqrt(-2 * np.log(uni[:, :N])) * np.exp(2j * np.pi * uni[:, N:2 * N])
     z /= np.linalg.norm(z, axis=1, keepdims=True)
     return z * (g * uni[:, 2 * N] ** (1.0 / (2 * N)))[:, None]
@@ -746,7 +742,8 @@ def ball_mc_check(op: DiagShiftOperator, theta0, seq: IntegerSequence,
     its diagonal is off from the exact lambda^n by about 3e-6 at n = 2^36
     and by more than 1 at n = 2^55.  Large n_k make the check meaningless.
 
-    The points are drawn by ``_ball_points`` from ``random.Random(seed)``.
+    The points are drawn by ``_ball_points`` from ``random.Random(seed)``
+    (``precision.seeded_uniforms``).
     """
     import numpy as np
     t0 = AngleTurns.of(theta0)

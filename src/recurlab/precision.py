@@ -47,6 +47,10 @@ of ``2^-p`` is the midpoint-radius kernel (``ball_sub``, ``ball_mul``,
 ``ball_recip``, ``ball_pow``, ``ball_scale`` and ``ball_shift`` to a coarser
 unit), on which ``linsys`` runs its powers of T.  :func:`dyadic` is the one
 reader of the mpf tuple layout.
+
+One helper certifies nothing: :func:`seeded_uniforms` gives both
+Monte-Carlo routes (``linsys``'s ball spot check and ``specmeasure``'s
+``gauss`` sampler) their seeded uniforms.
 """
 
 from __future__ import annotations
@@ -629,6 +633,24 @@ def rect_dist_to_one(rect) -> Bound:
     lo2, hi2 = rect_abs2((re_lo - den, re_hi - den, im_lo, im_hi, den))
     d2 = den * den
     return Bound(Fraction(lo2, d2), Fraction(hi2, d2)).sqrt()
+
+
+# ---------------------------------------------------------------------------
+# seeded uniforms
+# ---------------------------------------------------------------------------
+
+def seeded_uniforms(seed: int, count: int) -> np.ndarray:
+    """``count`` floats in (0, 1] from one ``random.Random(seed).randbytes``
+    call: the top 53 bits of each little-endian 64-bit word, plus one, in
+    units of 2^-53.  The Monte-Carlo routes of ``linsys`` and
+    ``specmeasure`` draw from here, so no run loads ``numpy.random`` or,
+    through its ``secrets -> hashlib`` chain, the OpenSSL bindings.  random
+    and numpy load here alone: the certified routes need neither."""
+    import random
+
+    import numpy as np
+    raw = random.Random(seed).randbytes(8 * count)
+    return ((np.frombuffer(raw, dtype="<u8") >> 11) + 1) * 2.0 ** -53
 
 
 def dec_str(fr: Fraction, digits: int = 40) -> str:

@@ -40,7 +40,8 @@ from math import gcd, lcm
 from .certificates import Certificate, frac_str
 from .precision import (Bound, CBound, bits_for_power, cis_ends, dyadic,
                         get_bits, pi_bound, rect_abs2, rect_cbound,
-                        rect_dist_to_one, rect_prod, residue, working_bits)
+                        rect_dist_to_one, rect_prod, residue, seeded_uniforms,
+                        working_bits)
 from .seqcore import IntegerSequence
 
 
@@ -353,17 +354,47 @@ class GaussOverlapEstimate:
 
 @lru_cache(maxsize=1)
 def _normals(seed: int, samples: int) -> np.ndarray:
-    """The standard complex normals (g_1, g_2), one row each, of the
-    generator seeded by ``seed``.  The draw does not depend on the shift, so
-    every shift index of a run shares one read-only array.  numpy loads
-    here and in the sampler alone: the certified routes of this module need
+    """The standard complex normals (g_1, g_2), one row each, made by
+    Box-Muller from 4 * ``samples`` uniforms u, v of
+    ``precision.seeded_uniforms(seed, .)``: g = sqrt(-ln u) (cos 2 pi v +
+    i sin 2 pi v).  The draw does not depend on the shift, so every shift
+    index of a run shares one read-only array.  numpy loads with the draw
+    and in the sampler alone: the certified routes of this module need
     none."""
     import numpy as np
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((2, 2, samples)) / math.sqrt(2.0)
-    g = z[0] + 1j * z[1]
+    u, v = seeded_uniforms(seed, 4 * samples).reshape(2, 2, samples)
+    r, t = np.sqrt(-np.log(u)), 2 * np.pi * v
+    g = np.empty((2, samples), dtype=np.complex128)
+    g.real = r * np.cos(t)
+    g.imag = r * np.sin(t)
     g.flags.writeable = False
     return g
+
+
+def _inside(z: np.ndarray, rectangle) -> np.ndarray:
+    a, b, c, d = rectangle
+    return (a < z.real) & (z.real < b) & (c < z.imag) & (z.imag < d)
+
+
+def _prop(mask: np.ndarray) -> tuple[float, float]:
+    p = int(mask.sum()) / mask.size
+    return p, math.sqrt(p * (1 - p) / mask.size)
+
+
+def _mean_se(x: np.ndarray) -> tuple[float, float]:
+    return float(x.mean()), float(x.std()) / math.sqrt(x.size)
+
+
+@lru_cache(maxsize=1)
+def _field(seed: int, samples: int, s: float, rectangle: tuple):
+    """``f = sqrt(s) g_1`` and what the sampler reads of f alone: the
+    rectangle mask, p_in and its standard error, and mean |f|^2 and its
+    standard error.  None of it depends on the shift, so every shift index
+    with one ``(seed, samples, s, rectangle)`` shares it, read-only."""
+    f = math.sqrt(s) * _normals(seed, samples)[0]
+    inside = _inside(f, rectangle)
+    f.flags.writeable = inside.flags.writeable = False
+    return f, inside, _prop(inside), _mean_se(abs(f) ** 2)
 
 
 def gauss_rectangle_overlap_mc(model: GaussianRectangleModel, n: int,
@@ -374,10 +405,13 @@ def gauss_rectangle_overlap_mc(model: GaussianRectangleModel, n: int,
     ``E|f|^2 = E|f_n|^2 = s = sum w`` and ``E f_n conj(f) = gamma =
     sum w lambda^n``, so it is drawn from that 2x2 covariance directly:
     ``f = sqrt(s) g_1`` and ``f_n = (gamma/s) f + sqrt(s - |gamma|^2/s) g_2``
-    with ``g_1, g_2`` standard complex normals from one generator seeded
-    by ``model.seed``.  The normals do not depend on n: they are drawn once
-    per ``(seed, samples)`` and shared, read-only, by every call with that
-    pair, so the estimates at each n are those of a fresh generator.
+    with ``g_1, g_2`` the standard complex normals of ``_normals``, drawn
+    from ``random.Random(model.seed)``.  The normals do not depend on n:
+    they are drawn once per ``(seed, samples)`` and shared, read-only, by
+    every call with that pair, so the estimates at each n are those of a
+    fresh generator.  Nor does f, its rectangle mask, p_in or the second
+    moment (``_field``): an index that repeats ``(seed, samples, s,
+    rectangle)`` computes only f_n and what reads it.
 
     A ``ConvolutionFactorization`` is the primary route: every factor is a
     probability measure, so ``s = 1``, and ``gamma`` is the certified
@@ -413,25 +447,12 @@ def gauss_rectangle_overlap_mc(model: GaussianRectangleModel, n: int,
         cond_var = s * max(1.0 - abs(rho) ** 2, 0.0)
         shift_closed = float(np.sum(w.real * np.abs(lam_n - 1.0) ** 2))
 
-    g = _normals(model.seed, samples)
-    f = math.sqrt(s) * g[0]
-    f_n = rho * f + math.sqrt(cond_var) * g[1]
-
-    a, b, c, d = (float(x) for x in model.rectangle)
-    inside = (a < f.real) & (f.real < b) & (c < f.imag) & (f.imag < d)
-    inside_n = (a < f_n.real) & (f_n.real < b) & (c < f_n.imag) & (f_n.imag < d)
-
-    def prop(mask: np.ndarray) -> tuple[float, float]:
-        p = int(np.count_nonzero(mask)) / samples
-        return p, math.sqrt(p * (1 - p) / samples)
-
-    def mean_se(x: np.ndarray) -> tuple[float, float]:
-        return float(x.mean()), float(x.std()) / math.sqrt(samples)
-
-    p_in, p_in_se = prop(inside)
-    sym, sym_se = prop(inside ^ inside_n)
-    m2, m2_se = mean_se(np.abs(f) ** 2)
-    shm, shm_se = mean_se(np.abs(f_n - f) ** 2)
+    rectangle = tuple(float(x) for x in model.rectangle)
+    f, inside, (p_in, p_in_se), (m2, m2_se) = _field(model.seed, samples, s,
+                                                      rectangle)
+    f_n = rho * f + math.sqrt(cond_var) * _normals(model.seed, samples)[1]
+    sym, sym_se = _prop(inside ^ _inside(f_n, rectangle))
+    shm, shm_se = _mean_se(np.abs(f_n - f) ** 2)
     return GaussOverlapEstimate(
         n=n, samples=samples,
         p_in=p_in, p_in_se=p_in_se,

@@ -96,22 +96,21 @@ def test_exact_kinds_load_no_numpy(kind, tmp_path):
     assert "numpy" not in _tops(got["loaded"])
 
 
-def test_linsys_run_loads_no_numpy_random_or_openssl(tmp_path):
-    # the ball spot check draws from the standard library's random, so a
-    # linsys run with ``mc`` loads neither numpy.random nor, through its
-    # secrets -> hmac -> hashlib chain, the OpenSSL bindings
-    data = {"schema": "recurlab/1", "kind": "linsys", "params": SMALL["linsys"]}
-    (tmp_path / "linsys.json").write_text(json.dumps(data))
+@pytest.mark.parametrize("kind", KINDS)
+def test_run_loads_no_numpy_random_or_openssl(kind, tmp_path):
+    # the Monte-Carlo routes (the gauss sampler and the linsys ball spot
+    # check) draw from the standard library's random, so no run loads
+    # numpy.random nor, through its secrets -> hmac -> hashlib chain, the
+    # OpenSSL bindings
+    data = {"schema": "recurlab/1", "kind": kind, "params": SMALL[kind]}
+    (tmp_path / "config.json").write_text(json.dumps(data))
     code = ("import json, sys; from recurlab import cli; "
-            "rc = cli.main(['linsys', '--config', sys.argv[1], '--out', sys.argv[2]]); "
+            "rc = cli.main([sys.argv[1], '--config', sys.argv[2], '--out', sys.argv[3]]); "
             "print(json.dumps([rc, sorted(sys.modules)]))")
-    out = _fresh(code, str(tmp_path / "linsys.json"), str(tmp_path / "out"))
+    out = _fresh(code, kind, str(tmp_path / "config.json"), str(tmp_path / "out"))
     rc, loaded = json.loads(out.splitlines()[-1])
     assert rc == 0
     assert not {"numpy.random", "_hashlib"} & set(loaded)
-    kinds = [c["kind"] for c in json.loads(
-        (tmp_path / "out" / "report.json").read_text())["certificates"]]
-    assert kinds == ["power-norms", "ball-disjoint", "ball-sample"]
 
 
 def test_linsys_run_without_mc_loads_no_numpy(tmp_path):

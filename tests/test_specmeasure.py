@@ -10,7 +10,7 @@ from recurlab.precision import (Bound, CBound, cos_turns, pi_bound, residue,
                                 sin_turns, working_bits)
 from recurlab.seqcore import gen_divisibility, gen_recursive_q, triangular_pow2
 from recurlab.specmeasure import (ConvolutionFactorization, DiscreteMeasure,
-                                  GaussianRectangleModel, convolve,
+                                  GaussianRectangleModel, _normals, convolve,
                                   fourier_direct, gauss_rectangle_overlap_mc,
                                   kahane_build, rigidity_check)
 
@@ -165,14 +165,13 @@ def test_rigidity_deviations_match_the_fraction_fold(fact, ratio, bits):
 
 def _bound_route_estimate(model, n, samples):
     """Reference: the sampler on the factorization route as the Bound
-    arithmetic of the product's CBound gave it, with its own generator."""
+    arithmetic of the product's CBound gave it.  It takes the module's draw,
+    so the two gamma routes are compared, not two generators."""
     gamma = _fraction_fourier(model.measure, n)
     rho = complex(float(gamma.re.mid), float(gamma.im.mid))
     cond_var = max(float((Bound.exact(1) - gamma.abs2()).mid), 0.0)
     shift_closed = float((Bound.exact(1) - gamma.re).scale(2).mid)
-    rng = np.random.default_rng(model.seed)
-    z = rng.standard_normal((2, 2, samples)) / math.sqrt(2.0)
-    g = z[0] + 1j * z[1]
+    g = _normals(model.seed, samples)
     f = g[0]
     f_n = rho * f + math.sqrt(cond_var) * g[1]
     a, b, c, d = model.rectangle
@@ -209,8 +208,21 @@ def test_gauss_estimates_do_not_depend_on_call_order():
     assert [gauss_rectangle_overlap_mc(fresh, n, 2000) for n in indices] == forward
 
 
+def test_gauss_normals_are_seeded_standard_complex():
+    samples = 100_000
+    g = _normals(11, samples)
+    assert np.array_equal(g, _normals.__wrapped__(11, samples))
+    assert not np.array_equal(g, _normals(12, samples))
+    # Re g and Im g are independent N(0, 1/2), so E|g|^2 = 1
+    for x, mean, var in ((g.real, 0.0, 0.5), (g.imag, 0.0, 0.5),
+                         (np.abs(g) ** 2, 1.0, 1.0)):
+        assert np.all(np.abs(x.mean(axis=1) - mean) < 4 * np.sqrt(var / samples))
+    for x in (g.real, g.imag):
+        # Var of x^2 for x ~ N(0, 1/2) is 2 (1/2)^2 = 1/2
+        assert np.all(np.abs(x.var(axis=1) - 0.5) < 4 * np.sqrt(0.5 / samples))
+
+
 def test_gauss_shared_draw_is_read_only():
-    from recurlab.specmeasure import _normals
     model = GaussianRectangleModel(kahane_build(pow2_seq(), harmonic, 4), RECT,
                                    seed=31)
     gauss_rectangle_overlap_mc(model, 3, 1000)
