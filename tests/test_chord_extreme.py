@@ -7,7 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from recurlab import cli, linsys
+from recurlab import kinds, linsys
 from recurlab.certificates import frac_str
 from recurlab.circle import chord_extreme, perturb_divisibility, unimod_dist
 from recurlab.cli import ExperimentConfig, run
@@ -42,7 +42,7 @@ def _reference_rows(theta, terms, with_residue):
 def test_chord_rows_match_per_term_reference(theta, terms, with_residue):
     for bits in (53, 96, 128):
         with working_bits(bits):
-            assert (list(cli._chord_rows(theta, terms, with_residue))
+            assert (list(kinds._chord_rows(theta, terms, with_residue))
                     == [",".join(map(str, row)) + "\n"
                         for row in _reference_rows(theta, terms, with_residue)])
 

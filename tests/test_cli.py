@@ -6,6 +6,7 @@ import functools
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import tempfile
@@ -655,7 +656,7 @@ def test_import_leaves_jsonschema_unloaded():
     src = str(Path(__file__).resolve().parents[1] / "src")
     subprocess.run([sys.executable, "-c", "import recurlab.cli, sys; "
                     "assert 'jsonschema' not in sys.modules"],
-                   check=True, env={"PYTHONPATH": src})
+                   check=True, env={**os.environ, "PYTHONPATH": src})
 
 
 # values that break the integer, range, type and oneOf rules

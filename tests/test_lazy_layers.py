@@ -4,6 +4,7 @@ that validates loads its kind's modules, and ``run`` loads nothing more.
 so no kind loads the ``mpmath`` package itself."""
 
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -53,7 +54,7 @@ print(json.dumps({"passed": report["passed"],
 def _fresh(code: str, *args: str) -> str:
     return subprocess.run([sys.executable, "-c", code, *args], check=True,
                           capture_output=True, text=True,
-                          env={"PYTHONPATH": SRC}).stdout
+                          env={**os.environ, "PYTHONPATH": SRC}).stdout
 
 
 def _tops(modules) -> set:

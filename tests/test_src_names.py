@@ -5,6 +5,7 @@ only its own unit tests reach is test code living in the package."""
 
 import ast
 import io
+import os
 import subprocess
 import sys
 import tokenize
@@ -149,5 +150,6 @@ def test_tracer_installs_on_the_package():
             "print(len(tracer.layer_metrics(t)))")
     out = subprocess.run([sys.executable, "-c", code], check=True,
                          capture_output=True, text=True,
-                         env={"PYTHONPATH": f"{ROOT / 'perfbench'}:{ROOT / 'src'}"})
+                         env={**os.environ,
+                              "PYTHONPATH": f"{ROOT / 'perfbench'}:{ROOT / 'src'}"})
     assert int(out.stdout) > 0

@@ -19,9 +19,12 @@ validates one small config of one CLI kind in a fresh interpreter:
 ``setup_s`` runs from just before the interpreter starts to the validated
 config (the layers of the kind loaded), and ``peak_rss_mb`` is the child's
 ``ru_maxrss`` there; each is the median, min and max over the repeats, which
-take turns over the kinds.  ``dont_write_bytecode`` records whether the
-children ran without writing bytecode (``PYTHONDONTWRITEBYTECODE``), which
-moves start-up by tens of milliseconds.  The exit code is 1 when perfbench
+take turns over the kinds.  Every child runs with
+``PYTHONDONTWRITEBYTECODE=1`` and compiles ``src/`` from source, as the
+benchmark's samples do in a fresh checkout: compiled bytecode in
+``src/recurlab/__pycache__`` lowers a start-up peak RSS by about 1.5-2 MB,
+so the tool exits 2 before it measures anything when that directory holds
+any, and ``src_bytecode`` records false.  The exit code is 1 when perfbench
 reports a failed check or a probe fails, else 0.
 """
 
@@ -40,6 +43,9 @@ from statistics import median
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT))
 
+SRC_CACHE = ROOT / "src" / "recurlab" / "__pycache__"
+# every child compiles src/ from source and writes no bytecode
+ENV = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
 REPEATS = 9     # fresh-interpreter runs of each depth and start-up probe
 PROBE_TIMEOUT = 300     # seconds for one repeat of a depth probe
 
@@ -120,7 +126,8 @@ print(json.dumps({"run_s": run_s, "peak_rss_mb": rss, "passed": report["passed"]
 def perfbench() -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", "all",
            "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True)
+    proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True,
+                          env=ENV)
     lines = proc.stdout.splitlines()
     if proc.returncode == 2 or not lines:
         raise SystemExit(f"perfbench could not run:\n{proc.stderr}")
@@ -133,7 +140,7 @@ def perfbench() -> dict:
 
 
 def probe(config: dict) -> dict:
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env = dict(ENV, PYTHONPATH=str(ROOT / "src"))
     runs = []
     with tempfile.TemporaryDirectory() as tmp:
         for i in range(REPEATS):
@@ -161,7 +168,7 @@ def probe(config: dict) -> dict:
 def startup() -> dict:
     """The start-up probe of every kind; one untimed warm-up run each fills
     the file cache."""
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env = dict(ENV, PYTHONPATH=str(ROOT / "src"))
     configs = {kind: {"schema": "recurlab/1", "kind": kind, "params": params}
                for kind, params in STARTUP.items()}
     runs = {kind: [] for kind in configs}
@@ -187,8 +194,12 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--out", required=True, help="the BENCH file to write")
     args = ap.parse_args(argv)
+    if any(SRC_CACHE.glob("*.pyc")):
+        print(f"{SRC_CACHE} holds compiled bytecode; remove it, so that "
+              "the probes compile src/ as a fresh checkout does", file=sys.stderr)
+        return 2
     bench = {"perfbench": perfbench(),
-             "dont_write_bytecode": sys.flags.dont_write_bytecode,
+             "src_bytecode": False,
              "probes": {name: probe(cfg)
                         for name, cfg in PROBES.items()},
              "startup": startup()}
