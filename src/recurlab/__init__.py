@@ -13,8 +13,9 @@ certificate schema in ``certificates``.
 ``import recurlab`` alone stays cheap, ``recurlab.cli`` imports only
 ``certificates`` and ``kinds``, and ``kinds`` only ``certificates`` and
 ``seqcore``: a kind's layer modules load when its config validates
-(``cli.KIND_MODULES``), so a ``rankone`` run loads neither numpy nor
-mpmath, and ``witness``, ``kahane`` and ``bohr`` runs load no numpy.
+(``cli.KIND_MODULES``).  No run loads mpmath (the enclosures are integer
+code in ``precision``), and ``rankone``, ``witness``, ``kahane`` and
+``bohr`` runs load no numpy.
 """
 
 __version__ = "0.1.0"

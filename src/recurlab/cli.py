@@ -14,9 +14,9 @@ precision.  Configs are checked against ``CONFIG_SCHEMA`` and
 in ``SCHEMA_KEYWORDS``; an error names the key path.  The module itself
 imports only ``certificates`` and ``kinds``, which imports only
 ``certificates`` and ``seqcore``: a config that validates loads the layer
-modules of its kind (``KIND_MODULES``), so a ``rankone`` run never loads
-mpmath or numpy, and only ``jamison`` and ``gauss`` runs, and ``linsys``
-runs with the ``mc`` spot check, load numpy.
+modules of its kind (``KIND_MODULES``).  No run loads mpmath, and only
+``jamison`` and ``gauss`` runs, and ``linsys`` runs with the ``mc`` spot
+check, load numpy.
 
 Exit codes: 0 when every certificate passes, 1 when some fail, 2 for
 configuration or usage errors.  CSV numeric columns carry decimal

@@ -297,6 +297,8 @@ def _run_gauss(params, *, bits, seed):
     worst_ratio = 0.0
     for k in indices:
         a_k = targets[k] if k < len(targets) else targets[-1]
+        if a_k <= 0:        # the ratio below reads a_k^(1/3)
+            raise ConfigError(f"gauss needs positive targets, a_{k} = {a_k}")
         est = gauss_rectangle_overlap_mc(model, seq.term(k), params["samples"])
         closed_ok = closed_ok and (
             abs(est.second_moment - est.second_moment_closed)

@@ -8,16 +8,14 @@ Conventions used throughout the package:
 * A certified real is a :class:`Bound`: a closed interval with exact
   rational endpoints guaranteed to contain the true value.  Interval
   arithmetic over Fractions is exact, so rigor is never lost to rounding;
-  transcendental entry points (sin, cos, sqrt, pi) call mpmath's libmp
-  interval functions on raw mpf tuples at a configurable working
-  precision, and their dyadic endpoints are pulled back into Fractions
-  exactly.  The installed ``mpmath/libmp`` package is loaded by itself,
-  under the private name ``_recurlab_libmp``, so the rest of mpmath (its
-  contexts, function library, calculus, matrices and plotting) is never
-  imported.  :func:`cis_ends` hands the raw ends of cos and sin to callers
-  that work on integers (the 2^-bits units of ``linsys``, the Fourier
-  rectangles of ``specmeasure``), which take them by a shift and build no
-  Fraction.
+  the transcendental entry points (sin, cos, sqrt, pi) are integer code in
+  units of 2^-P at a configurable working precision, each floor charged
+  outward: pi from Machin's formula, correctly rounded; cos and sin of a
+  turn from an exact octant reduction and a Taylor sum, on the ball kernel
+  below; square roots from ``isqrt``.  :func:`cis_ends` hands the integer
+  ends of cos and sin to callers that work on integers (the 2^-bits units
+  of ``linsys``, the Fourier rectangles of ``specmeasure``), which take
+  them by a shift and build no Fraction.
 * The *chord* of a turn ``t`` is ``|e^{2 pi i t} - 1| = 2 |sin(pi t)|``.
   It depends only on the distance from ``t`` to the nearest integer and is
   monotone in that distance, which lets callers take sups and infs over
@@ -27,16 +25,14 @@ Conventions used throughout the package:
 The working precision defaults to 128 bits and is one value held by this
 module alone: :func:`set_bits` sets it, :func:`get_bits` reads it, and
 :func:`working_bits` sets it for a block and restores it on exit.  The
-transcendental enclosures are memoised in two bounded caches keyed by the
-reduced turn value and the working bits, so a repeated argument costs one
-lookup and a coarse enclosure is never served to a finer precision: the
-chord Bounds of :func:`chord`, and the raw mpf ends of :func:`cis_ends`,
-of which :func:`cos_turns` and :func:`sin_turns` are the Bounds.  Cosine
-and sine of a turn come from one libmp evaluation and share one cache
-entry.
+cos-sin enclosures are memoised in one bounded cache keyed by the reduced
+turn value and the working bits, so a repeated argument costs one lookup
+and a coarse enclosure is never served to a finer precision: the integer
+ends of :func:`cis_ends`, of which :func:`cos_turns` and :func:`sin_turns`
+are the Bounds, and :func:`chord` reads the sine of half its distance.
+Cosine and sine of a turn come from one evaluation.
 
-Exact arithmetic stays exact without a gcd at every step: dyadic
-endpoints become integers or Fractions by a shift, and a certified
+Exact arithmetic stays exact without a gcd at every step: a certified
 Fourier coefficient is an integer rectangle ``(re_lo, re_hi, im_lo,
 im_hi, den)`` from the atom sum of ``specmeasure`` (the ``cis_ends``
 weighted over one common denominator) through the products of
@@ -45,8 +41,8 @@ once, where a caller reads them; ``CBound.dist_to_one`` is the same
 kernel on a CBound.  A complex ball ``(re, im, rad)`` of integers in units
 of ``2^-p`` is the midpoint-radius kernel (``ball_sub``, ``ball_mul``,
 ``ball_recip``, ``ball_pow``, ``ball_scale`` and ``ball_shift`` to a coarser
-unit), on which ``linsys`` runs its powers of T.  :func:`dyadic` is the one
-reader of the mpf tuple layout.
+unit), on which ``linsys`` runs its powers of T and this module its cos
+and sin.
 
 One helper certifies nothing: :func:`seeded_uniforms` gives both
 Monte-Carlo routes (``linsys``'s ball spot check and ``specmeasure``'s
@@ -55,40 +51,15 @@ Monte-Carlo routes (``linsys``'s ball spot check and ``specmeasure``'s
 
 from __future__ import annotations
 
-import importlib.util
-import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
 from decimal import Decimal, localcontext
 from math import isqrt, lcm
-from pathlib import Path
 from typing import Iterable, Union
 
 from .certificates import frac_str
-
-
-def _load_libmp() -> None:
-    """Register the installed ``mpmath/libmp`` package as the top-level
-    ``_recurlab_libmp`` without running ``mpmath/__init__.py``: libmp
-    imports only its own modules, relatively, so they load under that name.
-    ``find_spec`` of a top-level name locates mpmath without importing it."""
-    libmp = Path(importlib.util.find_spec("mpmath").origin).parent / "libmp"
-    spec = importlib.util.spec_from_file_location(
-        "_recurlab_libmp", libmp / "__init__.py",
-        submodule_search_locations=[str(libmp)])
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
-
-
-_load_libmp()
-
-from _recurlab_libmp import (fhalf, fnone, fone, fzero, from_int,  # noqa: E402
-                             mpf_neg, mpf_pi, mpf_sqrt, round_ceiling,
-                             round_floor)
-from _recurlab_libmp.libmpi import mpi_cos_sin, mpi_div, mpi_mul, mpi_sin  # noqa: E402
 
 _bits = 128     # the working precision of the transcendental enclosures
 
@@ -103,12 +74,10 @@ _EXACT_CHORDS = {
 }
 
 # cos(2 pi t) and sin(2 pi t) at the turns t = p/q in [0, 1) where they are
-# rational, keyed by (p, q); every such value is dyadic, so it is an mpf tuple
-_EXACT_COS = {(0, 1): fone, (1, 2): fnone, (1, 3): mpf_neg(fhalf),
-              (2, 3): mpf_neg(fhalf), (1, 4): fzero, (3, 4): fzero,
-              (1, 6): fhalf, (5, 6): fhalf}
-_EXACT_SIN = {(0, 1): fzero, (1, 2): fzero, (1, 4): fone, (3, 4): fnone}
-_TWO = (from_int(2), from_int(2))
+# rational, keyed by (p, q), in units of 1/2 (every such value is a multiple)
+_EXACT_COS = {(0, 1): 2, (1, 2): -2, (1, 3): -1, (2, 3): -1, (1, 4): 0,
+              (3, 4): 0, (1, 6): 1, (5, 6): 1}
+_EXACT_SIN = {(0, 1): 0, (1, 2): 0, (1, 4): 2, (3, 4): -2}
 
 
 def set_bits(bits: int) -> None:
@@ -152,37 +121,6 @@ def distance_numerators(theta: Fraction, terms: Iterable[int]) -> list[int]:
     Fraction.  One list comprehension, with no call per term."""
     p, q = theta.numerator, theta.denominator
     return [r if (r := n * p % q) + r <= q else q - r for n in terms]
-
-
-def dyadic(x) -> tuple[int, int]:
-    """(v, e) with v 2^e the value of an mpf tuple: this module alone reads
-    the mpf layout ``(sign, man, exp, bc)``."""
-    sign, man, exp, _ = x
-    return (-int(man) if sign else int(man)), int(exp)
-
-
-def _mpf_tuple_to_fraction(t) -> Fraction:
-    """The exact value ``(-1)^sign man 2^exp`` of an mpmath mpf tuple."""
-    v, e = dyadic(t)
-    return Fraction(v << e) if e >= 0 else Fraction(v, 1 << -e)
-
-
-def _bound(ends) -> "Bound":
-    """The Bound of a pair of mpf tuples."""
-    return Bound(_mpf_tuple_to_fraction(ends[0]), _mpf_tuple_to_fraction(ends[1]))
-
-
-def _mpi_of(x: Fraction, bits: int):
-    """The libmp interval of an exact rational at ``bits``: the quotient of
-    its numerator and denominator, each rounded outward."""
-    p, q = x.numerator, x.denominator
-    return mpi_div((from_int(p, bits, round_floor), from_int(p, bits, round_ceiling)),
-                   (from_int(q, bits, round_floor), from_int(q, bits, round_ceiling)),
-                   bits)
-
-
-def _mpi_pi(bits: int):
-    return mpf_pi(bits, round_floor), mpf_pi(bits, round_ceiling)
 
 
 @dataclass(frozen=True)
@@ -274,11 +212,8 @@ class Bound:
     def sqrt(self) -> "Bound":
         if self.lo < 0:
             raise ValueError("sqrt of an interval reaching below 0")
-        bits = get_bits()
-        lo = mpf_sqrt(_mpi_of(self.lo, bits)[0], bits, round_floor)
-        hi = mpf_sqrt(_mpi_of(self.hi, bits)[1], bits, round_ceiling)
-        return Bound(max(Fraction(0), _mpf_tuple_to_fraction(lo)),
-                     _mpf_tuple_to_fraction(hi))
+        return Bound(_root(self.lo.numerator, self.lo.denominator, False),
+                     _root(self.hi.numerator, self.hi.denominator, True))
 
     def dec(self, digits: int = 40) -> str:
         return dec_str(self.mid, digits)
@@ -309,8 +244,48 @@ def bound_max(bounds: Iterable[Bound]) -> Bound:
     return acc
 
 
+# [prec, floor(pi 2^prec)] for the finest prec computed yet; a coarser
+# floor is a shift of it
+_PI = [0, 3]
+
+
+def _atan_inv(x: int, prec: int) -> tuple[int, int]:
+    """(s, k): s is within 3k + 2 of atan(1/x) 2^prec, x >= 2, from k Taylor
+    terms, each power 2^prec / x^(2i + 1) floored from the last (under 2
+    too small, so each term under 3); the tail is under the power that
+    floors to 0, so under 2."""
+    power, x2, s, k = (1 << prec) // x, x * x, 0, 0
+    while power:
+        term = power // (2 * k + 1)
+        s, power, k = s - term if k & 1 else s + term, power // x2, k + 1
+    return s, k
+
+
+def _pi_floor(prec: int) -> int:
+    """floor(pi 2^prec), exact: Machin's pi = 16 atan(1/5) - 4 atan(1/239)
+    with g guard bits, and g doubles until both ends of its error fall on
+    one floor (pi is irrational, so they do)."""
+    if prec > _PI[0]:
+        top, g = max(prec, 2 * _PI[0]), 32
+        while True:
+            (a, i), (b, j) = _atan_inv(5, top + g), _atan_inv(239, top + g)
+            v, err = 16 * a - 4 * b, 16 * (3 * i + 2) + 4 * (3 * j + 2)
+            if (v - err) >> g == (v + err) >> g:
+                break
+            g *= 2
+        _PI[:] = top, (v - err) >> g
+    return _PI[1] >> (_PI[0] - prec)
+
+
+@lru_cache(maxsize=None)
+def _pi_bound(bits: int) -> Bound:
+    m, unit = _pi_floor(bits - 2), 1 << (bits - 2)
+    return Bound(Fraction(m, unit), Fraction(m + 1, unit))
+
+
 def pi_bound() -> Bound:
-    return _bound(_mpi_pi(get_bits()))
+    """pi floored and ceiled to the working bits, as mpmath's ``mpf_pi``."""
+    return _pi_bound(get_bits())
 
 
 def two_pi_upper() -> Fraction:
@@ -325,74 +300,91 @@ def residue_distance(t: RationalLike) -> Fraction:
 
 
 def chord(t: RationalLike) -> Bound:
-    """Certified |e^{2 pi i t} - 1| for an exact turn value t."""
+    """Certified |e^{2 pi i t} - 1| = 2 sin(pi d) for an exact turn value t
+    at residue distance d: twice the sine of the turn d / 2, so a tiny
+    distance keeps the sine's relative precision."""
     d = residue_distance(Fraction(t))
     exact = _EXACT_CHORDS.get(d)
     if exact is not None:
         return Bound.exact(exact)
-    return _enclose(d, get_bits())
-
-
-def _unit_bound(ends) -> Bound:
-    """The Bound of a pair of ``cis_ends`` mpf tuples, clamped to [-1, 1]."""
-    return Bound(max(Fraction(-1), _mpf_tuple_to_fraction(ends[0])),
-                 min(Fraction(1), _mpf_tuple_to_fraction(ends[1])))
+    _, _, lo, hi, e = cis_ends(d / 2)
+    return Bound(Fraction(max(lo, 0), 1 << (e - 1)), Fraction(hi, 1 << (e - 1)))
 
 
 def sin_turns(t: RationalLike) -> Bound:
     """Certified sin(2 pi t)."""
-    return _unit_bound(cis_ends(Fraction(t) % 1)[1])
+    _, _, lo, hi, e = cis_ends(Fraction(t) % 1)
+    return Bound(Fraction(lo, 1 << e), Fraction(hi, 1 << e))
 
 
 def cos_turns(t: RationalLike) -> Bound:
     """Certified cos(2 pi t)."""
-    return _unit_bound(cis_ends(Fraction(t) % 1)[0])
+    lo, hi, _, _, e = cis_ends(Fraction(t) % 1)
+    return Bound(Fraction(lo, 1 << e), Fraction(hi, 1 << e))
 
 
-def _cos_sin(t: Fraction, bits: int):
-    """The libmp enclosures ((cos_lo, cos_hi), (sin_lo, sin_hi)) of
-    cos(2 pi t) and sin(2 pi t) at ``bits``, as mpf tuples: 2 pi t is the
-    product of the exact 2, pi and t in that order, each product rounded
-    outward, and both come from one ``mpi_cos_sin``, whose ends never
-    leave [-1, 1]."""
-    x = mpi_mul(mpi_mul(_TWO, _mpi_pi(bits), bits), _mpi_of(t, bits), bits)
-    return mpi_cos_sin(x, bits)
+def _cos_sin(t: Fraction, bits: int) -> tuple[int, int, int, int, int]:
+    """The ends of cos(2 pi t) and sin(2 pi t) in units 2^-e, in [-1, 1],
+    e = bits + 2 + z for a turn z bits nearer a multiple of 1/4 than 1/8
+    is, so a small cosine or sine keeps ``bits`` bits.  Exactly, t = (j +
+    v) / 4 with v in [0, 1) and cis(2 pi t) = i^j cis(2 pi a), a = v / 4,
+    or i^j times cis(2 pi a) with its parts swapped, a = (1 - v) / 4, when
+    v > 1/2.  In 2^-W units, y = 2 pi a / 2^h is enclosed from floor(pi
+    2^W), and the series of e^(i y) is summed in u sums (Smith), sum k mod
+    u taking y^(k - k mod u) / k!, each floored from the last (times the
+    floored y^u every u terms), and sum i times the floored y^i at the end.
+    With y < 1 and 4 | u, each term is under u + 3 too small, the first to
+    floor to 0 (the K-th) bounds the tail by 2 (u + 3), and each y^i is
+    under i too small: the ball of radius (K + 2) (u + 3) + 2 u^2 plus the
+    half-width of y holds e^(i y), and ``ball_pow`` squares it h times."""
+    j, v = divmod(4 * t, 1)
+    a = (1 - v) / 4 if v > Fraction(1, 2) else v / 4
+    m, n = a.numerator, a.denominator
+    e = bits + 2 + (z := max(0, n.bit_length() - m.bit_length() - 3))
+    h, u = max(0, 2 * e.bit_length() - 18 - z), 4 * max(1, (e.bit_length() - 8) // 2)
+    W = e + h + 2 * (e + h).bit_length() + 4
+    pf = _pi_floor(W)
+    lo, hi = 2 * m * pf // (n << h), -(-2 * m * (pf + 1) // (n << h))
+    y = (lo + hi) >> 1
+    powers = [1 << W, y]
+    for _ in range(u - 1):
+        powers.append(powers[-1] * y >> W)
+    sums, term, k = [0] * u, 1 << W, 0
+    while term:
+        sums[k % u] += term
+        k += 1
+        term = (term * powers[u] >> W if k % u == 0 else term) // k
+    parts = [0, 0, 0, 0]    # parts[r] sums the terms y^k / k!, k = r mod 4
+    for i in range(u):
+        parts[i & 3] += sums[i] * powers[i] >> W
+    c, s, r = ball_pow((parts[0] - parts[2], parts[1] - parts[3],
+                        (k + 2) * (u + 3) + 2 * u * u + hi - y), 1 << h, W)
+    c, s = (s, c) if v > Fraction(1, 2) else (c, s)
+    for _ in range(j):
+        c, s = -s, c
+    g, one = W - e, 1 << e
+    return (max((c - r) >> g, -one), min(-((-c - r) >> g), one),
+            max((s - r) >> g, -one), min(-((-s - r) >> g), one), e)
 
 
-# A linsys diagonal chain asks for the chord keys of at most 4N + 48
-# candidate moves; the cos-sin keys of its powers go to _cis_ends.
-@lru_cache(maxsize=4096)
-def _enclose(t: Fraction, bits: int) -> Bound:
-    """The Bound of the chord 2 sin(pi t) of the residue distance t at
-    ``bits`` of working precision.  Memoised on both arguments, so an
-    enclosure made at one precision is never served at another; Bounds
-    are frozen, so callers may share them."""
-    # sin is evaluated on [0, 1/2] turns where the chord lies in [0, 2]
-    pi_t = mpi_mul(_mpi_pi(bits), _mpi_of(t, bits), bits)
-    b = _bound(mpi_mul(_TWO, mpi_sin(pi_t, bits), bits))
-    return Bound(max(Fraction(0), b.lo), min(Fraction(2), b.hi))
-
-
-# One linsys.build_operator or power_norm asks for the N cos-sin keys of
-# its diagonal angles, at one working precision.  The atom residues of the product-formula factors (one
-# key per Kahane factor and frequency residue, and the exact 0) and
-# cos_turns and sin_turns share the cache.
-@lru_cache(maxsize=4096)
-def _cis_ends(t: Fraction, bits: int):
+# One linsys build asks for the N keys of its diagonal angles and a diagonal
+# chain for the chord keys of at most 4N + 48 candidate moves; the atom
+# residues of the Kahane factors, cos_turns, sin_turns and chord share it.
+@lru_cache(maxsize=8192)
+def _cis_ends(t: Fraction, bits: int) -> tuple[int, int, int, int, int]:
     key = t.numerator, t.denominator
     cos, sin = _EXACT_COS.get(key), _EXACT_SIN.get(key)
     if sin is not None:
-        return (cos, cos), (sin, sin)
+        return cos, cos, sin, sin, 1
     ends = _cos_sin(t, bits)
-    return ends if cos is None else ((cos, cos), ends[1])
+    return ends if cos is None else (cos << ends[4] - 1,) * 2 + ends[2:]
 
 
-def cis_ends(t: Fraction):
-    """The ends of cos(2 pi t) and sin(2 pi t) for a turn t in [0, 1) at
-    the working precision, as mpf tuples ((cos_lo, cos_hi), (sin_lo,
-    sin_hi)), for callers that compute on the dyadic ends themselves;
-    ``cos_turns`` and ``sin_turns`` are their Bounds, and a rational cosine
-    or sine has equal ends.  Memoised on t and the working bits."""
+def cis_ends(t: Fraction) -> tuple[int, int, int, int, int]:
+    """The ends (cos_lo, cos_hi, sin_lo, sin_hi, e) of cos(2 pi t) and
+    sin(2 pi t) for a turn t in [0, 1) at the working precision, as ints in
+    units of 2^-e, each in [-2^e, 2^e]; ``cos_turns`` and ``sin_turns`` are
+    their Bounds, and a rational cosine or sine has equal ends."""
     return _cis_ends(t, get_bits())
 
 
@@ -477,17 +469,12 @@ def _abs_lo(x: int, y: int) -> int:
 
 def ball_of_cis(cis, p: int) -> tuple[int, int, int]:
     """The unit-circle point with the ``cis_ends`` enclosures cis as a ball
-    in 2^-p units: each end is one shift of its mantissa, floored or ceiled
-    outward, clamped to [-1, 1]."""
-    one = 1 << p
-    parts = []
-    for lo, hi in cis:
-        (a, ea), (b, eb) = dyadic(lo), dyadic(hi)
-        lo, hi = max(_shift(a, ea + p), -one), min(-_shift(-b, eb + p), one)
-        mid = (lo + hi) >> 1
-        parts.append((mid, hi - mid))
-    (re, re_rad), (im, im_rad) = parts
-    return re, im, re_rad + im_rad
+    in 2^-p units: each end is one shift, floored or ceiled outward."""
+    s = p - cis[4]
+    (c_lo, s_lo), (c_hi, s_hi) = ([_shift(x, s) for x in cis[0:4:2]],
+                                  [-_shift(-x, s) for x in cis[1:4:2]])
+    re, im = (c_lo + c_hi) >> 1, (s_lo + s_hi) >> 1
+    return re, im, c_hi - re + s_hi - im
 
 
 def _shift(v: int, s: int) -> int:
@@ -627,12 +614,26 @@ def rect_abs2(rect) -> tuple[int, int]:
 
 def rect_dist_to_one(rect) -> Bound:
     """``|z - 1|`` of the rectangle z, equal to ``(z - 1).abs()`` on its
-    CBound: the square comes from :func:`rect_abs2` and is reduced once,
-    over den^2, before the square root."""
+    CBound: the ends of the square come from :func:`rect_abs2` over den^2,
+    and their roots from :func:`_root` on those integers, unreduced."""
     re_lo, re_hi, im_lo, im_hi, den = rect
     lo2, hi2 = rect_abs2((re_lo - den, re_hi - den, im_lo, im_hi, den))
     d2 = den * den
-    return Bound(Fraction(lo2, d2), Fraction(hi2, d2)).sqrt()
+    return Bound(_root(lo2, d2, False), _root(hi2, d2, True))
+
+
+def _root(p: int, q: int, up: bool) -> Fraction:
+    """sqrt(p / q), p >= 0 and q > 0, floored (ceiled when up) to the unit
+    2^-u that leaves it ``bits`` + 1 significant bits: ``isqrt`` of the
+    floored (``ceil_sqrt`` of the ceiled) p 4^u / q, a function of p / q."""
+    if not p:
+        return Fraction(0)
+    l = p.bit_length() - q.bit_length()
+    l -= (p << -l if l < 0 else p) < (q << l if l > 0 else q)   # floor(log2(p / q))
+    u = get_bits() - (l >> 1)
+    p, q = (p << 2 * u, q) if u >= 0 else (p, q << -2 * u)
+    r = ceil_sqrt(-(-p // q)) if up else isqrt(p // q)
+    return Fraction(r, 1 << u) if u >= 0 else Fraction(r << -u)
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from .certificates import Certificate, frac_str
-from .precision import (Bound, CBound, bits_for_power, cis_ends, dyadic,
+from .precision import (Bound, CBound, bits_for_power, cis_ends,
                         get_bits, pi_bound, rect_abs2, rect_cbound,
                         rect_dist_to_one, rect_prod, residue, seeded_uniforms,
                         working_bits)
@@ -90,25 +90,20 @@ def _fourier_rect(measure: DiscreteMeasure, n: int) -> tuple[int, int, int, int,
     """sigma_hat(n) by atom enumeration as a ``precision`` integer rectangle.
 
     Each atom's ``cis_ends`` at its exact residue are taken by a shift to
-    integers over one power of two 2^e, clamped to [-1, 1] as
-    ``cos_turns`` and ``sin_turns`` clamp them, and weighted over ``W 2^e``,
-    ``W`` the lcm of the weight denominators (the weights are positive, so
-    each end is the weighted sum of the matching ends).  The rectangle is
+    the finest of their units, 2^-e, and weighted over ``W 2^e``, ``W`` the
+    lcm of the weight denominators (the weights are positive, so each end
+    is the weighted sum of the matching ends).  The rectangle is
     reduced by the gcd of its five integers, so its denominator is the lcm
     of the reduced endpoint denominators.
     """
     W = lcm(*(w.denominator for _, w in measure.atoms))
-    rows = [[dyadic(x) for x in (*cos, *sin)] for cos, sin in
-            (cis_ends(residue(angle, n)) for angle, _ in measure.atoms)]
-    e = -min(x for row in rows for _, x in row)     # ends in [-1, 1] have exp <= 0
-    one = 1 << e
+    rows = [cis_ends(residue(angle, n)) for angle, _ in measure.atoms]
+    e = max(row[4] for row in rows)
     sums = [0, 0, 0, 0]
     for (_, w), row in zip(measure.atoms, rows):
-        scale = w.numerator * (W // w.denominator)
-        # row is (cos_lo, cos_hi, sin_lo, sin_hi): clamp lo ends up, hi down
-        for c, (v, x) in enumerate(row):
-            v <<= x + e
-            sums[c] += scale * (min(v, one) if c & 1 else max(v, -one))
+        scale = w.numerator * (W // w.denominator) << (e - row[4])
+        for c in range(4):      # row is (cos_lo, cos_hi, sin_lo, sin_hi, unit)
+            sums[c] += scale * row[c]
     den = W << e
     g = gcd(*sums, den)
     return (*(x // g for x in sums), den // g)

@@ -387,6 +387,21 @@ def test_linsys_rho0_and_gamma_scale_exit_2_naming_the_key(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_gauss_target_of_zero_exits_2_naming_it(tmp_path, capsys):
+    # sym_diff / a_k^(1/3) is undefined at a_k = 0, a value the targets
+    # schema admits (hypothesis found it as a ZeroDivisionError traceback)
+    data = config("gauss", {"kahane": {"seq": {"name": "triangular-pow2", "count": 1},
+                                       "stages": 1, "targets": [1.0, 0]},
+                            "rectangle": [0.0, 1.0, -1.0, 0.0], "blocks": 1,
+                            "side": "B", "max_index": 1, "samples": 1000})
+    out = tmp_path / "out"
+    assert main(["gauss", "--config", str(write_config(tmp_path, data)),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: gauss needs positive targets, a_1 = 0"]
+    assert not (out / "report.json").exists()
+
+
 def test_schema_closes_handler_key_and_type_errors(tmp_path, capsys):
     def witness(**seq):
         return config("witness", {"seq": {"name": "recursive-q", "count": 4,

@@ -36,18 +36,18 @@ CONFIGS = {
 # sha256 of report.json without its "out" key, and of the run's CSV
 # tables, read in name order and concatenated
 GOLDEN = {
-    "bohr": ("759554a64f23af4d92322638a6620a9f826914a16cfba7495cf8c164fdc9e692",
-             "07052f4b2e2fdabf4ba6c6f5c1a054ed484f1774a4b22e6501ae25b218cb0c07"),
-    "jamison-grid-2001": ("e500413d9721c48bd54c9a9e05aa532ace9c86589dbf65a60f9872ef357c4cdf",
-                          "9217cd80f4a8015a2537d4ca4ea1ddc7495378f36677266e69b772bb475a2e30"),
-    "jamison-structural": ("11569c7f7378199f8c81db3b9656dcb48e953218fba755db973d80790498103e",
-                           "6ccfef563abfb6ee3a5e03ed7b8780062e0924bcfd0e6f8f38bade2ae2479b58"),
-    "kahane-8": ("73fa32f5c4fe38301cc711a6dd52174f853d54aa23824701ddecd92291fe1d1b",
-                 "aa14ca6fb2162b08c5fa578650bbf2ea318dd86817c43ee11a19708bc257c12d"),
+    "bohr": ("11813faa2ed3b3e75b035bc892e8117b7b246927c39be26a19585f837b9e76dd",
+             "93ca95128246def92b80e16a1c34ac93d1fedad8dacd1be98761b24380eadf47"),
+    "jamison-grid-2001": ("b8c193adb9b6abc661036870c051fab8ad2572fd3e674503763fbcd0b3e2d149",
+                          "bc3f2d1d0bb189c9c40ed0af8eb7f1431f9e30414553fed49bbfe8bf675e2cb8"),
+    "jamison-structural": ("385a185b31f94b405b30d782cea89c04c996d05029e7df7be5497fb7b29cb075",
+                           "b3758e1d4ea9c2d6bdb94dda5d095ed95b91797adc1b09b4810e52a0b3a74cdc"),
+    "kahane-8": ("cc2b52b98801c11bc6da446967b9cd7ebcf8985ecc8d7647ef9ebe91a17dafc8",
+                 "49ca8f14bb8299535e97dfeda0af54d7ae2a95055ecef0e8ae4360b804bf7a35"),
     "rankone-chacon-4": ("a7a42185ebf4fa0b7e305c0cf0ba5f154a5fb11a5d81819e90e0af26a9741fd8",
                          "970c91ae1ab5c1dc2f3883afd19ed22fe24b1c5236ba4902c531c21c7cff4f80"),
-    "witness": ("732b385b801556f60e2483728c49fd4c6ba1c6ae9a746e6a770da06de8d96455",
-                "60e54fa5f5854d2aa2de534e54d8fffc3d49bbc4d0432ab007e8313b203027e0"),
+    "witness": ("87194d472c4e93f0c6ff86f8c667785fd24c8f750b1afa5a8227f06964b8a1de",
+                "1a5c67bd8c117caee0e1e3b5a5299b5711a3eee611dbbd7de65a51830d289db8"),
 }
 
 

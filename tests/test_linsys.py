@@ -224,8 +224,7 @@ def test_build_operator_computes_each_power_once_and_reaches_horizon_9(monkeypat
 
 
 def _cold_power_norm(op, n):
-    # a fresh operator and empty enclosure caches
-    precision._enclose.cache_clear()
+    # a fresh operator and an empty enclosure cache
     precision._cis_ends.cache_clear()
     return power_norm(DiagShiftOperator(op.dimension, op.diag, op.weights), n)
 

@@ -1,28 +1,28 @@
-"""The working-precision context, the exact residue helper, the libmp
-enclosure kernel against mpmath's interval context, and the
-integer-numerator kernels against the Fraction code they replaced.
+"""The working-precision context, the exact residue helper, the integer
+trigonometric, pi and square-root enclosures against mpmath's interval
+context, and the integer-numerator kernels against the Fraction code they
+replaced.
 
-``precision`` loads mpmath's libmp package by itself, under a private
-name; the references here import mpmath whole, so each comparison
-cross-checks the private libmp against mpmath's own."""
+mpmath is a test dependency only: each enclosure must contain mpmath's
+interval at four times the bits (a reference far narrower than the
+enclosure), and be at most four times as wide as mpmath's at the same
+bits, so the integer code gives up none of the precision it replaced."""
 
 import random
-import sys
 from contextlib import contextmanager
 from fractions import Fraction as F
 
-import mpmath.libmp
 import pytest
 from hypothesis import given, settings, strategies as st
-from mpmath import iv, mpf
-from mpmath.libmp.libmpi import mpi_cos_sin
+from mpmath import iv
+from mpmath.libmp import mpf_pi, round_ceiling, round_floor
 
 from recurlab import precision
-from recurlab.precision import (Bound, CBound, _enclose, _mpf_tuple_to_fraction,
-                                chord, cis_ends, cos_turns,
+from recurlab.precision import (Bound, CBound, chord, cis_ends, cos_turns,
                                 distance_numerators, get_bits, pi_bound,
-                                rect_cbound, rect_of, rect_prod, residue,
-                                sin_turns, working_bits)
+                                rect_abs2, rect_cbound, rect_dist_to_one,
+                                rect_of, rect_prod, residue, sin_turns,
+                                working_bits)
 
 huge = st.integers(min_value=2 ** 200, max_value=2 ** 400)
 
@@ -71,49 +71,14 @@ def test_trig_memo_follows_working_precision():
         coarse = [f(t) for f in trig]
     with working_bits(256):
         fine = [f(t) for f in trig]
-        precision._enclose.cache_clear()
+        precision._cis_ends.cache_clear()
         assert fine == [f(t) for f in trig]
     assert all(a.width < b.width for a, b in zip(fine, coarse))
 
 
 # ---------------------------------------------------------------------------
-# integer-numerator kernels against their Fraction references
+# the integer enclosures against mpmath's interval context
 # ---------------------------------------------------------------------------
-
-def _fraction_mpf(t) -> F:
-    """Reference: the Fraction power of two the dyadic conversion replaced."""
-    sign, man, exp, _ = t
-    if man == 0 and exp == 0:
-        return F(0)
-    v = F(int(man)) * F(2) ** int(exp)
-    return -v if sign else v
-
-
-@given(st.integers(0, 1), st.integers(0, 2 ** 200), st.integers(-400, 400))
-def test_dyadic_conversion_matches_fraction_powers(sign, man, exp):
-    t = (sign, man, exp, man.bit_length())
-    assert _mpf_tuple_to_fraction(t) == _fraction_mpf(t)
-
-
-def test_dyadic_conversion_cases():
-    assert _mpf_tuple_to_fraction(mpf(0)._mpf_) == 0
-    assert _mpf_tuple_to_fraction(mpf(-0.375)._mpf_) == F(-3, 8)
-    assert _mpf_tuple_to_fraction(mpf(-12)._mpf_) == -12        # exp > 0
-    assert _mpf_tuple_to_fraction((mpf(2) ** 300 * 5)._mpf_) == 5 * 2 ** 300
-    assert _mpf_tuple_to_fraction((1, 5, -3, 3)) == F(-5, 8)
-    assert _mpf_tuple_to_fraction((0, 5, 3, 3)) == 40
-
-
-# ---------------------------------------------------------------------------
-# the libmp kernel against mpmath's interval context
-# ---------------------------------------------------------------------------
-
-def test_private_libmp_is_a_separate_load_of_mpmaths_own():
-    private = sys.modules["_recurlab_libmp"]
-    assert private is not mpmath.libmp
-    assert private.__file__ == mpmath.libmp.__file__
-    assert precision.mpi_cos_sin.__module__ == "_recurlab_libmp.libmpi"
-
 
 @contextmanager
 def _iv_at(bits):
@@ -126,104 +91,114 @@ def _iv_at(bits):
         iv.prec = old
 
 
-def _to_iv(x):
-    """Reference: exact rational -> interval scalar (endpoints correctly rounded)."""
-    fr = F(x)
-    return iv.mpf(fr.numerator) / iv.mpf(fr.denominator)
+def _fr(x) -> F:
+    """The exact value of a raw mpf tuple."""
+    sign, man, exp, _ = x
+    return (-1) ** sign * F(man) * F(2) ** exp
 
 
-def _from_iv(x) -> Bound:
-    a, b = x._mpi_
-    return Bound(_mpf_tuple_to_fraction(a), _mpf_tuple_to_fraction(b))
+def _bound(x) -> Bound:
+    """The exact ends of an interval of mpmath's interval context."""
+    return Bound(*map(_fr, x._mpi_))
 
 
-def _iv_enclose(kind, t, bits):
-    """Reference: the enclosure through iv-context objects that the libmp
-    kernel replaced."""
+def _iv(kind, x, bits) -> Bound:
+    """Reference: mpmath's interval enclosure at ``bits`` of cos(2 pi x),
+    sin(2 pi x), the chord 2 sin(pi x) or sqrt(x), for an exact x."""
     with _iv_at(bits):
+        v = iv.mpf(x.numerator) / iv.mpf(x.denominator)
+        if kind == "sqrt":
+            return _bound(iv.sqrt(v))
         if kind == "chord":
-            b = _from_iv(2 * iv.sin(iv.pi * _to_iv(t)))
-            return Bound(max(F(0), b.lo), min(F(2), b.hi))
-        x = 2 * iv.pi * _to_iv(t)
-        cos, sin = (Bound(max(F(-1), _mpf_tuple_to_fraction(lo)),
-                          min(F(1), _mpf_tuple_to_fraction(hi)))
-                    for lo, hi in mpi_cos_sin(x._mpi_, bits))
-        return CBound(cos, sin)
+            return _bound(2 * iv.sin(iv.pi * v))
+        return _bound((iv.cos if kind == "cos" else iv.sin)(2 * iv.pi * v))
 
 
-KERNEL_BITS = (53, 85, 96, 128, 256, 400)
+def _check(mine: Bound, kind, x, bits):
+    """``mine`` at ``bits`` holds mpmath's enclosure at 4 bits (plus the
+    bits of x's denominator, which a turn near a multiple of 1/4 needs
+    for the reference to stay narrower than a relative enclosure), or lies
+    in it when exact, and is at most 4 times as wide as mpmath's at
+    ``bits``."""
+    ref = _iv(kind, x, 4 * bits + x.denominator.bit_length())
+    if mine.is_exact:
+        assert ref.lo <= mine.lo <= ref.hi, (kind, x, bits)
+    else:
+        assert mine.lo <= ref.lo and ref.hi <= mine.hi, (kind, x, bits)
+    assert mine.width <= 4 * _iv(kind, x, bits).width, (kind, x, bits)
+
+
+KERNEL_BITS = (8, 53, 85, 96, 128, 256, 432)
 
 
 def _kernel_turns(rng):
-    """Turns in [0, 1): every turn of denominator 1, 2, 3, 4 and 6, turns
-    within 2^-40 .. 2^-300 of 0 and of 1/2 on both sides, and random ones."""
-    turns = {F(p, q) for q in (1, 2, 3, 4, 6) for p in range(q)}
+    """Turns in [0, 1): every turn of denominator 1, 2, 3, 4, 6, 8 and 12,
+    turns within 2^-40 .. 2^-300 of each multiple of 1/4 on both sides,
+    and random ones."""
+    turns = {F(p, q) for q in (1, 2, 3, 4, 6, 8, 12) for p in range(q)}
     for e in (40, 100, 300):
-        for near in (F(0), F(1, 2), F(1)):
+        for near in (F(0), F(1, 4), F(1, 2), F(3, 4), F(1)):
             for sign in (-1, 1):
                 t = near + sign * F(rng.randrange(1, 2 ** 20), 2 ** (e + 20) + 1)
                 if 0 <= t < 1:
                     turns.add(t)
-    while len(turns) < 80:
+    while len(turns) < 90:
         q = rng.randrange(2, 2 ** rng.randrange(2, 120))
         turns.add(F(rng.randrange(q), q))
     return sorted(turns)
 
 
-def _cis_kernel(t, bits) -> CBound:
-    """The libmp cos-sin enclosure behind ``cis_ends``, without the table
-    of rational values, as the Bounds ``cos_turns`` and ``sin_turns`` make."""
-    return CBound(*map(precision._unit_bound, precision._cos_sin(t, bits)))
-
-
-def test_enclose_matches_the_interval_context():
+def test_cos_sin_and_chord_contain_the_interval_reference():
     turns = _kernel_turns(random.Random(20261019))
     for bits in KERNEL_BITS:
-        for t in turns:
-            assert _cis_kernel(t, bits) == _iv_enclose("cis", t, bits), (t, bits)
-            d = min(t, 1 - t)
-            assert _enclose(d, bits) == _iv_enclose("chord", d, bits), (d, bits)
+        with working_bits(bits):
+            for t in turns:
+                _check(cos_turns(t), "cos", t, bits)
+                _check(sin_turns(t), "sin", t, bits)
+                _check(chord(t), "chord", min(t, 1 - t), bits)
 
 
-def test_sqrt_and_pi_match_the_interval_context():
-    rng = random.Random(20261020)
-    for bits in KERNEL_BITS:
-        with working_bits(bits), _iv_at(bits):
-            assert pi_bound() == _from_iv(iv.pi)
-            for _ in range(40):
-                lo = F(rng.randrange(0, 2 ** 80), rng.randrange(1, 2 ** 60))
-                b = Bound(lo, lo + F(rng.randrange(0, 9), rng.randrange(1, 2 ** 30)))
-                ref = Bound(max(F(0), _mpf_tuple_to_fraction(iv.sqrt(_to_iv(b.lo))._mpi_[0])),
-                            _mpf_tuple_to_fraction(iv.sqrt(_to_iv(b.hi))._mpi_[1]))
-                assert b.sqrt() == ref, (b, bits)
-            assert Bound.exact(0).sqrt() == Bound.exact(0)
-            assert Bound.exact(4).sqrt() == Bound.exact(2)
+@settings(max_examples=60)
+@given(st.fractions(min_value=0, max_value=1, max_denominator=10 ** 9)
+       .filter(lambda t: t < 1), st.sampled_from([53, 128, 300, 2000]))
+def test_cos_sin_contain_the_interval_reference_at_random_turns(t, bits):
+    with working_bits(bits):
+        _check(cos_turns(t), "cos", t, bits)
+        _check(sin_turns(t), "sin", t, bits)
 
 
 def test_cis_ends_are_the_ends_of_cos_and_sin_turns():
     for bits in KERNEL_BITS:
         with working_bits(bits):
             for t in _kernel_turns(random.Random(bits)):
-                c, s = cis_ends(t)
-                assert Bound(*map(_mpf_tuple_to_fraction, c)) == cos_turns(t), (t, bits)
-                assert Bound(*map(_mpf_tuple_to_fraction, s)) == sin_turns(t), (t, bits)
+                c_lo, c_hi, s_lo, s_hi, e = cis_ends(t)
+                assert -2 ** e <= c_lo <= c_hi <= 2 ** e and -2 ** e <= s_lo <= s_hi <= 2 ** e
+                assert Bound(F(c_lo, 2 ** e), F(c_hi, 2 ** e)) == cos_turns(t), (t, bits)
+                assert Bound(F(s_lo, 2 ** e), F(s_hi, 2 ** e)) == sin_turns(t), (t, bits)
 
 
-def _fraction_trig(kind, t) -> Bound:
-    """Reference: the separate iv.cos / iv.sin enclosure the fused call replaced."""
-    trig = iv.cos if kind == "cos" else iv.sin
-    b = _from_iv(trig(2 * iv.pi * _to_iv(t)))
-    return Bound(max(F(-1), b.lo), min(F(1), b.hi))
+def test_pi_bound_is_mpf_pi_at_every_precision():
+    for bits in range(8, 2049):
+        with working_bits(bits):
+            assert pi_bound() == Bound(_fr(mpf_pi(bits, round_floor)),
+                                       _fr(mpf_pi(bits, round_ceiling))), bits
 
 
-@settings(max_examples=60)
-@given(st.fractions(min_value=0, max_value=1, max_denominator=10 ** 9)
-       .filter(lambda t: t < 1), st.sampled_from([53, 128, 300]))
-def test_fused_cos_sin_matches_separate_calls(t, bits):
-    with _iv_at(bits):
-        z = _cis_kernel(t, bits)
-        assert z.re == _fraction_trig("cos", t)
-        assert z.im == _fraction_trig("sin", t)
+def test_sqrt_and_pi_contain_the_interval_reference():
+    rng = random.Random(20261020)
+    for bits in KERNEL_BITS:
+        with working_bits(bits):
+            pi = pi_bound()
+            with _iv_at(4 * bits):
+                ref = _bound(+iv.pi)
+            assert pi.lo <= ref.lo and ref.hi <= pi.hi
+            for _ in range(40):
+                lo = F(rng.randrange(0, 2 ** 80), rng.randrange(1, 2 ** 60))
+                for x in (lo, lo + F(rng.randrange(0, 9), rng.randrange(1, 2 ** 30))):
+                    _check(Bound.exact(x).sqrt(), "sqrt", x, bits)
+            assert Bound.exact(0).sqrt() == Bound.exact(0)
+            assert Bound.exact(4).sqrt() == Bound.exact(2)
+            assert Bound.exact(F(9, 4)).sqrt() == Bound.exact(F(3, 2))
 
 
 def _fold_prod(factors) -> CBound:
@@ -285,3 +260,17 @@ def test_dist_to_one_sign_cases_and_exact_one():
     w = rect_cbound(rect_prod([rect_of(CBound(cos_turns(F(1, 7)),
                                               sin_turns(F(1, 7))))] * 5))
     assert w.dist_to_one() == _old_dist_to_one(w)
+
+
+@settings(max_examples=200)
+@given(st.one_of(_near_one, _cbounds))
+def test_rect_dist_to_one_is_the_root_of_the_unreduced_square(z):
+    # the root ends depend on the value alone, so rooting lo2 / den^2 and
+    # hi2 / den^2 unreduced gives the Bound of the reduced square's root
+    rect = rect_of(z)
+    for scale in (1, 3, 2 ** 40 + 1):
+        big = tuple(x * scale for x in rect)
+        lo2, hi2 = rect_abs2((big[0] - big[4], big[1] - big[4], *big[2:4], big[4]))
+        d2 = big[4] ** 2
+        assert rect_dist_to_one(big) == Bound(F(lo2, d2), F(hi2, d2)).sqrt()
+        assert rect_dist_to_one(big) == rect_dist_to_one(rect)
