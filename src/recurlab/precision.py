@@ -32,17 +32,17 @@ ends of :func:`cis_ends`, of which :func:`cos_turns` and :func:`sin_turns`
 are the Bounds, and :func:`chord` reads the sine of half its distance.
 Cosine and sine of a turn come from one evaluation.
 
-Exact arithmetic stays exact without a gcd at every step: a certified
-Fourier coefficient is an integer rectangle ``(re_lo, re_hi, im_lo,
-im_hi, den)`` from the atom sum of ``specmeasure`` (the ``cis_ends``
-weighted over one common denominator) through the products of
-:func:`rect_prod` to :func:`rect_dist_to_one`.  Fractions are reduced
-once, where a caller reads them; ``CBound.dist_to_one`` is the same
-kernel on a CBound.  A complex ball ``(re, im, rad)`` of integers in units
-of ``2^-p`` is the midpoint-radius kernel (``ball_sub``, ``ball_mul``,
-``ball_recip``, ``ball_pow``, ``ball_scale`` and ``ball_shift`` to a coarser
-unit), on which ``linsys`` runs its powers of T and this module its cos
-and sin.
+A certified complex number is a :class:`CBound`: the integer rectangle
+``(re_lo, re_hi, im_lo, im_hi, den)``.  Exact arithmetic stays exact
+without a gcd at every step: a Fourier coefficient of ``specmeasure`` is
+its atoms' ``cis_ends`` weighted over one common denominator, and
+:meth:`CBound.prod` and :meth:`CBound.dist_to_one` take it through the
+product formula to ``|z - 1|`` on the five integers.  Fractions are
+reduced once, where a caller reads them.  A complex ball ``(re, im, rad)``
+of integers in units of ``2^-p`` is the midpoint-radius kernel
+(``ball_sub``, ``ball_mul``, ``ball_recip``, ``ball_pow``, ``ball_scale``
+and ``ball_shift`` to a coarser unit), on which ``linsys`` runs its powers
+of T and this module its cos and sin.
 
 One helper certifies nothing: :func:`seeded_uniforms` gives both
 Monte-Carlo routes (``linsys``'s ball spot check and ``specmeasure``'s
@@ -65,19 +65,12 @@ _bits = 128     # the working precision of the transcendental enclosures
 
 RationalLike = Union[int, Fraction]
 
-# Exact chord values: residue distance -> chord.  2 sin(pi/6) = 1 is the
-# only nontrivial rational chord besides the endpoints.
-_EXACT_CHORDS = {
-    Fraction(0): Fraction(0),
-    Fraction(1, 6): Fraction(1),
-    Fraction(1, 2): Fraction(2),
-}
-
 # cos(2 pi t) and sin(2 pi t) at the turns t = p/q in [0, 1) where they are
 # rational, keyed by (p, q), in units of 1/2 (every such value is a multiple)
 _EXACT_COS = {(0, 1): 2, (1, 2): -2, (1, 3): -1, (2, 3): -1, (1, 4): 0,
               (3, 4): 0, (1, 6): 1, (5, 6): 1}
-_EXACT_SIN = {(0, 1): 0, (1, 2): 0, (1, 4): 2, (3, 4): -2}
+_EXACT_SIN = {(0, 1): 0, (1, 2): 0, (1, 4): 2, (3, 4): -2, (1, 12): 1,
+              (5, 12): 1, (7, 12): -1, (11, 12): -1}
 
 
 def set_bits(bits: int) -> None:
@@ -198,13 +191,6 @@ class Bound:
             return Bound(self.lo * c, self.hi * c)
         return Bound(self.hi * c, self.lo * c)
 
-    def abs(self) -> "Bound":
-        if self.lo >= 0:
-            return self
-        if self.hi <= 0:
-            return -self
-        return Bound(Fraction(0), max(-self.lo, self.hi))
-
     def max_with(self, other: "Bound") -> "Bound":
         other = _as_bound(other)
         return Bound(max(self.lo, other.lo), max(self.hi, other.hi))
@@ -242,6 +228,20 @@ def bound_max(bounds: Iterable[Bound]) -> Bound:
     for b in it:
         acc = acc.max_with(b)
     return acc
+
+
+def _root(p: int, q: int, up: bool) -> Fraction:
+    """sqrt(p / q), p >= 0 and q > 0, floored (ceiled when up) to the unit
+    2^-u that leaves it ``bits`` + 1 significant bits: ``isqrt`` of the
+    floored (``ceil_sqrt`` of the ceiled) p 4^u / q, a function of p / q."""
+    if not p:
+        return Fraction(0)
+    l = p.bit_length() - q.bit_length()
+    l -= (p << -l if l < 0 else p) < (q << l if l > 0 else q)   # floor(log2(p / q))
+    u = get_bits() - (l >> 1)
+    p, q = (p << 2 * u, q) if u >= 0 else (p, q << -2 * u)
+    r = ceil_sqrt(-(-p // q)) if up else isqrt(p // q)
+    return Fraction(r, 1 << u) if u >= 0 else Fraction(r << -u)
 
 
 # [prec, floor(pi 2^prec)] for the finest prec computed yet; a coarser
@@ -303,11 +303,7 @@ def chord(t: RationalLike) -> Bound:
     """Certified |e^{2 pi i t} - 1| = 2 sin(pi d) for an exact turn value t
     at residue distance d: twice the sine of the turn d / 2, so a tiny
     distance keeps the sine's relative precision."""
-    d = residue_distance(Fraction(t))
-    exact = _EXACT_CHORDS.get(d)
-    if exact is not None:
-        return Bound.exact(exact)
-    _, _, lo, hi, e = cis_ends(d / 2)
+    _, _, lo, hi, e = cis_ends(residue_distance(Fraction(t)) / 2)
     return Bound(Fraction(max(lo, 0), 1 << (e - 1)), Fraction(hi, 1 << (e - 1)))
 
 
@@ -374,10 +370,14 @@ def _cos_sin(t: Fraction, bits: int) -> tuple[int, int, int, int, int]:
 def _cis_ends(t: Fraction, bits: int) -> tuple[int, int, int, int, int]:
     key = t.numerator, t.denominator
     cos, sin = _EXACT_COS.get(key), _EXACT_SIN.get(key)
-    if sin is not None:
+    if cos is not None and sin is not None:
         return cos, cos, sin, sin, 1
-    ends = _cos_sin(t, bits)
-    return ends if cos is None else (cos << ends[4] - 1,) * 2 + ends[2:]
+    c_lo, c_hi, s_lo, s_hi, e = _cos_sin(t, bits)
+    if cos is not None:
+        c_lo = c_hi = cos << e - 1
+    if sin is not None:
+        s_lo = s_hi = sin << e - 1
+    return c_lo, c_hi, s_lo, s_hi, e
 
 
 def cis_ends(t: Fraction) -> tuple[int, int, int, int, int]:
@@ -388,48 +388,89 @@ def cis_ends(t: Fraction) -> tuple[int, int, int, int, int]:
     return _cis_ends(t, get_bits())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CBound:
-    """Certified complex number: a rectangle re x im of exact rationals."""
+    """Certified complex number: the rectangle [re_lo, re_hi] / den + i
+    [im_lo, im_hi] / den of ints, den > 0.  Products and distances run on
+    the five integers, and the Fractions of ``re`` and ``im`` are reduced
+    once, where a caller reads them.  Equality compares the values, not
+    the integers."""
 
-    re: Bound
-    im: Bound
+    re_lo: int
+    re_hi: int
+    im_lo: int
+    im_hi: int
+    den: int
 
     @staticmethod
     def exact(re: RationalLike, im: RationalLike = 0) -> "CBound":
-        return CBound(Bound.exact(re), Bound.exact(im))
+        re, im = Fraction(re), Fraction(im)
+        d = lcm(re.denominator, im.denominator)
+        x, y = re.numerator * (d // re.denominator), im.numerator * (d // im.denominator)
+        return CBound(x, x, y, y, d)
+
+    @property
+    def re(self) -> Bound:
+        return Bound(Fraction(self.re_lo, self.den), Fraction(self.re_hi, self.den))
+
+    @property
+    def im(self) -> Bound:
+        return Bound(Fraction(self.im_lo, self.den), Fraction(self.im_hi, self.den))
 
     @property
     def is_exact(self) -> bool:
-        return self.re.is_exact and self.im.is_exact
+        return self.re_lo == self.re_hi and self.im_lo == self.im_hi
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CBound):
+            return NotImplemented
+        a, b = self.den, other.den
+        return (self.re_lo * b == other.re_lo * a and self.re_hi * b == other.re_hi * a
+                and self.im_lo * b == other.im_lo * a and self.im_hi * b == other.im_hi * a)
 
     def json_value(self) -> dict:
         return {"re": self.re.json_value(), "im": self.im.json_value()}
 
-    def __add__(self, other: "CBound") -> "CBound":
-        return CBound(self.re + other.re, self.im + other.im)
+    @staticmethod
+    def prod(factors: Iterable["CBound"]) -> "CBound":
+        """The product of the factors, equal to the left fold from the
+        exact 1 of the interval product (re re' - im im', re im' + im re')
+        of exact Bounds: the interval products take the min and max of the
+        same four products as a Bound product, all over the product of the
+        denominators, so only their common positive scale differs.  Factors
+        equal to the exact 1 leave the product as it is and are skipped."""
+        re_lo, re_hi, im_lo, im_hi, den = 1, 1, 0, 0, 1
+        for f in factors:
+            x_lo, x_hi, y_lo, y_hi, d = f.re_lo, f.re_hi, f.im_lo, f.im_hi, f.den
+            if x_lo == x_hi == d and y_lo == y_hi == 0:
+                continue
+            rr = (re_lo * x_lo, re_lo * x_hi, re_hi * x_lo, re_hi * x_hi)
+            ii = (im_lo * y_lo, im_lo * y_hi, im_hi * y_lo, im_hi * y_hi)
+            ri = (re_lo * y_lo, re_lo * y_hi, re_hi * y_lo, re_hi * y_hi)
+            ir = (im_lo * x_lo, im_lo * x_hi, im_hi * x_lo, im_hi * x_hi)
+            re_lo, re_hi, im_lo, im_hi = (min(rr) - max(ii), max(rr) - min(ii),
+                                          min(ri) + min(ir), max(ri) + max(ir))
+            den *= d
+        return CBound(re_lo, re_hi, im_lo, im_hi, den)
 
-    def __sub__(self, other: "CBound") -> "CBound":
-        return CBound(self.re - other.re, self.im - other.im)
-
-    def __mul__(self, other: "CBound") -> "CBound":
-        return CBound(self.re * other.re - self.im * other.im,
-                      self.re * other.im + self.im * other.re)
-
-    def scale(self, c: RationalLike) -> "CBound":
-        return CBound(self.re.scale(c), self.im.scale(c))
-
-    def abs2(self) -> Bound:
-        a = self.re.abs()
-        b = self.im.abs()
-        return a * a + b * b
-
-    def abs(self) -> Bound:
-        return self.abs2().sqrt()
+    def abs2_ends(self) -> tuple[int, int]:
+        """The ends of |z|^2 as numerators over den^2: each part's interval
+        of absolute values (its ends negated when it lies at or below 0,
+        [0, max] when it straddles 0), then the squares, on integers."""
+        lo2 = hi2 = 0
+        for lo, hi in ((self.re_lo, self.re_hi), (self.im_lo, self.im_hi)):
+            lo, hi = (lo, hi) if lo >= 0 else (-hi, -lo) if hi <= 0 else (0, max(-lo, hi))
+            lo2, hi2 = lo2 + lo * lo, hi2 + hi * hi
+        return lo2, hi2
 
     def dist_to_one(self) -> Bound:
-        """``(self - 1).abs()``; see :func:`rect_dist_to_one`."""
-        return rect_dist_to_one(rect_of(self))
+        """|z - 1|: the ends of its square from :meth:`abs2_ends` over
+        den^2, and their roots from :func:`_root` on those integers,
+        unreduced."""
+        d = self.den
+        lo2, hi2 = CBound(self.re_lo - d, self.re_hi - d, self.im_lo, self.im_hi,
+                          d).abs2_ends()
+        return Bound(_root(lo2, d * d, False), _root(hi2, d * d, True))
 
 
 # ---------------------------------------------------------------------------
@@ -557,83 +598,6 @@ def ball_upper(a) -> int:
 def ball_lower(a) -> int:
     """A lower bound of |w| over the ball, in its units."""
     return max(isqrt(a[0] * a[0] + a[1] * a[1]) - a[2], 0)
-
-
-# ---------------------------------------------------------------------------
-# integer rectangles
-# ---------------------------------------------------------------------------
-# A rectangle (re_lo, re_hi, im_lo, im_hi, den) with den > 0 is the certified
-# complex number [re_lo, re_hi] / den + i [im_lo, im_hi] / den.  Products
-# and distances run on the five integers; the Fractions of a CBound or a
-# Bound are reduced once, where a caller reads them.
-
-def rect_of(z: CBound) -> tuple[int, int, int, int, int]:
-    """The rectangle of z over the lcm of its endpoint denominators."""
-    ends = (z.re.lo, z.re.hi, z.im.lo, z.im.hi)
-    d = lcm(*(e.denominator for e in ends))
-    return (*(e.numerator * (d // e.denominator) for e in ends), d)
-
-
-def rect_cbound(rect) -> CBound:
-    re_lo, re_hi, im_lo, im_hi, den = rect
-    return CBound(Bound(Fraction(re_lo, den), Fraction(re_hi, den)),
-                  Bound(Fraction(im_lo, den), Fraction(im_hi, den)))
-
-
-def rect_prod(rects) -> tuple[int, int, int, int, int]:
-    """The product of the rectangles, equal to the left fold of
-    ``CBound.__mul__`` from the exact 1: the interval products take the
-    min and max of the same four products as ``Bound.__mul__``, all over
-    the product of the denominators, so only their common positive scale
-    differs.  Factors equal to the exact 1 leave the product as it is and
-    are skipped."""
-    re_lo, re_hi, im_lo, im_hi, den = 1, 1, 0, 0, 1
-    for x_lo, x_hi, y_lo, y_hi, d in rects:
-        if x_lo == x_hi == d and y_lo == y_hi == 0:
-            continue
-        rr = (re_lo * x_lo, re_lo * x_hi, re_hi * x_lo, re_hi * x_hi)
-        ii = (im_lo * y_lo, im_lo * y_hi, im_hi * y_lo, im_hi * y_hi)
-        ri = (re_lo * y_lo, re_lo * y_hi, re_hi * y_lo, re_hi * y_hi)
-        ir = (im_lo * x_lo, im_lo * x_hi, im_hi * x_lo, im_hi * x_hi)
-        re_lo, re_hi, im_lo, im_hi = (min(rr) - max(ii), max(rr) - min(ii),
-                                      min(ri) + min(ir), max(ri) + max(ir))
-        den *= d
-    return re_lo, re_hi, im_lo, im_hi, den
-
-
-def rect_abs2(rect) -> tuple[int, int]:
-    """The ends of ``CBound.abs2`` of the rectangle as numerators over
-    den^2: ``Bound.abs``'s sign cases, then the squares, on integers."""
-    re_lo, re_hi, im_lo, im_hi, _ = rect
-    lo2 = hi2 = 0
-    for lo, hi in ((re_lo, re_hi), (im_lo, im_hi)):
-        lo, hi = (lo, hi) if lo >= 0 else (-hi, -lo) if hi <= 0 else (0, max(-lo, hi))
-        lo2, hi2 = lo2 + lo * lo, hi2 + hi * hi
-    return lo2, hi2
-
-
-def rect_dist_to_one(rect) -> Bound:
-    """``|z - 1|`` of the rectangle z, equal to ``(z - 1).abs()`` on its
-    CBound: the ends of the square come from :func:`rect_abs2` over den^2,
-    and their roots from :func:`_root` on those integers, unreduced."""
-    re_lo, re_hi, im_lo, im_hi, den = rect
-    lo2, hi2 = rect_abs2((re_lo - den, re_hi - den, im_lo, im_hi, den))
-    d2 = den * den
-    return Bound(_root(lo2, d2, False), _root(hi2, d2, True))
-
-
-def _root(p: int, q: int, up: bool) -> Fraction:
-    """sqrt(p / q), p >= 0 and q > 0, floored (ceiled when up) to the unit
-    2^-u that leaves it ``bits`` + 1 significant bits: ``isqrt`` of the
-    floored (``ceil_sqrt`` of the ceiled) p 4^u / q, a function of p / q."""
-    if not p:
-        return Fraction(0)
-    l = p.bit_length() - q.bit_length()
-    l -= (p << -l if l < 0 else p) < (q << l if l > 0 else q)   # floor(log2(p / q))
-    u = get_bits() - (l >> 1)
-    p, q = (p << 2 * u, q) if u >= 0 else (p, q << -2 * u)
-    r = ceil_sqrt(-(-p // q)) if up else isqrt(p // q)
-    return Fraction(r, 1 << u) if u >= 0 else Fraction(r << -u)
 
 
 # ---------------------------------------------------------------------------

@@ -22,10 +22,11 @@ Under the time-n shift the pair ``(f, f_n)`` is circular complex
 Gaussian, so its law is fixed by the 2x2 covariance
 ``[[s, conj gamma], [gamma, s]]`` with ``s = sum w`` and
 ``gamma = sigma_hat(n)``.  Rectangle overlap probabilities are estimated
-by sampling that pair directly.  On a factorization ``s = 1`` exactly and
-``gamma`` is the certified product formula, so a shift costs
-O(samples + factors) and no atom is enumerated; on a materialized measure
-both come from the atom sum, O(samples + atoms), the cross-check route.
+by sampling that pair directly.  Every measure here sums to exactly 1, so
+``s = 1``, and ``gamma`` is the certified coefficient: the product formula
+on a factorization, so a shift costs O(samples + factors) and no atom is
+enumerated, or the atom sum on a materialized measure, O(samples + atoms),
+the cross-check route.
 """
 
 from __future__ import annotations
@@ -39,8 +40,7 @@ from math import gcd, lcm
 
 from .certificates import Certificate, frac_str
 from .precision import (Bound, CBound, bits_for_power, cis_ends,
-                        get_bits, pi_bound, rect_abs2, rect_cbound,
-                        rect_dist_to_one, rect_prod, residue, seeded_uniforms,
+                        get_bits, pi_bound, residue, seeded_uniforms,
                         working_bits)
 from .seqcore import IntegerSequence
 
@@ -86,8 +86,8 @@ def convolve(mu: DiscreteMeasure, nu: DiscreteMeasure) -> DiscreteMeasure:
     return mu.convolve(nu)
 
 
-def _fourier_rect(measure: DiscreteMeasure, n: int) -> tuple[int, int, int, int, int]:
-    """sigma_hat(n) by atom enumeration as a ``precision`` integer rectangle.
+def fourier_direct(measure: DiscreteMeasure, n: int) -> CBound:
+    """sigma_hat(n) by atom enumeration; exact residue reduction per atom.
 
     Each atom's ``cis_ends`` at its exact residue are taken by a shift to
     the finest of their units, 2^-e, and weighted over ``W 2^e``, ``W`` the
@@ -106,16 +106,7 @@ def _fourier_rect(measure: DiscreteMeasure, n: int) -> tuple[int, int, int, int,
             sums[c] += scale * row[c]
     den = W << e
     g = gcd(*sums, den)
-    return (*(x // g for x in sums), den // g)
-
-
-def fourier_direct(measure: DiscreteMeasure, n: int) -> CBound:
-    """sigma_hat(n) by atom enumeration; exact residue reduction per atom.
-
-    The certified sum of ``w_i e^{2 pi i n theta_i}`` (see
-    ``_fourier_rect``), reduced to Fractions once.
-    """
-    return rect_cbound(_fourier_rect(measure, n))
+    return CBound(*(x // g for x in sums), den // g)
 
 
 MAX_ATOMS = 1 << 16     # materialize() refuses larger products
@@ -129,24 +120,21 @@ class ConvolutionFactorization:
         if not self.factors:
             raise ValueError("need at least one factor")
         self._periods = [f.denominator_lcm() for f in self.factors]
-        self._cache: dict[tuple[int, int, int], tuple] = {}
+        self._cache: dict[tuple[int, int, int], CBound] = {}
 
-    def factor_fourier(self, j: int, n: int) -> tuple[int, int, int, int, int]:
-        """Factor j's coefficient at n as an integer rectangle, memoised on
-        n modulo the factor's period and on the working bits."""
+    def factor_fourier(self, j: int, n: int) -> CBound:
+        """Factor j's coefficient at n, memoised on n modulo the factor's
+        period and on the working bits."""
         r = n % self._periods[j]
         key = (j, r, get_bits())
         hit = self._cache.get(key)
         if hit is None:
-            hit = self._cache[key] = _fourier_rect(self.factors[j], r)
+            hit = self._cache[key] = fourier_direct(self.factors[j], r)
         return hit
 
-    def fourier_rect(self, n: int) -> tuple[int, int, int, int, int]:
-        """sigma_hat(n) by the product rule, as an integer rectangle."""
-        return rect_prod(self.factor_fourier(j, n) for j in range(len(self.factors)))
-
     def fourier(self, n: int) -> CBound:
-        return rect_cbound(self.fourier_rect(n))
+        """sigma_hat(n) by the product rule."""
+        return CBound.prod(self.factor_fourier(j, n) for j in range(len(self.factors)))
 
     def atom_count(self) -> int:
         """Product of the factor sizes: the atom count of ``materialize()``
@@ -207,7 +195,7 @@ class KahaneFactorization(ConvolutionFactorization):
         """
         n_k, n_next = self.seq.term(k), self.seq.term(j + 1)
         with working_bits(max(get_bits(), bits_for_power(n_next))):
-            lhs = rect_dist_to_one(self.factor_fourier(j, n_k))
+            lhs = self.factor_fourier(j, n_k).dist_to_one()
             rhs = pi_bound().scale(2 * self.t[j] * Fraction(n_k, n_next))
         return lhs, rhs
 
@@ -291,7 +279,7 @@ def rigidity_check(factored: ConvolutionFactorization, seq: IntegerSequence,
     first_violation = None
     min_slack = None
     for k in range(K + 1):
-        d = rect_dist_to_one(factored.fourier_rect(seq.term(k)))
+        d = factored.fourier(seq.term(k)).dist_to_one()
         deviations.append(d)
         slack = targets[k] - d.hi
         if min_slack is None or slack < min_slack[0]:
@@ -341,10 +329,10 @@ class GaussOverlapEstimate:
     sym_diff_se: float
     second_moment: float          # mean |f|^2
     second_moment_se: float
-    second_moment_closed: float   # s = sum w
+    second_moment_closed: float   # s = sum w = 1
     shift_moment: float           # mean |f_n - f|^2
     shift_moment_se: float
-    shift_moment_closed: float    # sum w |lambda^n - 1|^2
+    shift_moment_closed: float    # sum w |lambda^n - 1|^2 = 2 (1 - Re gamma)
 
 
 @lru_cache(maxsize=1)
@@ -408,39 +396,30 @@ def gauss_rectangle_overlap_mc(model: GaussianRectangleModel, n: int,
     moment (``_field``): an index that repeats ``(seed, samples, s,
     rectangle)`` computes only f_n and what reads it.
 
-    A ``ConvolutionFactorization`` is the primary route: every factor is a
-    probability measure, so ``s = 1``, and ``gamma`` is the certified
-    product ``measure.fourier_rect(n)``, an integer rectangle.  Its exact
-    midpoints give ``rho = gamma``, ``1 - |gamma|^2`` and the closed shift
-    moment ``2 (1 - Re gamma)`` without the float cancellation of deep
-    stages; each is rounded to a float once.  The cost is
-    O(samples + factors).  A ``DiscreteMeasure`` takes all three from the
-    float atom sum, O(samples + atoms): the cross-check route.
+    Every measure is a probability measure, so ``s = 1``, and ``gamma``
+    is its certified coefficient: the product ``measure.fourier(n)`` on a
+    ``ConvolutionFactorization``, O(samples + factors), the primary route,
+    or the atom sum ``fourier_direct`` on a ``DiscreteMeasure``,
+    O(samples + atoms), the cross-check route.  Its exact midpoints give
+    ``rho = gamma``, ``1 - |gamma|^2`` and the closed shift moment, which
+    is ``2 (1 - Re gamma)`` for unit-modulus atoms, without the float
+    cancellation of deep stages; each is rounded to a float once.
     """
     import numpy as np
     if samples < 1000:
         raise ValueError("need at least 1000 samples")
-    if isinstance(model.measure, ConvolutionFactorization):
-        rect = model.measure.fourier_rect(n)
-        re_lo, re_hi, im_lo, im_hi, den = rect
-        lo2, hi2 = rect_abs2(rect)
-        # the midpoints of gamma, 1 - |gamma|^2 and 2 (1 - Re gamma) as
-        # exact quotients of ints; int / int rounds once, as float(Fraction)
-        s = 1.0
-        rho = complex((re_lo + re_hi) / (2 * den), (im_lo + im_hi) / (2 * den))
-        cond_var = max((2 * den * den - lo2 - hi2) / (2 * den * den), 0.0)
-        shift_closed = (2 * den - re_lo - re_hi) / den
-    else:
-        atoms = model.measure.atoms
-        # exact residue reduction before float conversion: n can be astronomical
-        lam_n = np.exp(2j * np.pi * np.array([float(residue(a, n)) for a, _ in atoms]))
-        w = np.array([float(wt) for _, wt in atoms], dtype=np.complex128)
-        # one (complex) summation for both, so gamma == s bit for bit when every
-        # lambda^n is 1; then rho == 1, the conditional variance is 0 and f_n == f
-        s = float(np.sum(w).real)
-        rho = complex(np.sum(w * lam_n)) / s
-        cond_var = s * max(1.0 - abs(rho) ** 2, 0.0)
-        shift_closed = float(np.sum(w.real * np.abs(lam_n - 1.0) ** 2))
+    measure = model.measure
+    gamma = (measure.fourier(n) if isinstance(measure, ConvolutionFactorization)
+             else fourier_direct(measure, n))
+    re_lo, re_hi, im_lo, im_hi, den = (gamma.re_lo, gamma.re_hi, gamma.im_lo,
+                                       gamma.im_hi, gamma.den)
+    lo2, hi2 = gamma.abs2_ends()
+    # the midpoints of gamma, 1 - |gamma|^2 and 2 (1 - Re gamma) as exact
+    # quotients of ints; int / int rounds once, as float(Fraction)
+    s = 1.0
+    rho = complex((re_lo + re_hi) / (2 * den), (im_lo + im_hi) / (2 * den))
+    cond_var = max((2 * den * den - lo2 - hi2) / (2 * den * den), 0.0)
+    shift_closed = (2 * den - re_lo - re_hi) / den
 
     rectangle = tuple(float(x) for x in model.rectangle)
     f, inside, (p_in, p_in_se), (m2, m2_se) = _field(model.seed, samples, s,

@@ -147,7 +147,8 @@ def test_encode_value_of_bounds_matches_golden_dicts():
     inexact, exact = Bound(F(1, 3), F(1, 2)), Bound.exact(F(-3, 4))
     assert encode_value(inexact) == _INEXACT
     assert encode_value(exact) == _EXACT
-    assert encode_value(CBound(inexact, exact)) == {"re": _INEXACT, "im": _EXACT}
+    # re = inexact and im = exact over the denominator 12
+    assert encode_value(CBound(4, 6, -9, -9, 12)) == {"re": _INEXACT, "im": _EXACT}
     assert encode_value(CBound.exact(1)) == _ONE
     nested = {"k": [exact, (CBound.exact(1), inexact)], 2: {"x": inexact}}
     assert encode_value(nested) == {"k": [_EXACT, [_ONE, _INEXACT]],

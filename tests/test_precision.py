@@ -8,6 +8,7 @@ interval at four times the bits (a reference far narrower than the
 enclosure), and be at most four times as wide as mpmath's at the same
 bits, so the integer code gives up none of the precision it replaced."""
 
+import math
 import random
 from contextlib import contextmanager
 from fractions import Fraction as F
@@ -20,9 +21,9 @@ from mpmath.libmp import mpf_pi, round_ceiling, round_floor
 from recurlab import precision
 from recurlab.precision import (Bound, CBound, chord, cis_ends, cos_turns,
                                 distance_numerators, get_bits, pi_bound,
-                                rect_abs2, rect_cbound, rect_dist_to_one,
-                                rect_of, rect_prod, residue, sin_turns,
-                                working_bits)
+                                residue, sin_turns, working_bits)
+
+from pair_reference import ONE, abs2, cbound_of, dist_to_one, fold_prod
 
 huge = st.integers(min_value=2 ** 200, max_value=2 ** 400)
 
@@ -201,51 +202,47 @@ def test_sqrt_and_pi_contain_the_interval_reference():
             assert Bound.exact(F(9, 4)).sqrt() == Bound.exact(F(3, 2))
 
 
-def _fold_prod(factors) -> CBound:
-    """Reference: the left fold of CBound.__mul__ from the exact 1."""
-    acc = CBound.exact(1)
-    for f in factors:
-        acc = acc * f
-    return acc
-
-
 _ends = st.one_of(st.fractions(min_value=-2, max_value=2, max_denominator=10 ** 6),
                   st.integers(-2 ** 70, 2 ** 70).map(lambda m: F(m, 2 ** 68)))
 _bounds = st.lists(_ends, min_size=2, max_size=2).map(lambda p: Bound(min(p), max(p)))
-_cbounds = st.one_of(st.just(CBound.exact(1)), st.builds(CBound, _bounds, _bounds),
-                     st.builds(CBound.exact, _ends, _ends))
+# complex enclosures as pairs (re, im) of Bounds
+_pairs = st.one_of(st.just(ONE), st.tuples(_bounds, _bounds),
+                   st.tuples(_ends.map(Bound.exact), _ends.map(Bound.exact)))
 
 
 @settings(max_examples=100)
-@given(st.lists(_cbounds, max_size=6))
+@given(st.lists(_pairs, max_size=6))
 def test_cbound_prod_matches_the_fraction_fold(factors):
-    assert rect_cbound(rect_prod(map(rect_of, factors))) == _fold_prod(factors)
+    z = CBound.prod(cbound_of(*f) for f in factors)
+    assert (z.re, z.im) == fold_prod(factors)
 
 
 def test_cbound_prod_single_and_exact_one_factors():
-    z = CBound(Bound(F(-1, 3), F(1, 7)), Bound(F(2, 5), F(1, 2)))
-    one = rect_of(CBound.exact(1))
-    assert rect_cbound(rect_prod([rect_of(z)])) == z
-    assert rect_cbound(rect_prod([one, rect_of(z), one])) == z
-    assert rect_cbound(rect_prod([])) == CBound.exact(1)
-    w = CBound(cos_turns(F(1, 7)), sin_turns(F(1, 7)))
-    assert rect_cbound(rect_prod([rect_of(z), one, rect_of(w)])) == _fold_prod([z, w])
-
-
-def _old_dist_to_one(z: CBound) -> Bound:
-    """Reference: |z - 1| through CBound subtraction and Bound products."""
-    return (z - CBound.exact(1)).abs()
+    pair = (Bound(F(-1, 3), F(1, 7)), Bound(F(2, 5), F(1, 2)))
+    z, one, one7 = cbound_of(*pair), CBound.exact(1), CBound(7, 7, 0, 0, 7)
+    # equality compares values, over any denominators
+    assert one7 == one and z != one
+    assert CBound(4, 6, -9, -9, 12) == CBound(8, 12, -18, -18, 24)
+    assert CBound(1, 2, 0, 0, 2) != CBound(1, 2, 0, 1, 2)
+    assert CBound.prod([z]) == z
+    assert CBound.prod([one, z, one]) == z
+    # a factor equal to the exact 1, over any denominator, is skipped
+    assert CBound.prod([one7, z, one7]).den == z.den
+    assert CBound.prod([]) == one
+    w = (cos_turns(F(1, 7)), sin_turns(F(1, 7)))
+    prod = CBound.prod([z, one, cbound_of(*w)])
+    assert (prod.re, prod.im) == fold_prod([pair, w])
 
 
 # rectangles around 1 + 0i, so re - 1 and im each straddle 0, sit on one
 # side of it, or touch it
-_near_one = st.builds(CBound, _bounds.map(lambda b: b + Bound.exact(1)), _bounds)
+_near_one = st.tuples(_bounds.map(lambda b: b + Bound.exact(1)), _bounds)
 
 
 @settings(max_examples=200)
-@given(st.one_of(_near_one, _cbounds))
+@given(st.one_of(_near_one, _pairs))
 def test_dist_to_one_matches_the_fraction_route(z):
-    new, old = z.dist_to_one(), _old_dist_to_one(z)
+    new, old = cbound_of(*z).dist_to_one(), dist_to_one(z)
     assert (new.lo, new.hi) == (old.lo, old.hi)
 
 
@@ -255,22 +252,42 @@ def test_dist_to_one_sign_cases_and_exact_one():
                Bound(F(5, 4), F(7, 4)), Bound(F(-2, 5), F(1, 9))):
         for im in (Bound(F(-1, 3), F(1, 5)), Bound.exact(0), Bound(F(-3, 8), F(-1, 8)),
                    Bound(F(2, 11), F(6, 7))):
-            z = CBound(re, im)
-            assert z.dist_to_one() == _old_dist_to_one(z)
-    w = rect_cbound(rect_prod([rect_of(CBound(cos_turns(F(1, 7)),
-                                              sin_turns(F(1, 7))))] * 5))
-    assert w.dist_to_one() == _old_dist_to_one(w)
+            assert cbound_of(re, im).dist_to_one() == dist_to_one((re, im))
+    w = CBound.prod([cbound_of(cos_turns(F(1, 7)), sin_turns(F(1, 7)))] * 5)
+    assert w.dist_to_one() == dist_to_one((w.re, w.im))
 
 
 @settings(max_examples=200)
-@given(st.one_of(_near_one, _cbounds))
+@given(st.one_of(_near_one, _pairs))
 def test_rect_dist_to_one_is_the_root_of_the_unreduced_square(z):
     # the root ends depend on the value alone, so rooting lo2 / den^2 and
     # hi2 / den^2 unreduced gives the Bound of the reduced square's root
-    rect = rect_of(z)
+    c = cbound_of(*z)
     for scale in (1, 3, 2 ** 40 + 1):
-        big = tuple(x * scale for x in rect)
-        lo2, hi2 = rect_abs2((big[0] - big[4], big[1] - big[4], *big[2:4], big[4]))
-        d2 = big[4] ** 2
-        assert rect_dist_to_one(big) == Bound(F(lo2, d2), F(hi2, d2)).sqrt()
-        assert rect_dist_to_one(big) == rect_dist_to_one(rect)
+        big = CBound(c.re_lo * scale, c.re_hi * scale, c.im_lo * scale,
+                     c.im_hi * scale, c.den * scale)
+        d2 = big.den ** 2
+        lo2, hi2 = big.abs2_ends()
+        assert Bound(F(lo2, d2), F(hi2, d2)) == abs2(z)
+        lo2, hi2 = CBound(big.re_lo - big.den, big.re_hi - big.den, big.im_lo,
+                          big.im_hi, big.den).abs2_ends()
+        assert big.dist_to_one() == Bound(F(lo2, d2), F(hi2, d2)).sqrt()
+        assert big.dist_to_one() == c.dist_to_one()
+
+
+def test_sin_and_cos_are_exact_where_rational():
+    # sin and cos of a turn p/q, q | 12, are rational exactly where twice
+    # the value is an integer (0, +-1/2 or +-1; the rest are +-sqrt(3)/2),
+    # and an exact enclosure is that value
+    for q in (1, 2, 3, 4, 6, 12):
+        for p in range(q):
+            t = F(p, q)
+            for enclose, fn in ((cos_turns, math.cos), (sin_turns, math.sin)):
+                x = 2 * fn(2 * math.pi * p / q)
+                rational = abs(x - round(x)) < 1e-9
+                got = enclose(t)
+                assert got.is_exact == rational, (t, enclose.__name__)
+                if rational:
+                    assert got.lo == F(round(x), 2), (t, enclose.__name__)
+    for d, value in ((F(0), 0), (F(1, 6), 1), (F(1, 2), 2)):
+        assert chord(d) == chord(1 - d) == Bound.exact(value)

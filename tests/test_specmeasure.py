@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from recurlab.certificates import frac_str
-from recurlab.precision import (Bound, CBound, cos_turns, pi_bound, residue,
-                                sin_turns, working_bits)
+from recurlab.precision import Bound, pi_bound, residue, working_bits
 from recurlab.seqcore import gen_divisibility, gen_recursive_q, triangular_pow2
 from recurlab.specmeasure import (ConvolutionFactorization, DiscreteMeasure,
                                   GaussianRectangleModel, _normals, convolve,
                                   fourier_direct, gauss_rectangle_overlap_mc,
                                   kahane_build, rigidity_check)
+
+from pair_reference import abs2, atom_sum, dist_to_one, product_formula
 
 DELTA0 = DiscreteMeasure([(0, 1)])
 HALF = DiscreteMeasure([(0, F(1, 2)), (F(1, 2), F(1, 2))])
@@ -97,15 +98,6 @@ def test_product_formula_matches_direct(factors, n):
     assert via_product.im.intersects(via_atoms.im)
 
 
-def _fraction_atom_sum(measure, n):
-    """Reference: the CBound atom fold the integer-numerator sum replaced."""
-    total = CBound.exact(0)
-    for angle, weight in measure.atoms:
-        r = residue(angle, n)
-        total = total + CBound(cos_turns(r), sin_turns(r)).scale(weight)
-    return total
-
-
 @settings(max_examples=60)
 @given(st.lists(st.tuples(st.fractions(min_value=0, max_value=1,
                                        max_denominator=10 ** 4),
@@ -117,20 +109,8 @@ def test_fourier_direct_matches_the_fraction_atom_sum(raw, n, bits):
     total = sum(w for _, w in raw)
     m = DiscreteMeasure([(a, F(w, total)) for a, w in raw])
     with working_bits(bits):
-        assert fourier_direct(m, n) == _fraction_atom_sum(m, n)
-
-
-def _fold_prod(factors) -> CBound:
-    """Reference: the left fold of CBound.__mul__ from the exact 1."""
-    acc = CBound.exact(1)
-    for f in factors:
-        acc = acc * f
-    return acc
-
-
-def _fraction_fourier(fact, n) -> CBound:
-    """Reference: the product formula on the factors' Fraction atom sums."""
-    return _fold_prod([_fraction_atom_sum(f, n) for f in fact.factors])
+        z = fourier_direct(m, n)
+        assert (z.re, z.im) == atom_sum(m, n)
 
 
 _factorizations = st.lists(
@@ -149,7 +129,8 @@ _bits = st.sampled_from([53, 96, 128, 200])
 @given(_factorizations, _frequencies, _bits)
 def test_integer_product_formula_matches_the_fraction_fold(fact, n, bits):
     with working_bits(bits):
-        assert fact.fourier(n) == _fraction_fourier(fact, n)
+        z = fact.fourier(n)
+        assert (z.re, z.im) == product_formula(fact, n)
 
 
 @settings(max_examples=30, deadline=None)
@@ -159,18 +140,19 @@ def test_rigidity_deviations_match_the_fraction_fold(fact, ratio, bits):
     with working_bits(bits):
         cert = rigidity_check(fact, seq, [F(1, 2)] * 6, 5)
         for k in range(6):
-            ref = (_fraction_fourier(fact, seq.term(k)) - CBound.exact(1)).abs()
+            ref = dist_to_one(product_formula(fact, seq.term(k)))
             assert cert.bounds[f"dev_k{k}"] == ref, k
 
 
 def _bound_route_estimate(model, n, samples):
     """Reference: the sampler on the factorization route as the Bound
-    arithmetic of the product's CBound gave it.  It takes the module's draw,
-    so the two gamma routes are compared, not two generators."""
-    gamma = _fraction_fourier(model.measure, n)
-    rho = complex(float(gamma.re.mid), float(gamma.im.mid))
-    cond_var = max(float((Bound.exact(1) - gamma.abs2()).mid), 0.0)
-    shift_closed = float((Bound.exact(1) - gamma.re).scale(2).mid)
+    arithmetic of the product's pair of Bounds gave it.  It takes the
+    module's draw, so the two gamma routes are compared, not two
+    generators."""
+    gamma = product_formula(model.measure, n)
+    rho = complex(float(gamma[0].mid), float(gamma[1].mid))
+    cond_var = max(float((Bound.exact(1) - abs2(gamma)).mid), 0.0)
+    shift_closed = float((Bound.exact(1) - gamma[0]).scale(2).mid)
     g = _normals(model.seed, samples)
     f = g[0]
     f_n = rho * f + math.sqrt(cond_var) * g[1]
@@ -374,11 +356,10 @@ def test_gauss_seeded_reproducibility():
 
 
 def test_gauss_full_period_is_identity():
-    # the 4- and 12-stage models of the gauss benchmark: their float weights
-    # sum differently by a dot product (4 stages) and by a real instead of a
-    # complex pairwise sum (12 stages), so the shift moment is exactly 0 only
-    # if s and gamma share one summation
-    # (on the factorization routes gamma is the exact product 1)
+    # the 4- and 12-stage models of the gauss benchmark: at the full period
+    # every atom's residue is 0, so on both routes gamma is the exact 1 (the
+    # atom sum of exact cosines, or the exact product) and the shift
+    # moment is exactly 0
     models = [small_model()]
     for stages in (4, 12):
         fact = kahane_build(triangular_pow2(13), harmonic, stages)
@@ -391,22 +372,44 @@ def test_gauss_full_period_is_identity():
         assert est.shift_moment_closed == 0.0
 
 
+def _rho(gamma) -> complex:
+    return complex(float(gamma.re.mid), float(gamma.im.mid))
+
+
 def test_gauss_factorization_route_matches_materialized_atoms():
-    # one build, two routes, one seed: the product formula with s = 1 and
-    # the float atom sum give the same pair law up to rounding, so no draw
-    # crosses the rectangle differently
+    # one build, two routes, one seed: the product formula and the atom sum
+    # of the materialized measure give the same pair law up to rounding, so
+    # no draw crosses the rectangle differently.  The second input is the
+    # criterion-07 model at k = 2..5, where rho and the closed shift moment
+    # of the two routes agree to 1e-15 relative, and each agrees with a
+    # float atom sum of the atoms to 1e-15
     seq = triangular_pow2(13)
-    fact = kahane_build(seq, harmonic, 10)
-    routes = [GaussianRectangleModel(m, RECT, seed=17)
-              for m in (fact, fact.materialize())]
-    for n in (1, 3, seq.term(2), seq.term(4), seq.term(7), seq.term(12)):
-        prod, atoms = (gauss_rectangle_overlap_mc(m, n, 20_000) for m in routes)
-        assert (prod.p_in, prod.sym_diff) == (atoms.p_in, atoms.sym_diff), n
-        for key in ("second_moment", "second_moment_closed", "shift_moment",
-                    "shift_moment_closed"):
-            assert getattr(prod, key) == pytest.approx(getattr(atoms, key),
-                                                       abs=1e-12), (n, key)
-    assert prod.second_moment_closed == 1.0
+    inputs = [(10, RECT, 17, [1, 3] + [seq.term(k) for k in (2, 4, 7, 12)]),
+              (12, (F(-3, 5), F(9, 10), F(-7, 10), F(4, 5)), 11,
+               [seq.term(k) for k in (2, 3, 4, 5)])]
+    for stages, rect, seed, indices in inputs:
+        fact = kahane_build(seq, harmonic, stages)
+        measure = fact.materialize()
+        routes = [GaussianRectangleModel(m, rect, seed=seed) for m in (fact, measure)]
+        w = np.array([float(wt) for _, wt in measure.atoms])
+        for n in indices:
+            prod, atoms = (gauss_rectangle_overlap_mc(m, n, 20_000) for m in routes)
+            assert (prod.p_in, prod.sym_diff) == (atoms.p_in, atoms.sym_diff), n
+            for key in ("second_moment", "second_moment_closed", "shift_moment",
+                        "shift_moment_closed"):
+                assert getattr(prod, key) == pytest.approx(getattr(atoms, key),
+                                                           abs=1e-12), (n, key)
+            if stages == 12:
+                rho = _rho(fact.fourier(n))
+                assert rho == pytest.approx(_rho(fourier_direct(measure, n)), rel=1e-15)
+                assert prod.shift_moment_closed == pytest.approx(
+                    atoms.shift_moment_closed, rel=1e-15)
+                lam = np.exp(2j * np.pi * np.array(
+                    [float(residue(a, n)) for a, _ in measure.atoms]))
+                assert rho == pytest.approx(complex(np.sum(w * lam)), abs=1e-15)
+                assert prod.shift_moment_closed == pytest.approx(
+                    float(np.sum(w * np.abs(lam - 1) ** 2)), abs=1e-15)
+        assert prod.second_moment_closed == atoms.second_moment_closed == 1.0
 
 
 def test_factorization_length_counts_materialized_atoms():

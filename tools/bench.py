@@ -12,7 +12,8 @@ probe runs one config at the deepest size that certifies in seconds, in a
 fresh interpreter per repeat: ``run_s`` times ``cli.run`` alone and
 ``process_s`` the whole process, from start to exit, and ``peak_rss_mb`` is
 the child's own ``ru_maxrss`` at the end of the run; all three are medians
-over the repeats, and every repeat's values are kept.  A repeat that runs
+over the repeats, ``run_s_min`` and ``run_s_max`` give the spread of
+``run_s``, and every repeat's values are kept.  A repeat that runs
 past ``PROBE_TIMEOUT`` seconds ends the probe as failed, with the time
 limit as its error.  Each start-up probe
 validates one small config of one CLI kind in a fresh interpreter:
@@ -80,6 +81,17 @@ PROBES = {
         "schema": "recurlab/1", "kind": "linsys", "bits": 256,
         "params": {"seq": {"name": "triangular-pow2", "count": 21},
                    "dimension": 64, "horizon": 20, "delta": "1/2"}},
+    "kahane-100-stages-128bits": {
+        "schema": "recurlab/1", "kind": "kahane", "bits": 128,
+        "params": {"seq": {"name": "triangular-pow2", "count": 101},
+                   "stages": 100, "targets": {"rule": "inverse-linear"}}},
+    "gauss-200-stages": {
+        "schema": "recurlab/1", "kind": "gauss", "seed": 7,
+        "params": {"kahane": {"seq": {"name": "triangular-pow2", "count": 201},
+                              "stages": 200,
+                              "targets": {"rule": "inverse-linear"}},
+                   "rectangle": [-0.6, 0.9, -0.7, 0.8], "blocks": 10,
+                   "side": "A", "max_index": 12, "samples": 5000}},
 }
 
 # one small config per CLI kind, for the start-up probes
@@ -110,10 +122,12 @@ print(json.dumps({"setup_s": setup_s, "peak_rss_mb": rss}))
 """
 
 # the depth probe's child: validate, then time one cli.run (ru_maxrss is in
-# KiB on Linux)
+# KiB on Linux); a deep run writes integers past CPython's 4,300-digit
+# int-to-str cap, which the child lifts as ``cli.main`` does for its run
 _PROBE = """
 import json, resource, sys, time
 from recurlab import cli
+getattr(sys, "set_int_max_str_digits", lambda digits: None)(0)
 cfg = cli.ExperimentConfig.from_dict(json.loads(sys.argv[1]))
 t = time.perf_counter()
 report = cli.run(cfg, sys.argv[2])
@@ -157,9 +171,12 @@ def probe(config: dict) -> dict:
                 return {"config": config, "error": proc.stderr.strip()[-2000:]}
             runs.append({"process_s": process_s,
                          **json.loads(proc.stdout.splitlines()[-1])})
+    run_s = [r["run_s"] for r in runs]
     return {"config": config,
             "passed": all(r["passed"] for r in runs),
-            "run_s": median(r["run_s"] for r in runs),
+            "run_s": median(run_s),
+            "run_s_min": min(run_s),
+            "run_s_max": max(run_s),
             "process_s": median(r["process_s"] for r in runs),
             "peak_rss_mb": median(r["peak_rss_mb"] for r in runs),
             "repeats": runs}
